@@ -10,7 +10,7 @@ zonotope evaluates in closed form as ``sum_i max(0, <d, g_i>)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,11 +20,10 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     Exact2dOnPlaneOnly,
-    NonFiniteValue,
     SizeGuard,
     TooManyAtoms,
 )
-from .measures import VectorMeasure
+from .measures import VectorMeasure, _frozen_rows
 from .sampling import case_rng, sign_vectors, unit_directions
 
 SKELETON_ATOM_LIMIT = 20
@@ -52,20 +51,7 @@ class Zonotope:
     generators: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise DimensionMismatch("dimension must be a positive integer")
-        g = np.asarray(self.generators, dtype=np.float64)
-        if g.size == 0:
-            g = g.reshape(0, self.dimension)
-        if g.ndim != 2 or g.shape[1] != self.dimension:
-            raise DimensionMismatch(
-                f"generator array of shape {g.shape} does not match dimension "
-                f"{self.dimension}"
-            )
-        if g.size and not np.isfinite(g).all():
-            raise NonFiniteValue("generators contain a NaN or infinite coordinate")
-        g = np.ascontiguousarray(g)
-        g.flags.writeable = False
+        g = _frozen_rows(self.generators, self.dimension, "generator array")
         object.__setattr__(self, "generators", g)
 
     @property
@@ -224,15 +210,7 @@ def zonogon_vertices(z: Zonotope) -> np.ndarray:
     """
     if z.dimension != 2:
         raise Exact2dOnPlaneOnly("vertex enumeration is planar only")
-    merged, offset = _merged_generators_2d(z.generators)
-    if merged.shape[0] == 0:
-        return np.zeros((1, 2))
-    up = offset + np.cumsum(merged, axis=0)
-    top = up[-1]
-    if merged.shape[0] == 1:
-        return np.vstack([offset, top])
-    down = top - np.cumsum(merged, axis=0)
-    return np.vstack([offset[None, :], up[:-1], top[None, :], down[:-1]])
+    return ZonogonSupport(z.generators).vertices
 
 
 def area_2d(z: Zonotope) -> float:
@@ -262,37 +240,38 @@ def shoelace_area(vertices: np.ndarray) -> float:
 
 
 class ZonogonSupport:
-    """Fast repeated support-function queries against a fixed 2-D zonotope.
+    """Planar normal form of a 2-D zonotope, for repeated support queries.
 
-    Precomputes generators sorted by angle with prefix sums over a doubled
-    circle; each batch of query directions then costs O(k log m).
+    Built on the merged upper-half-plane generators: ``vertices`` is the
+    counterclockwise walk that starts at the flip offset, adds the merged
+    generators in angle order and then subtracts them again.  The edge
+    angles of that walk are the merged angles followed by the same angles
+    plus pi, so one ``searchsorted`` finds the extreme vertex of a query.
+    Construction costs O(m log m) and a batch of k queries O(k log m), so
+    the exact planar Hausdorff distance, which queries two of these at
+    O(m) candidate directions, costs O(m log m).
     """
 
     def __init__(self, generators) -> None:
-        g = np.asarray(generators, dtype=np.float64).reshape(-1, 2)
-        g = g[np.abs(g).sum(axis=1) > 0.0]
-        self._count = g.shape[0]
-        if self._count == 0:
-            return
-        ang = np.arctan2(g[:, 1], g[:, 0])
-        order = np.argsort(ang, kind="stable")
-        g, ang = g[order], ang[order]
-        self._ext_angles = np.concatenate([ang, ang + 2.0 * np.pi])
-        doubled = np.vstack([g, g])
-        self._ext_prefix = np.vstack([np.zeros((1, 2)), np.cumsum(doubled, axis=0)])
+        merged, offset = _merged_generators_2d(generators)
+        cum = np.cumsum(merged, axis=0)
+        up = offset + cum
+        # slices, not indices: no merged generator leaves the walk [offset]
+        # and one leaves the two-point segment
+        top = up[-1:]
+        self.vertices = np.vstack([offset[None, :], up[:-1], top, top - cum[:-1]])
+        angles = np.arctan2(merged[:, 1], merged[:, 0])
+        self._edge_angles = np.concatenate([angles, angles + np.pi])
 
     def eval(self, queries) -> np.ndarray:
         """Support values for query direction rows (k, 2)."""
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if self._count == 0:
-            return np.zeros(q.shape[0])
-        theta = np.arctan2(q[:, 1], q[:, 0])
-        lo = theta - 0.5 * np.pi
-        lo = np.where(lo < -np.pi, lo + 2.0 * np.pi, lo)
-        i0 = np.searchsorted(self._ext_angles, lo, side="left")
-        i1 = np.searchsorted(self._ext_angles, lo + np.pi, side="left")
-        span = self._ext_prefix[i1] - self._ext_prefix[i0]
-        return (q * span).sum(axis=1)
+        # vertex j is extreme while the query's angle + pi/2 lies between
+        # the angles of the edges entering and leaving it
+        t = np.arctan2(q[:, 1], q[:, 0]) + 0.5 * np.pi
+        t = np.where(t < 0.0, t + 2.0 * np.pi, t)
+        j = np.searchsorted(self._edge_angles, t) % self.vertices.shape[0]
+        return (q * self.vertices[j]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +426,8 @@ def hausdorff_convex(
 
     - n <= 2: exact, by enumerating the boundary breakpoints of the
       piecewise-linear support difference (generator normals scaled to the
-      box boundary, plus the corners);
+      box boundary, plus the corners), evaluated through the planar normal
+      form :class:`ZonogonSupport` in O(m log m);
     - n >= 3 with at most 10 generators per side: exact, as the larger of
       the two directed distances, each a maximum of point-to-zonotope LP
       distances over the opposite subset sums;
@@ -483,6 +463,7 @@ def hausdorff_convex(
 def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
     if z1.dimension == 1:
         cands = np.array([[1.0], [-1.0]])
+        h1, h2 = reach_many(z1, cands), reach_many(z2, cands)
     else:
         gens = np.vstack([z1.generators, z2.generators])
         gens = gens[np.abs(gens).sum(axis=1) > 0.0]
@@ -493,7 +474,9 @@ def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
             cands = np.vstack([corner, perp, -perp])
         else:
             cands = corner
-    gap = np.abs(reach_many(z1, cands) - reach_many(z2, cands))
+        h1 = ZonogonSupport(z1.generators).eval(cands)
+        h2 = ZonogonSupport(z2.generators).eval(cands)
+    gap = np.abs(h1 - h2)
     worst = int(np.argmax(gap))
     return HausdorffResult(float(gap[worst]), "exact", witness_direction=cands[worst])
 
@@ -543,25 +526,3 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
     if d12 >= d21:
         return HausdorffResult(d12, "exact", witness_point=w12)
     return HausdorffResult(d21, "exact", witness_point=w21)
-
-
-def hausdorff_support_sampled(
-    support1: Callable[[np.ndarray], np.ndarray],
-    support2: Callable[[np.ndarray], np.ndarray],
-    directions: np.ndarray,
-) -> HausdorffResult:
-    """Sampled support-difference distance between two convex bodies.
-
-    For bodies given only through support-function oracles, returns the
-    maximum of |h1(u) - h2(u)| over the probe rows, each scaled to the
-    boundary of the infinity-ball.  This is a lower bound of the true
-    1-norm Hausdorff distance; mode is "sampled".
-    """
-    D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    scale = np.abs(D).max(axis=1)
-    if (scale == 0).any():
-        raise NonFiniteValue("probe directions must be nonzero")
-    D = D / scale[:, None]
-    gap = np.abs(np.asarray(support1(D)) - np.asarray(support2(D)))
-    worst = int(np.argmax(gap))
-    return HausdorffResult(float(gap[worst]), "sampled", witness_direction=D[worst])

@@ -21,15 +21,27 @@ from .errors import (
 )
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _frozen_rows(values, width: int, what: str) -> np.ndarray:
+    """Validated read-only float64 array of rows of length ``width``.
+
+    Raises DimensionMismatch when ``width`` is not positive or the rows have
+    another length, and NonFiniteValue on a NaN or infinite coordinate.  An
+    empty input becomes the empty ``(0, width)`` array.
+    """
+    if width < 1:
+        raise DimensionMismatch("dimension must be a positive integer")
+    a = np.asarray(values, dtype=np.float64)
+    if a.size == 0:
+        a = a.reshape(0, width)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise DimensionMismatch(
+            f"{what} of shape {a.shape} does not have width {width}"
+        )
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"{what} contains a NaN or infinite coordinate")
+    a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
-
-
-def _check_finite(a: np.ndarray, what: str) -> None:
-    if a.size and not np.isfinite(a).all():
-        raise NonFiniteValue(f"{what} contains a NaN or infinite coordinate")
 
 
 def _check_labels(labels: Optional[Sequence[str]], count: int):
@@ -61,18 +73,8 @@ class VectorMeasure:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise DimensionMismatch("dimension must be a positive integer")
-        atoms = np.asarray(self.atoms, dtype=np.float64)
-        if atoms.size == 0:
-            atoms = atoms.reshape(0, self.dimension)
-        if atoms.ndim != 2 or atoms.shape[1] != self.dimension:
-            raise DimensionMismatch(
-                f"atom array of shape {atoms.shape} does not match dimension "
-                f"{self.dimension}"
-            )
-        _check_finite(atoms, "atom list")
-        object.__setattr__(self, "atoms", _freeze(atoms))
+        atoms = _frozen_rows(self.atoms, self.dimension, "atom array")
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(
             self, "labels", _check_labels(self.labels, atoms.shape[0])
         )
@@ -111,18 +113,8 @@ class ComplexVectorMeasure:
     atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise DimensionMismatch("dimension must be a positive integer")
-        atoms = np.asarray(self.atoms, dtype=np.float64)
-        if atoms.size == 0:
-            atoms = atoms.reshape(0, 2 * self.dimension)
-        if atoms.ndim != 2 or atoms.shape[1] != 2 * self.dimension:
-            raise DimensionMismatch(
-                f"interleaved atom array of shape {atoms.shape} does not match "
-                f"complex dimension {self.dimension}"
-            )
-        _check_finite(atoms, "atom list")
-        object.__setattr__(self, "atoms", _freeze(atoms))
+        atoms = _frozen_rows(self.atoms, 2 * self.dimension, "interleaved atom array")
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def atom_count(self) -> int:
@@ -152,22 +144,14 @@ class PiecewiseDensityMeasure:
     directions: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise DimensionMismatch("dimension must be a positive integer")
-        lengths = np.asarray(self.lengths, dtype=np.float64).reshape(-1)
-        directions = np.asarray(self.directions, dtype=np.float64)
-        if directions.size == 0:
-            directions = directions.reshape(0, self.dimension)
-        if directions.ndim != 2 or directions.shape[1] != self.dimension:
-            raise DimensionMismatch("piece directions do not match dimension")
+        directions = _frozen_rows(self.directions, self.dimension, "piece directions")
+        lengths = _frozen_rows(np.reshape(self.lengths, (-1, 1)), 1, "piece lengths")[:, 0]
         if lengths.shape[0] != directions.shape[0]:
             raise DimensionMismatch("piece lengths and directions differ in count")
-        _check_finite(lengths, "piece lengths")
-        _check_finite(directions, "piece directions")
-        if lengths.size and not (lengths > 0).all():
+        if not (lengths > 0).all():
             raise NonFiniteValue("piece lengths must be strictly positive")
-        object.__setattr__(self, "lengths", _freeze(lengths))
-        object.__setattr__(self, "directions", _freeze(directions))
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "directions", directions)
 
     @property
     def piece_count(self) -> int:
@@ -276,13 +260,6 @@ def rn_direction(m: VectorMeasure, i: int) -> np.ndarray:
     if norm == 0.0:
         raise ZeroAtom(f"atom {i} has 1-norm zero")
     return atom / norm
-
-
-def rn_directions(m: VectorMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and 1-norm masses of all nonzero atoms, order preserved."""
-    norms = np.abs(m.atoms).sum(axis=1)
-    keep = norms > 0.0
-    return m.atoms[keep] / norms[keep, None], norms[keep]
 
 
 def direct_sum(a: VectorMeasure, b: VectorMeasure) -> VectorMeasure:

@@ -24,6 +24,7 @@ from .hulls import (
     area_2d,
     reach_many,
     skeleton_points,
+    within_tolerance,
     zonogon_vertices,
 )
 from .measures import VectorMeasure, coordinate_product
@@ -118,9 +119,7 @@ def hull_equal(
         directions = np.vstack([sign_vectors(n), unit_directions(rng, dirs, n)])
         r1 = reach_many(h1, directions)
         r2 = reach_many(h2, directions)
-        return bool(
-            np.all(np.abs(r1 - r2) <= tol + tol * np.maximum(np.abs(r1), np.abs(r2)))
-        )
+        return within_tolerance(r1, r2, atol=tol, rtol=tol)
     raise ValueError(f"unknown hull equality mode {mode!r}")
 
 

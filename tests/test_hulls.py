@@ -279,6 +279,34 @@ class TestHausdorffConvex:
         assert lifted.mode == "exact"
         assert lifted.distance == pytest.approx(planar.distance, abs=1e-8)
 
+    def test_planar_matches_dense_reference(self):
+        def seeded_pair_side(rng, m):
+            g = rng.normal(size=(m, 2)) * rng.uniform(0.1, 10.0)
+            # parallel and antiparallel copies, exact zeros, axis generators
+            copies = rng.integers(0, m, m // 4)
+            g[rng.integers(0, m, m // 4)] = g[copies] * rng.uniform(-3, 3, (copies.size, 1))
+            g[rng.random(m) < 0.05] = 0.0
+            g[rng.random(m) < 0.05, 1] = 0.0
+            return Zonotope(2, g)
+
+        def dense_reference(z1, z2):
+            gens = np.vstack([z1.generators, z2.generators])
+            gens = gens[np.abs(gens).sum(axis=1) > 0.0]
+            perp = np.column_stack([-gens[:, 1], gens[:, 0]])
+            perp = perp / np.abs(perp).max(axis=1, keepdims=True)
+            corner = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+            cands = np.vstack([corner, perp, -perp])
+            return np.abs(reach_many(z1, cands) - reach_many(z2, cands)).max()
+
+        rng = case_rng(11, "test.hausdorff.planar")
+        for m in (1, 2, 5, 20, 100, 500, 2000):
+            z1 = seeded_pair_side(rng, m)
+            z2 = seeded_pair_side(rng, int(rng.integers(1, m + 1)))
+            mass = np.abs(z1.generators).sum() + np.abs(z2.generators).sum()
+            r = hausdorff_convex(z1, z2)
+            assert r.mode == "exact"
+            assert abs(r.distance - dense_reference(z1, z2)) <= 1e-12 * mass
+
     def test_sampled_mode_reported(self):
         rng = case_rng(8, "test.hausdorff.sampled")
         z1 = Zonotope(3, rng.uniform(-1, 1, (12, 3)))
@@ -333,11 +361,25 @@ class TestHausdorffPoints:
 class TestZonogonSupport:
     def test_matches_reach(self):
         rng = case_rng(10, "test.support")
-        for _ in range(10):
-            gens = rng.uniform(-2, 2, (int(rng.integers(1, 60)), 2))
+        cases = [rng.uniform(-2, 2, (int(rng.integers(1, 60)), 2)) for _ in range(10)]
+        cases += [
+            np.zeros((0, 2)),
+            np.zeros((3, 2)),
+            np.array([[1.0, 2.0]]),
+            np.array([[-1.0, -2.0]]),
+            np.array([[1.0, 0.0], [-2.0, 0.0], [3.0, 0.0]]),
+            np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], [0.0, 1.0], [0.0, -3.0]]),
+            np.array([[-1.0, 1e-300]]),
+            np.array([[-1.0, 1e-300], [1.0, 0.0], [0.0, 1.0]]),
+        ]
+        for gens in cases:
             z = Zonotope(2, gens)
             table = ZonogonSupport(gens)
             queries = rng.normal(size=(200, 2))
+            # zero queries, queries along and perpendicular to every edge
+            edges = np.vstack([gens, [[1.0, 0.0], [0.0, 1.0]]])
+            perp = np.column_stack([-edges[:, 1], edges[:, 0]])
+            queries = np.vstack([queries, np.zeros((2, 2)), edges, -edges, perp, -perp])
             assert within_tolerance(table.eval(queries), reach_many(z, queries))
 
     def test_zero_query(self):
