@@ -29,7 +29,7 @@ from .sampling import case_rng, sign_vectors, unit_directions
 SKELETON_ATOM_LIMIT = 20
 POINT_SET_LIMIT = 1 << 20
 HAUSDORFF_DIMENSION_LIMIT = 20
-# n >= 3 exact Hausdorff enumerates subset sums and solves one LP per point.
+# cap of the exact n >= 3 routes; n >= 4 solves one LP per subset sum
 _LP_EXACT_MAX_GENERATORS = 10
 
 _DEF_CHUNK_FLOPS = 4_000_000
@@ -93,7 +93,8 @@ class HausdorffResult:
 
     ``mode`` is "exact" when the value is the true distance and "sampled"
     when it is a maximum over finitely many probe directions (a certified
-    lower bound).
+    lower bound).  Exact n = 3 (closed form, no LP) and n >= 4 (LPs) results
+    carry a farthest subset sum as ``witness_point``.
     """
 
     distance: float
@@ -428,8 +429,11 @@ def hausdorff_convex(
       piecewise-linear support difference (generator normals scaled to the
       box boundary, plus the corners), evaluated through the planar normal
       form :class:`ZonogonSupport` in O(m log m);
-    - n >= 3 with at most 10 generators per side: exact, as the larger of
-      the two directed distances, each a maximum of point-to-zonotope LP
+    - n = 3 with at most 10 generators per side: exact in closed form (no
+      LP) at the vertices that the planes <g, u> = 0 cut out of the cube
+      surface: its corners, plane/edge crossings and +-(g_i x g_j) scaled;
+    - 4 <= n <= 20 with at most 10 generators per side: exact, as the larger
+      of the two directed distances, each a maximum of point-to-zonotope LP
       distances over the opposite subset sums;
     - otherwise: sampled over sign vectors plus seeded directions, reported
       as mode "sampled" (a lower bound).
@@ -446,6 +450,8 @@ def hausdorff_convex(
     if n <= 2:
         return _hausdorff_2d_exact(z1, z2)
     if max(z1.generator_count, z2.generator_count) <= _LP_EXACT_MAX_GENERATORS:
+        if n == 3:
+            return _hausdorff_3d_exact(z1, z2)
         return _hausdorff_lp_exact(z1, z2)
     probes = [sign_vectors(n)] if n <= 16 else []
     probes.append(unit_directions(case_rng(seed, "hausdorff.sampled"), dirs, n))
@@ -479,6 +485,38 @@ def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
     gap = np.abs(h1 - h2)
     worst = int(np.argmax(gap))
     return HausdorffResult(float(gap[worst]), "exact", witness_direction=cands[worst])
+
+
+def _hausdorff_3d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
+    # The support gap is linear on each cell of the arrangement of the planes
+    # <g, u> = 0, so on the cube surface it peaks at a cube corner, where a
+    # plane crosses a cube edge, or where two planes meet (+-g_i x g_j).
+    gens = np.vstack([z1.generators, z2.generators])
+    gens = gens[np.abs(gens).sum(axis=1) > 0.0]
+    # only the planes matter; unit rows keep the products below from
+    # overflowing or underflowing at extreme scales
+    gens = gens / np.abs(gens).max(axis=1, keepdims=True)
+    corners = sign_vectors(3)
+    cands = [corners]
+    for k in range(3):
+        ends = corners[corners[:, k] > 0]  # one end of each edge along axis k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (gens[:, k : k + 1] - gens @ ends.T) / gens[:, k : k + 1]
+        i, e = np.nonzero(np.abs(t) <= 1.0)
+        crossing = ends[e]
+        crossing[:, k] = t[i, e]
+        cands.append(crossing)
+    i, j = np.triu_indices(gens.shape[0], 1)
+    c = np.cross(gens[i], gens[j])
+    c = c[np.abs(c).max(axis=1) > 0.0]
+    c = c / np.abs(c).max(axis=1, keepdims=True)
+    cands = np.vstack(cands + [c, -c])
+    gap = reach_many(z1, cands) - reach_many(z2, cands)
+    worst = int(np.argmax(np.abs(gap)))
+    # the side with the larger support at the best direction is farthest there
+    g = (z1 if gap[worst] >= 0.0 else z2).generators
+    far = g[g @ cands[worst] > 0.0].sum(axis=0)
+    return HausdorffResult(float(abs(gap[worst])), "exact", witness_point=far)
 
 
 def _hausdorff_lp_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:

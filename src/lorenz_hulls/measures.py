@@ -7,6 +7,7 @@ wrapped numpy arrays are marked read-only so values can be shared freely.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,8 +26,9 @@ def _frozen_rows(values, width: int, what: str) -> np.ndarray:
     """Validated read-only float64 array of rows of length ``width``.
 
     Raises DimensionMismatch when ``width`` is not positive or the rows have
-    another length, and NonFiniteValue on a NaN or infinite coordinate.  An
-    empty input becomes the empty ``(0, width)`` array.
+    another length, and NonFiniteValue on a NaN or infinite coordinate or a
+    total 1-norm mass that overflows.  An empty input becomes the empty
+    ``(0, width)`` array.
     """
     if width < 1:
         raise DimensionMismatch("dimension must be a positive integer")
@@ -37,8 +39,14 @@ def _frozen_rows(values, width: int, what: str) -> np.ndarray:
         raise DimensionMismatch(
             f"{what} of shape {a.shape} does not have width {width}"
         )
-    if not np.isfinite(a).all():
-        raise NonFiniteValue(f"{what} contains a NaN or infinite coordinate")
+    # NaN fails the bound, and below it the summed 1-norm mass cannot overflow
+    peak = max(a.max(), -a.min()) if a.size else 0.0
+    if not peak <= np.finfo(np.float64).max / (2 * a.size or 1):
+        if not np.isfinite(a).all():
+            raise NonFiniteValue(f"{what} contains a NaN or infinite coordinate")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(a).sum()):
+                raise NonFiniteValue(f"{what} has a total 1-norm mass that overflows")
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
@@ -165,6 +173,31 @@ class PiecewiseDensityMeasure:
 # construction and validation
 
 
+def _parsed_rows(raw, per_dim: int, what: str):
+    """Integer ``dim`` and the ``atoms`` lists (``per_dim * dim`` numbers each) as rows."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"cannot interpret {type(raw).__name__} as a measure")
+    dim = raw.get("dim")
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+        raise ParseError("measure description lacks an integer 'dim'")
+    if dim < 1:
+        raise DimensionMismatch("dimension must be a positive integer")
+    dim = int(dim)
+    atoms = raw.get("atoms", [])
+    if not isinstance(atoms, list) or not all(isinstance(a, list) for a in atoms):
+        raise ParseError("measure 'atoms' is not a list of coordinate lists")
+    width = per_dim * dim
+    for i, atom in enumerate(atoms):
+        if len(atom) != width:
+            raise DimensionMismatch(
+                f"{what} {i} has {len(atom)} coordinates, expected {width}"
+            )
+    try:
+        return dim, np.array(atoms, dtype=np.float64).reshape(len(atoms), width)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"measure 'atoms' are not a float array: {exc}") from exc
+
+
 def validate(raw) -> VectorMeasure:
     """Check a candidate measure description and return a VectorMeasure.
 
@@ -174,45 +207,21 @@ def validate(raw) -> VectorMeasure:
     """
     if isinstance(raw, VectorMeasure):
         return raw
-    if not isinstance(raw, dict):
-        raise ParseError(f"cannot interpret {type(raw).__name__} as a measure")
-    if raw.get("complex", False):
+    if isinstance(raw, dict) and raw.get("complex", False):
         raise ParseError("complex measure description passed to validate(); "
                          "use validate_complex()")
-    try:
-        dim = int(raw["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("measure description lacks a usable 'dim'") from exc
-    atoms = raw.get("atoms", [])
-    for i, atom in enumerate(atoms):
-        if len(atom) != dim:
-            raise DimensionMismatch(
-                f"atom {i} has {len(atom)} coordinates, expected {dim}"
-            )
-    return VectorMeasure(dim, np.array(atoms, dtype=np.float64).reshape(len(atoms), dim),
-                         labels=tuple(raw["labels"]) if raw.get("labels") else None)
+    dim, atoms = _parsed_rows(raw, 1, "atom")
+    labels = raw.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ParseError("measure 'labels' is not a list")
+    return VectorMeasure(dim, atoms, labels=labels)
 
 
 def validate_complex(raw) -> ComplexVectorMeasure:
     """Check a candidate complex measure description (interleaved atoms)."""
     if isinstance(raw, ComplexVectorMeasure):
         return raw
-    if not isinstance(raw, dict):
-        raise ParseError(f"cannot interpret {type(raw).__name__} as a measure")
-    try:
-        dim = int(raw["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("measure description lacks a usable 'dim'") from exc
-    atoms = raw.get("atoms", [])
-    for i, atom in enumerate(atoms):
-        if len(atom) != 2 * dim:
-            raise DimensionMismatch(
-                f"complex atom {i} has {len(atom)} interleaved coordinates, "
-                f"expected {2 * dim}"
-            )
-    return ComplexVectorMeasure(
-        dim, np.array(atoms, dtype=np.float64).reshape(len(atoms), 2 * dim)
-    )
+    return ComplexVectorMeasure(*_parsed_rows(raw, 2, "complex atom"))
 
 
 def complex_measure_from_atoms(dim: int, atoms: Iterable[Sequence[complex]]) -> ComplexVectorMeasure:

@@ -46,6 +46,34 @@ class TestHullCommand:
     def test_malformed_json_exit_2(self, files, capsys):
         assert main(["hull", "-i", files["bad"]]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"dim": 2, "atoms": 5},
+        {"dim": 2, "atoms": None},
+        {"dim": 2.7, "atoms": [[1.0, 0.0]]},
+        {"dim": True, "atoms": [[1.0]]},
+        {"dim": "2", "atoms": [[1.0, 0.0]]},
+    ])
+    def test_malformed_schema_exit_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        assert main(["hull", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_overflowing_mass_exit_2(self, files, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 2, "atoms": [[1e308, 1e308], [1e308, 1e308]]}))
+        for argv in (["hull", "-i", str(path)],
+                     ["hausdorff", str(path), files["square"]],
+                     ["include", files["square"], str(path)],
+                     ["include", str(path), files["square"]]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+
 
 class TestProductAndSum:
     def test_product_identity(self, files, tmp_path, capsys):
@@ -92,6 +120,15 @@ class TestHausdorffCommand:
     def test_known_distance(self, files, capsys):
         assert main(["hausdorff", files["square"], files["double"]]) == 0
         assert json.loads(capsys.readouterr().out)["distance"] == pytest.approx(2.0)
+
+    def test_exact_in_3d_with_witness_point(self, files, tmp_path, capsys):
+        # the unit cube against the segment [0, e1]: the cube's edge
+        # x2 = x3 = 1 lies at 1-norm distance 2 from the segment
+        cube = tmp_path / "cube.json"
+        cube.write_text(json.dumps({"dim": 3, "atoms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        assert main(["hausdorff", str(cube), files["d3"]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"distance": 2.0, "mode": "exact", "witness": [0.0, 1.0, 1.0]}
 
 
 class TestGiniAndCurve:

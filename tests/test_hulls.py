@@ -22,10 +22,16 @@ from lorenz_hulls import (
     within_tolerance,
     zonogon_vertices,
 )
-from lorenz_hulls.hulls import ZonogonSupport
+from lorenz_hulls.hulls import ZonogonSupport, _lp_point_distance
 from lorenz_hulls.sampling import case_rng, unit_directions
 
 SQUARE = Zonotope(2, [[1, 0], [0, 1]])
+# a 3-D pair whose support gap peaks (at 3) only where two of the planes
+# <g, u> = 0 meet inside a cube facet; cube edges and corners see 2.5
+CROSS_PEAK = (
+    Zonotope(3, [[1, 2, -2], [1, -2, -2]]),
+    Zonotope(3, [[-2, 1, -2], [2, -1, -2]]),
+)
 
 
 def brute_reach(z, d):
@@ -267,17 +273,73 @@ class TestHausdorffConvex:
             assert abs(exact.distance - brute_hausdorff_segments(a, b)) <= 2 * pitch
 
     def test_lp_route_matches_planar_exact(self):
-        # embed a planar pair into 3-space; both routes must agree
+        # embed a planar pair into 3- and 4-space; every route must agree
+        # (n = 3 takes the closed-form route, n = 4 the LP route)
         rng = case_rng(7, "test.hausdorff.lp")
         g1 = rng.uniform(-1, 1, (4, 2))
         g2 = rng.uniform(-1, 1, (3, 2))
         planar = hausdorff_convex(Zonotope(2, g1), Zonotope(2, g2))
-        lifted = hausdorff_convex(
-            Zonotope(3, np.column_stack([g1, np.zeros(4)])),
-            Zonotope(3, np.column_stack([g2, np.zeros(3)])),
-        )
-        assert lifted.mode == "exact"
-        assert lifted.distance == pytest.approx(planar.distance, abs=1e-8)
+        for n in (3, 4):
+            lifted = hausdorff_convex(
+                Zonotope(n, np.column_stack([g1, np.zeros((4, n - 2))])),
+                Zonotope(n, np.column_stack([g2, np.zeros((3, n - 2))])),
+            )
+            assert lifted.mode == "exact"
+            assert lifted.distance == pytest.approx(planar.distance, abs=1e-8)
+
+    def test_3d_route_matches_lp_oracle(self):
+        def seeded_side(rng, family):
+            m = int(rng.integers(0, 6))
+            if family == "integer":
+                return Zonotope(3, rng.integers(-2, 3, (m, 3)).astype(float))
+            g = rng.normal(size=(m, 3))
+            if family == "parallel" and m > 1:
+                g[1:] = g[:1] * rng.uniform(-2, 2, (m - 1, 1))
+            elif family == "coplanar":
+                g[:, 2] = 0.0
+            elif family == "zero":
+                g[rng.random(m) < 0.3] = 0.0
+            elif family == "axis":
+                g[rng.random((m, 3)) < 0.4] = 0.0
+            return Zonotope(3, g)
+
+        def lp_oracle(z1, z2):
+            # the larger directed distance, each a maximum of point-to-hull
+            # LP distances over the subset sums of one side
+            return max(
+                _lp_point_distance(target, p)[0]
+                for source, target in ((z1, z2), (z2, z1))
+                for p in skeleton_points(VectorMeasure(3, source.generators)).points
+            )
+
+        rng = case_rng(12, "test.hausdorff.3d")
+        empty = Zonotope(3, np.zeros((0, 3)))
+        pairs = [(empty, empty), (seeded_side(rng, "generic"), empty)]
+        # peaks where two planes meet inside a facet, at +c and at -c
+        pairs += [CROSS_PEAK, tuple(Zonotope(3, -z.generators) for z in CROSS_PEAK)]
+        for family in ("generic", "parallel", "coplanar", "zero", "axis", "integer"):
+            pairs += [(seeded_side(rng, family), seeded_side(rng, family)) for _ in range(3)]
+        pairs.append((empty, pairs[-1][0]))
+        for z1, z2 in pairs:
+            mass = np.abs(z1.generators).sum() + np.abs(z2.generators).sum()
+            r = hausdorff_convex(z1, z2)
+            assert r.mode == "exact" and r.witness_direction is None
+            assert abs(r.distance - lp_oracle(z1, z2)) <= 1e-12 * mass
+            # the witness is a subset sum of one side at that distance from the other
+            w = r.witness_point
+            far = max(_lp_point_distance(z1, w)[0], _lp_point_distance(z2, w)[0])
+            assert abs(far - r.distance) <= 1e-12 * mass
+
+    def test_3d_route_scales_exactly(self):
+        # powers of two scale every step exactly, even where products of two
+        # coordinates would overflow or underflow
+        z1, z2 = CROSS_PEAK
+        base = hausdorff_convex(z1, z2).distance
+        assert base == 3.0
+        for k in (-1000, -600, 600, 1000):
+            f = 2.0 ** k
+            r = hausdorff_convex(Zonotope(3, z1.generators * f), Zonotope(3, z2.generators * f))
+            assert r.distance == base * f
 
     def test_planar_matches_dense_reference(self):
         def seeded_pair_side(rng, m):

@@ -9,8 +9,10 @@ from lorenz_hulls import (
     DimensionMismatch,
     DuplicateLabel,
     NonFiniteValue,
+    ParseError,
     VectorMeasure,
     ZeroAtom,
+    Zonotope,
     canonicalize,
     complex_coordinate_product,
     complex_embed,
@@ -23,7 +25,9 @@ from lorenz_hulls import (
     rn_direction,
     total_variation_mass,
     validate,
+    validate_complex,
 )
+from lorenz_hulls.sampling import case_rng
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64,
                           min_value=-1e12, max_value=1e12)
@@ -49,6 +53,48 @@ class TestValidate:
             VectorMeasure(2, [[np.nan, 0.0]])
         with pytest.raises(NonFiniteValue):
             VectorMeasure(2, [[np.inf, 0.0]])
+
+    @pytest.mark.parametrize("payload", [
+        {"dim": 2, "atoms": 5},
+        {"dim": 2, "atoms": None},
+        {"dim": 2, "atoms": [5, 6]},
+        {"dim": 2.7, "atoms": [[1, 0]]},
+        {"dim": 2.0, "atoms": [[1, 0]]},
+        {"dim": True, "atoms": [[1]]},
+        {"dim": "2", "atoms": [[1, 0]]},
+        {"atoms": [[1, 0]]},
+    ])
+    def test_malformed_description_is_a_parse_error(self, payload):
+        with pytest.raises(ParseError):
+            validate(payload)
+        with pytest.raises(ParseError):
+            validate_complex({**payload, "complex": True})
+
+    def test_malformed_labels_and_coordinates_are_parse_errors(self):
+        with pytest.raises(ParseError):
+            validate({"dim": 2, "atoms": [[1, 0]], "labels": 5})
+        with pytest.raises(ParseError):
+            validate({"dim": 2, "atoms": [[{}, 0]]})
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(DimensionMismatch):
+            validate({"dim": -1, "atoms": []})
+        with pytest.raises(DimensionMismatch):
+            validate_complex({"dim": 0, "atoms": []})
+
+    def test_overflowing_mass_rejected(self):
+        # every coordinate is finite, but the 1-norm mass is not
+        rng = case_rng(3, "test.measures.overflow")
+        for _ in range(5):
+            m, n = (int(x) for x in rng.integers(1, 4, 2))
+            rows = rng.uniform(0.6, 1.0, (2 * m, 2 * n)) * np.finfo(float).max
+            rows *= rng.choice([-1.0, 1.0], rows.shape)
+            for build in (lambda a: VectorMeasure(2 * n, a),
+                          lambda a: ComplexVectorMeasure(n, a),
+                          lambda a: Zonotope(2 * n, a)):
+                with pytest.raises(NonFiniteValue, match="mass"):
+                    build(rows)
+                build(rows / (4 * m * n))  # the same rows at a summable scale
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DuplicateLabel):
