@@ -50,6 +50,11 @@ class SpherePartition:
 
     def cell_of(self, points: np.ndarray) -> list[CellKey]:
         """Cell keys of unit (or any nonzero) vectors, one per row."""
+        signs, buckets = self._cell_rows(points)
+        return list(zip(map(tuple, signs.tolist()), map(tuple, buckets.tolist())))
+
+    def _cell_rows(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The two parts of the cell keys of ``points`` as integer arrays."""
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if x.shape[1] != self.dimension:
             raise DimensionMismatch(
@@ -62,10 +67,7 @@ class SpherePartition:
         y = np.abs(x) / norms
         r = self.resolution
         buckets = np.minimum(np.floor(r * y[:, :-1]).astype(int), r - 1)
-        return [
-            (tuple(int(s) for s in signs[i]), tuple(int(b) for b in buckets[i]))
-            for i in range(x.shape[0])
-        ]
+        return signs, buckets
 
     def representative(self, key: CellKey) -> np.ndarray:
         """Canonical unit 1-norm vector inside (within delta of) the cell."""
@@ -173,7 +175,8 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     Every nonempty cell k with total 1-norm mass w_k contributes ``reps``
     atoms, each ``(w_k / reps) * u_k`` along the cell representative, so the
     total variation is preserved.  Empty buckets contribute nothing; zero
-    atoms are ignored.
+    atoms are ignored.  Cells come out in key order (``np.unique`` of the
+    integer key rows); each cell's mass is summed in atom order.
     """
     if m.dimension != part.dimension:
         raise DimensionMismatch(
@@ -186,15 +189,15 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     keep = norms > 0.0
     if not keep.any():
         return VectorMeasure(m.dimension, np.zeros((0, m.dimension)))
-    keys = part.cell_of(m.atoms[keep])
-    masses: dict[CellKey, float] = {}
-    for key, w in zip(keys, norms[keep]):
-        masses[key] = masses.get(key, 0.0) + float(w)
-    rows = []
-    for key in sorted(masses):
-        atom = (masses[key] / reps) * part.representative(key)
-        rows.extend([atom] * reps)
-    return VectorMeasure(m.dimension, np.array(rows))
+    signs, buckets = part._cell_rows(m.atoms[keep])
+    cells, cell = np.unique(np.hstack([signs, buckets]), axis=0, return_inverse=True)
+    masses = np.bincount(cell.reshape(-1), weights=norms[keep])
+    n = m.dimension
+    atoms = [
+        (w / reps) * part.representative((tuple(key[:n]), tuple(key[n:])))
+        for w, key in zip(masses, cells.tolist())
+    ]
+    return VectorMeasure(m.dimension, np.repeat(atoms, reps, axis=0))
 
 
 def product_error_bound(

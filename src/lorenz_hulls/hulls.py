@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import cKDTree
 
 from .errors import (
     DimensionMismatch,
@@ -32,7 +30,16 @@ HAUSDORFF_DIMENSION_LIMIT = 20
 # cap of the exact n >= 3 routes; n >= 4 solves one LP per subset sum
 _LP_EXACT_MAX_GENERATORS = 10
 
-_DEF_CHUNK_FLOPS = 4_000_000
+# float64 elements per temporary block of the dense kernels (512 KB), so a
+# block and its reductions stay in cache
+_BLOCK = 1 << 16
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call (slow import)."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def within_tolerance(lhs, rhs, atol: float = 1e-9, rtol: float = 1e-9) -> bool:
@@ -143,7 +150,7 @@ def reach(z: Zonotope, direction) -> float:
 
 
 def reach_many(z: Zonotope, directions) -> np.ndarray:
-    """Reach values for all direction rows, evaluated in fixed order."""
+    """Reach values for all direction rows, in blocks of ~``_BLOCK`` dots."""
     D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if D.shape[1] != z.dimension:
         raise DimensionMismatch(
@@ -153,10 +160,10 @@ def reach_many(z: Zonotope, directions) -> np.ndarray:
     if m == 0:
         return np.zeros(D.shape[0])
     out = np.empty(D.shape[0])
-    step = max(1, _DEF_CHUNK_FLOPS // m)
+    step = max(1, _BLOCK // m)
     for i in range(0, D.shape[0], step):
         block = D[i : i + step] @ z.generators.T
-        out[i : i + step] = np.maximum(block, 0.0).sum(axis=1)
+        out[i : i + step] = np.maximum(block, 0.0, out=block).sum(axis=1)
     return out
 
 
@@ -279,19 +286,27 @@ class ZonogonSupport:
 # containment (linear feasibility)
 
 
+def _lp_exponent(z: Zonotope, p: np.ndarray) -> int:
+    """Binary exponent e of the largest |coordinate| of ``z`` and ``p``; the
+    LPs run on data times 2**-e (exact), as HiGHS fails near 1e100."""
+    peak = max(np.abs(z.generators).max(initial=0.0), np.abs(p).max(initial=0.0))
+    return int(np.frexp(peak)[1])
+
+
 def _lp_point_distance(z: Zonotope, p: np.ndarray):
     """1-norm distance from ``p`` to the zonotope, with coefficients.
 
     Solves  min sum(s+ + s-)  s.t.  G^T t + s+ - s- = p,  t in [0,1]^m.
     """
     m, n = z.generator_count, z.dimension
+    e = _lp_exponent(z, p)
     c = np.concatenate([np.zeros(m), np.ones(2 * n)])
-    a_eq = np.hstack([z.generators.T, np.eye(n), -np.eye(n)])
+    a_eq = np.hstack([np.ldexp(z.generators.T, -e), np.eye(n), -np.eye(n)])
     bounds = [(0.0, 1.0)] * m + [(0.0, None)] * (2 * n)
-    res = linprog(c, A_eq=a_eq, b_eq=p, bounds=bounds, method="highs")
+    res = linprog(c, A_eq=a_eq, b_eq=np.ldexp(p, -e), bounds=bounds, method="highs")
     if res.status != 0:  # pragma: no cover - the program is always feasible
         raise RuntimeError(f"distance LP failed: {res.message}")
-    return float(res.fun), np.clip(res.x[:m], 0.0, 1.0)
+    return float(np.ldexp(res.fun, e)), np.clip(res.x[:m], 0.0, 1.0)
 
 
 def separating_direction(z: Zonotope, p: np.ndarray):
@@ -301,9 +316,10 @@ def separating_direction(z: Zonotope, p: np.ndarray):
     the 1-norm distance from ``p`` to the zonotope.
     """
     m, n = z.generator_count, z.dimension
-    c = np.concatenate([-p, np.ones(m)])
+    e = _lp_exponent(z, p)
+    c = np.concatenate([-np.ldexp(p, -e), np.ones(m)])
     if m:
-        a_ub = np.hstack([z.generators, -np.eye(m)])
+        a_ub = np.hstack([np.ldexp(z.generators, -e), -np.eye(m)])
         b_ub = np.zeros(m)
     else:
         a_ub = None
@@ -312,7 +328,7 @@ def separating_direction(z: Zonotope, p: np.ndarray):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:  # pragma: no cover
         raise RuntimeError(f"separation LP failed: {res.message}")
-    return res.x[:n], float(-res.fun)
+    return res.x[:n], float(np.ldexp(-res.fun, e))
 
 
 def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
@@ -540,10 +556,12 @@ def _directed_points_1norm(a: np.ndarray, b: np.ndarray):
         raise SizeGuard("Hausdorff distance against an empty point set")
     pairs = a.shape[0] * b.shape[0]
     if pairs > 1 << 22:
+        from scipy.spatial import cKDTree
+
         dist, _ = cKDTree(b).query(a, k=1, p=1)
     else:
         dist = np.empty(a.shape[0])
-        step = max(1, _DEF_CHUNK_FLOPS // max(b.shape[0], 1))
+        step = max(1, _BLOCK // b.size)
         for i in range(0, a.shape[0], step):
             block = np.abs(a[i : i + step, None, :] - b[None, :, :]).sum(axis=2)
             dist[i : i + step] = block.min(axis=1)

@@ -28,11 +28,13 @@ def _frozen_rows(values, width: int, what: str) -> np.ndarray:
     Raises DimensionMismatch when ``width`` is not positive or the rows have
     another length, and NonFiniteValue on a NaN or infinite coordinate or a
     total 1-norm mass that overflows.  An empty input becomes the empty
-    ``(0, width)`` array.
+    ``(0, width)`` array.  An ndarray input is copied, not frozen in place.
     """
     if width < 1:
         raise DimensionMismatch("dimension must be a positive integer")
     a = np.asarray(values, dtype=np.float64)
+    if isinstance(values, np.ndarray) and np.may_share_memory(a, values):
+        a = a.copy()  # freezing below must leave the caller's array writable
     if a.size == 0:
         a = a.reshape(0, width)
     if a.ndim != 2 or a.shape[1] != width:

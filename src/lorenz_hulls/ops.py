@@ -18,6 +18,7 @@ from .errors import (
     ZeroTotal,
 )
 from .hulls import (
+    _BLOCK,
     SkeletonPointSet,
     Zonotope,
     ZonogonSupport,
@@ -229,17 +230,25 @@ def product_reach_many(
 
     For direction u the product support is sum_i h_B(u * a_i) over the
     atoms a_i of the first factor (componentwise scaling), so the product's
-    generators are never materialized.  Cost O(dirs * m_a * log m_b).
+    generators are never materialized.  The atoms are sorted by angle once;
+    scaling by u keeps or reverses their cyclic order, so each direction's
+    queries are one cyclic run for ``searchsorted``.  Values go back to atom
+    order for the row sums.  Cost O(dirs * m_a * log m_b).
     """
     atoms = np.asarray(factor_atoms, dtype=np.float64).reshape(-1, 2)
+    order = np.argsort(np.arctan2(atoms[:, 1], atoms[:, 0]), kind="stable")
+    unsort = np.argsort(order)
+    atoms = atoms[order]
     D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     out = np.empty(D.shape[0])
-    step = max(1, 2_000_000 // max(atoms.shape[0], 1))
+    step = max(1, _BLOCK // max(atoms.shape[0], 1))
     for i in range(0, D.shape[0], step):
         block = D[i : i + step]
         queries = block[:, None, :] * atoms[None, :, :]
         vals = other_support.eval(queries.reshape(-1, 2))
-        out[i : i + step] = vals.reshape(block.shape[0], -1).sum(axis=1)
+        # take, unlike [:, unsort], returns C order: each row sums pairwise
+        vals = np.take(vals.reshape(block.shape[0], -1), unsort, axis=1)
+        out[i : i + step] = vals.sum(axis=1)
     return out
 
 

@@ -131,6 +131,19 @@ class TestHausdorffCommand:
         assert payload == {"distance": 2.0, "mode": "exact", "witness": [0.0, 1.0, 1.0]}
 
 
+    def test_exact_in_4d_at_extreme_scale(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(
+            {"dim": 4, "atoms": [[1e100, 2e100, 0, 1e100], [3e100, 0, 1e100, 1e100]]}))
+        unit = tmp_path / "unit.json"
+        unit.write_text(json.dumps({"dim": 4, "atoms": [[1, 0, 0, 0]]}))
+        assert main(["hausdorff", str(big), str(unit)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # the witness (4, 2, 1, 2)e100 is farthest from the short segment
+        assert payload["mode"] == "exact"
+        assert payload["distance"] == pytest.approx(9e100, rel=1e-12)
+
+
 class TestGiniAndCurve:
     def test_gini_fixture_formatting(self, files, capsys):
         assert main(["gini", "-i", files["income"]]) == 0

@@ -20,6 +20,27 @@ from lorenz_hulls import (
 from lorenz_hulls.sampling import case_rng
 
 
+def per_atom_discretize(m, part, reps):
+    """Reference: a tuple key per atom, masses summed in a dict in atom
+    order, cells emitted in sorted key order."""
+    norms = np.abs(m.atoms).sum(axis=1)
+    masses = {}
+    r = part.resolution
+    for x, w in zip(m.atoms, norms):
+        if w == 0.0:
+            continue
+        y = np.abs(x) / w
+        key = (
+            tuple(1 if c >= 0 else -1 for c in x),
+            tuple(min(int(np.floor(r * c)), r - 1) for c in y[:-1]),
+        )
+        masses[key] = masses.get(key, 0.0) + float(w)
+    rows = []
+    for key in sorted(masses):
+        rows.extend([(masses[key] / reps) * part.representative(key)] * reps)
+    return np.array(rows).reshape(-1, m.dimension)
+
+
 class TestPartition:
     def test_one_dimensional_sphere_has_two_cells(self):
         part = partition_sphere(1, 0.3)
@@ -81,6 +102,20 @@ class TestDiscretize:
         assert np.abs(out.atoms - 0.75 * rep).max() <= 1e-12
         hull_gap = hausdorff_convex(hull_of(m), hull_of(out)).distance
         assert hull_gap <= 0.5 * total_variation_mass(m)
+
+    def test_matches_per_atom_reference(self):
+        rng = case_rng(6, "test.discretize.reference")
+        for n in range(1, 7):
+            for delta in (2.0, 0.3, 1e-2, 1e-4, 1e-6):
+                part = partition_sphere(n, delta)
+                atoms = rng.normal(size=(400, n)) * rng.uniform(1e-3, 1e3, (400, 1))
+                atoms[rng.random(400) < 0.1] = 0.0
+                atoms[rng.random((400, n)) < 0.2] = 0.0  # axis and face atoms
+                atoms[:40] = np.round(atoms[:40])  # on bucket boundaries
+                atoms[40:80] = atoms[80:120] * 3.0  # shared cells
+                m = VectorMeasure(n, atoms)
+                out = discretize(m, part, 3)
+                assert np.array_equal(out.atoms, per_atom_discretize(m, part, 3))
 
     def test_zero_measure(self):
         out = discretize(VectorMeasure(2, []), partition_sphere(2, 0.5), 3)

@@ -22,7 +22,7 @@ from lorenz_hulls import (
     within_tolerance,
     zonogon_vertices,
 )
-from lorenz_hulls.hulls import ZonogonSupport, _lp_point_distance
+from lorenz_hulls.hulls import _BLOCK, ZonogonSupport, _lp_point_distance
 from lorenz_hulls.sampling import case_rng, unit_directions
 
 SQUARE = Zonotope(2, [[1, 0], [0, 1]])
@@ -82,6 +82,27 @@ class TestReach:
     def test_positive_homogeneity(self, scale):
         d = np.array([0.3, -1.7])
         assert within_tolerance(reach(SQUARE, scale * d), scale * reach(SQUARE, d))
+
+    def test_blocked_matches_one_shot(self):
+        # rows go through in blocks of about _BLOCK dot products; k is not a
+        # multiple of the block rows, so the last block is short
+        rng = case_rng(14, "test.reach_many.blocks")
+        for n in (1, 2, 3):
+            for m in (1, 255, _BLOCK, _BLOCK + 1):
+                rows = max(1, _BLOCK // m)
+                k = 2 * rows + 1 if rows > 1 else 3
+                # small integers make every product and sum exact, so the
+                # blocked values must equal the one-shot formula bit for bit
+                g = rng.integers(-8, 9, (m, n)).astype(float)
+                d = rng.integers(-8, 9, (k, n)).astype(float)
+                one_shot = np.maximum(d @ g.T, 0).sum(1)
+                assert np.array_equal(reach_many(Zonotope(n, g), d), one_shot)
+                # general floats: BLAS picks its kernel by matrix shape, so
+                # a block may round its dot products differently
+                g = rng.normal(size=(m, n))
+                d = rng.normal(size=(k, n))
+                gap = np.abs(reach_many(Zonotope(n, g), d) - np.maximum(d @ g.T, 0).sum(1))
+                assert (gap <= 1e-14 * (np.abs(d) @ np.abs(g).T).sum(1)).all()
 
     def test_contains_zero_and_total(self):
         rng = case_rng(1, "test.reach.total")
@@ -190,6 +211,21 @@ class TestContainsPoint:
             assert r.inside
             assert np.abs(r.coefficients @ z.generators - p).sum() <= 2e-9
             assert (r.coefficients >= 0).all() and (r.coefficients <= 1).all()
+
+    def test_verdicts_scale_exactly(self):
+        # the LPs run on data scaled by a power of two, so 2^k-scaled inputs
+        # with a 2^k-scaled tolerance give the same certificates
+        rng = case_rng(15, "test.contains.scale")
+        z = Zonotope(4, rng.normal(size=(6, 4)))
+        points = [z.total() * 0.5, z.total() * 0.5 + 3.0 * rng.normal(size=4)]
+        for p in points:
+            base = contains_point(z, p)
+            for k in (-300, 300):
+                f = 2.0 ** k
+                r = contains_point(Zonotope(4, z.generators * f), p * f, tol=1e-9 * f)
+                assert r.inside == base.inside and r.distance == base.distance * f
+                for got, want in ((r.coefficients, base.coefficients), (r.witness, base.witness)):
+                    assert (got is None and want is None) or np.array_equal(got, want)
 
     def test_empty_zonotope(self):
         z = Zonotope(2, [])
@@ -341,6 +377,19 @@ class TestHausdorffConvex:
             r = hausdorff_convex(Zonotope(3, z1.generators * f), Zonotope(3, z2.generators * f))
             assert r.distance == base * f
 
+    def test_lp_route_scales_exactly(self):
+        # n = 4 solves LPs, on data scaled by a power of two
+        rng = case_rng(16, "test.hausdorff.lp.scale")
+        z1 = Zonotope(4, rng.normal(size=(4, 4)))
+        z2 = Zonotope(4, rng.normal(size=(3, 4)))
+        base = hausdorff_convex(z1, z2)
+        assert base.mode == "exact" and base.distance > 0.0
+        for k in (-300, 300):
+            f = 2.0 ** k
+            r = hausdorff_convex(Zonotope(4, z1.generators * f), Zonotope(4, z2.generators * f))
+            assert r.mode == "exact" and r.distance == base.distance * f
+            assert np.array_equal(r.witness_point, base.witness_point * f)
+
     def test_planar_matches_dense_reference(self):
         def seeded_pair_side(rng, m):
             g = rng.normal(size=(m, 2)) * rng.uniform(0.1, 10.0)
@@ -418,6 +467,22 @@ class TestHausdorffPoints:
         full = hausdorff_points(a, b).distance
         expected = max(directed(a.points, b.points), directed(b.points, a.points))
         assert full == pytest.approx(expected, abs=1e-12)
+
+
+    def test_dense_and_tree_routes_agree(self):
+        # 2048 x 2048 = 2^22 pairs is the largest dense case; one repeated
+        # point leaves the set unchanged and sends it to the KD tree
+        rng = case_rng(17, "test.points.threshold")
+        a = rng.uniform(-1, 1, (2048, 3))
+        b = rng.uniform(-1, 1, (2048, 3))
+        dense = hausdorff_points(SkeletonPointSet(3, a, np.zeros(3)),
+                                 SkeletonPointSet(3, b, np.zeros(3)))
+        tree = hausdorff_points(SkeletonPointSet(3, np.vstack([a, a[:1]]), np.zeros(3)),
+                                SkeletonPointSet(3, b, np.zeros(3)))
+        brute = max(np.abs(p[i : i + 256, None, :] - q[None, :, :]).sum(axis=2).min(axis=1).max()
+                    for p, q in ((a, b), (b, a)) for i in range(0, 2048, 256))
+        assert dense.distance == brute
+        assert tree.distance == pytest.approx(brute, abs=1e-12)
 
 
 class TestZonogonSupport:

@@ -10,6 +10,7 @@ from lorenz_hulls import (
     DuplicateLabel,
     NonFiniteValue,
     ParseError,
+    PiecewiseDensityMeasure,
     VectorMeasure,
     ZeroAtom,
     Zonotope,
@@ -95,6 +96,21 @@ class TestValidate:
                 with pytest.raises(NonFiniteValue, match="mass"):
                     build(rows)
                 build(rows / (4 * m * n))  # the same rows at a summable scale
+
+    def test_caller_array_stays_writable(self):
+        builds = (
+            (lambda g: VectorMeasure(2, g), "atoms"),
+            (lambda g: ComplexVectorMeasure(1, g), "atoms"),
+            (lambda g: Zonotope(2, g), "generators"),
+            (lambda g: PiecewiseDensityMeasure(2, g[:, 0].copy(), g), "directions"),
+            (lambda g: PiecewiseDensityMeasure(2, g[:, 0], g.copy()), "lengths"),
+        )
+        for build, field in builds:
+            g = np.ones((2, 2))
+            value = getattr(build(g), field)
+            g[0, 0] = 5.0
+            assert not value.flags.writeable
+            assert (value == 1.0).all()
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DuplicateLabel):

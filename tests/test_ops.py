@@ -190,6 +190,36 @@ class TestProductReach:
         )
         assert within_tolerance(via_factors, reach_many(hull, dirs), atol=1e-8, rtol=1e-9)
 
+    def test_presorted_queries_match_materialized_product(self):
+        # the atoms are sorted by angle inside; cover every sign class, zero
+        # and axis atoms, (anti)parallel runs, and several blocks of directions
+        rng = case_rng(5, "test.product_reach.presort")
+        base = rng.normal(size=(40, 2))
+        a = np.vstack([
+            rng.normal(size=(300, 2)),
+            np.zeros((5, 2)),
+            [[1.0, 0.0], [-2.0, 0.0], [0.0, 3.0], [0.0, -0.5], [-0.0, 1.0]],
+            base * rng.uniform(-2.0, 2.0, (40, 1)),
+            base[:10] * 2.0,
+            -base[:10],
+        ])
+        a = a[rng.permutation(a.shape[0])]
+        for b_atoms in (rng.normal(size=(30, 2)), np.vstack([base[:5], -base[:5], [[0.0, 0.0]]])):
+            b = VectorMeasure(2, b_atoms)
+            hull = hull_of(coordinate_product(VectorMeasure(2, a), b))
+            dirs = np.vstack([
+                unit_directions(rng, 500, 2),
+                [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -1.0], [0.0, 0.0]],
+            ])
+            support = ZonogonSupport(hull_of(b).generators)
+            via_factors = product_reach_many(a, support, dirs)
+            scale = np.abs(a).sum() * np.abs(b_atoms).sum()
+            assert np.abs(via_factors - reach_many(hull, dirs)).max() <= 1e-12 * scale
+            # the same values as one unsorted batch summed in atom order
+            one_batch = support.eval((dirs[:, None, :] * a[None, :, :]).reshape(-1, 2))
+            assert np.array_equal(via_factors, one_batch.reshape(len(dirs), -1).sum(axis=1))
+        assert product_reach_many(np.zeros((0, 2)), ZonogonSupport(b_atoms), dirs).tolist() == [0.0] * len(dirs)
+
 
 class TestLorenzCurve:
     def test_perfect_equality_is_diagonal(self):

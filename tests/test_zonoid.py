@@ -91,6 +91,17 @@ class TestAchieve:
             cert = achieve(m, target, tol=1e-9)
             assert np.abs(cert.coefficients @ m.atoms - target).sum() <= 1e-8
 
+    def test_certificates_scale_exactly(self):
+        rng = case_rng(2, "test.achieve.scale")
+        m = VectorMeasure(4, rng.normal(size=(6, 4)))
+        target = rng.uniform(0, 1, 6) @ m.atoms
+        base = achieve(m, target)
+        for k in (-300, 300):
+            f = 2.0 ** k
+            cert = achieve(VectorMeasure(4, m.atoms * f), target * f, tol=1e-9 * f)
+            assert np.array_equal(cert.coefficients, base.coefficients)
+            assert cert.intervals == base.intervals
+
     def test_zero_atoms_get_zero_coefficients(self):
         m = VectorMeasure(2, [[1, 0], [0, 0], [0, 1]])
         cert = achieve(m, [1.0, 1.0])
