@@ -150,7 +150,12 @@ def reach(z: Zonotope, direction) -> float:
 
 
 def reach_many(z: Zonotope, directions) -> np.ndarray:
-    """Reach values for all direction rows, in blocks of ~``_BLOCK`` dots."""
+    """Reach values for all direction rows.
+
+    In the plane the k rows are answered by :class:`ZonogonSupport` in
+    O((m + k) log m), each row on its own.  Other dimensions evaluate the
+    closed form in blocks of ~``_BLOCK`` dot products, O(k m).
+    """
     D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if D.shape[1] != z.dimension:
         raise DimensionMismatch(
@@ -159,6 +164,8 @@ def reach_many(z: Zonotope, directions) -> np.ndarray:
     m = z.generator_count
     if m == 0:
         return np.zeros(D.shape[0])
+    if z.dimension == 2:
+        return ZonogonSupport(z.generators).eval(D)
     out = np.empty(D.shape[0])
     step = max(1, _BLOCK // m)
     for i in range(0, D.shape[0], step):
@@ -185,28 +192,38 @@ def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
 # planar realization
 
 
-def _merged_generators_2d(generators: np.ndarray, angle_tol: float = 1e-12):
-    """Upper-half-plane normal form of a 2-D generator list.
+def _sorted_generators_2d(generators: np.ndarray):
+    """Upper-half-plane form of a 2-D generator list, sorted by polar angle.
 
-    Flips generators into {y > 0} union {y = 0, x > 0} (accumulating the
-    flip offset), sorts by polar angle, and sums groups of equal angle.
-    Returns ``(merged, offset)`` with merged angles strictly increasing.
+    Drops zero rows, flips generators into {y > 0} union {y = 0, x > 0}
+    (accumulating the flip offset) and sorts them stably by angle.  Returns
+    ``(g, angles, offset)`` with ``angles`` nondecreasing in [0, pi).
     """
     g = np.asarray(generators, dtype=np.float64).reshape(-1, 2)
     g = g[np.abs(g).sum(axis=1) > 0.0]
-    if g.shape[0] == 0:
-        return np.zeros((0, 2)), np.zeros(2)
     flip = (g[:, 1] < 0) | ((g[:, 1] == 0) & (g[:, 0] < 0))
     offset = g[flip].sum(axis=0) if flip.any() else np.zeros(2)
     g = np.where(flip[:, None], -g, g)
     ang = np.arctan2(g[:, 1], g[:, 0])
     order = np.argsort(ang, kind="stable")
-    g, ang = g[order], ang[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(ang) > angle_tol)[0] + 1])
+    return g[order], ang[order], offset
+
+
+def _merge_sorted_2d(g: np.ndarray, ang: np.ndarray):
+    """Sum the runs of sorted generators whose successive angles differ by at
+    most 1e-12; the merged angles are strictly increasing."""
+    if g.shape[0] == 0:
+        return np.zeros((0, 2))
+    starts = np.concatenate([[0], np.nonzero(np.diff(ang) > 1e-12)[0] + 1])
     merged = np.add.reduceat(g, starts, axis=0)
     # merging exactly opposite rounding noise could produce a zero group
-    keep = np.abs(merged).sum(axis=1) > 0.0
-    return merged[keep], offset
+    return merged[np.abs(merged).sum(axis=1) > 0.0]
+
+
+def _merged_generators_2d(generators: np.ndarray):
+    """``(merged, offset)``: the sorted generators with equal-angle runs summed."""
+    g, ang, offset = _sorted_generators_2d(generators)
+    return _merge_sorted_2d(g, ang), offset
 
 
 def zonogon_vertices(z: Zonotope) -> np.ndarray:
@@ -247,39 +264,56 @@ def shoelace_area(vertices: np.ndarray) -> float:
     return float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
 
 
+def _walk_2d(offset: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Counterclockwise walk from ``offset`` through the prefix sums of the
+    sorted upper-half-plane ``steps`` and back through the total minus them."""
+    # slices, not indices: no step leaves the walk [offset] and one step
+    # leaves the two-point segment
+    cum = np.cumsum(steps, axis=0)
+    top = offset + cum[-1:]
+    return np.vstack([offset[None, :], offset + cum[:-1], top, top - cum[:-1]])
+
+
 class ZonogonSupport:
     """Planar normal form of a 2-D zonotope, for repeated support queries.
 
-    Built on the merged upper-half-plane generators: ``vertices`` is the
-    counterclockwise walk that starts at the flip offset, adds the merged
-    generators in angle order and then subtracts them again.  The edge
-    angles of that walk are the merged angles followed by the same angles
-    plus pi, so one ``searchsorted`` finds the extreme vertex of a query.
-    Construction costs O(m log m) and a batch of k queries O(k log m), so
-    the exact planar Hausdorff distance, which queries two of these at
-    O(m) candidate directions, costs O(m log m).
+    The nonzero generators are flipped into the upper half-plane and sorted
+    by angle once.  Two counterclockwise walks share that order:
+
+    - ``vertices``, the polygon: runs of generators whose angles differ by
+      at most 1e-12 are merged, so collinear edges give one vertex pair;
+    - the query walk, over every nonzero generator unmerged.  Its edge
+      angles are the sorted angles followed by the same angles plus pi, so
+      one ``searchsorted`` finds the extreme vertex of a query, and the
+      support agrees with sum_i max(0, <q, g_i>) to within rounding even on
+      chains of nearly parallel generators that the merge joins.
+
+    Construction costs O(m log m) and a batch of k queries O(k log m).
+    ``reach_many`` in the plane, the exact planar Hausdorff distance and
+    ``product_reach_many`` all evaluate support through this class.
     """
 
     def __init__(self, generators) -> None:
-        merged, offset = _merged_generators_2d(generators)
-        cum = np.cumsum(merged, axis=0)
-        up = offset + cum
-        # slices, not indices: no merged generator leaves the walk [offset]
-        # and one leaves the two-point segment
-        top = up[-1:]
-        self.vertices = np.vstack([offset[None, :], up[:-1], top, top - cum[:-1]])
-        angles = np.arctan2(merged[:, 1], merged[:, 0])
+        g, angles, offset = _sorted_generators_2d(generators)
+        self.vertices = _walk_2d(offset, _merge_sorted_2d(g, angles))
+        self._walk = _walk_2d(offset, g)
         self._edge_angles = np.concatenate([angles, angles + np.pi])
 
     def eval(self, queries) -> np.ndarray:
         """Support values for query direction rows (k, 2)."""
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         # vertex j is extreme while the query's angle + pi/2 lies between
-        # the angles of the edges entering and leaving it
-        t = np.arctan2(q[:, 1], q[:, 0]) + 0.5 * np.pi
-        t = np.where(t < 0.0, t + 2.0 * np.pi, t)
-        j = np.searchsorted(self._edge_angles, t) % self.vertices.shape[0]
-        return (q * self.vertices[j]).sum(axis=1)
+        # the angles of the edges entering and leaving it; updates are in
+        # place, so a batch allocates one array each of angles, indices and
+        # gathered vertices
+        t = np.arctan2(q[:, 1], q[:, 0])
+        t += 0.5 * np.pi
+        np.add(t, 2.0 * np.pi, out=t, where=t < 0.0)
+        j = np.searchsorted(self._edge_angles, t)
+        j %= self._walk.shape[0]
+        w = self._walk[j]
+        w *= q
+        return w.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +406,11 @@ def includes(
 ) -> InclusionResult:
     """Zonotope-in-zonotope inclusion test.
 
-    exact2d (n = 2): compares reach at the outer zonogon's outward edge
-    normals, which decides inclusion exactly since the outer polygon is the
-    intersection of those halfplanes.  Verdicts are definitive.
+    exact2d (n = 2): compares reach at the perpendiculars of every outer
+    generator (plus the end caps of a segment), which decides inclusion
+    exactly since the outer polygon is the intersection of those
+    halfplanes.  Both reach batches go through the planar normal form, so
+    the test costs O((m1 + m2) log(m1 + m2)).  Verdicts are definitive.
 
     sampled (any n): compares reach on all sign vectors plus ``dirs`` seeded
     directions.  A violating direction certifies exclusion; otherwise the
@@ -408,17 +444,18 @@ def includes(
 
 
 def _outer_normals_2d(outer: Zonotope) -> np.ndarray:
-    """Outward halfplane normals whose intersection is the outer zonogon."""
-    merged, _ = _merged_generators_2d(outer.generators)
+    """Outward halfplane normals whose intersection is the outer zonogon:
+    the perpendiculars of every nonzero generator, so that the short edges
+    of a chain of nearly parallel generators keep their own normals."""
+    g, angles, _ = _sorted_generators_2d(outer.generators)
+    merged = _merge_sorted_2d(g, angles)
     if merged.shape[0] == 0:
         d = np.array([[1.0, 0.0], [0.0, 1.0]])
         return np.vstack([d, -d])
-    perp = np.column_stack([-merged[:, 1], merged[:, 0]])
+    d = np.column_stack([-g[:, 1], g[:, 0]])
     if merged.shape[0] == 1:
         # a segment needs its side normals and the end caps
-        d = np.vstack([perp, merged])
-    else:
-        d = perp
+        d = np.vstack([d, merged])
     d = np.vstack([d, -d])
     return d / np.abs(d).sum(axis=1, keepdims=True)
 
@@ -443,8 +480,8 @@ def hausdorff_convex(
 
     - n <= 2: exact, by enumerating the boundary breakpoints of the
       piecewise-linear support difference (generator normals scaled to the
-      box boundary, plus the corners), evaluated through the planar normal
-      form :class:`ZonogonSupport` in O(m log m);
+      box boundary, plus the corners), evaluated on the unmerged walk of
+      the planar normal form :class:`ZonogonSupport` in O(m log m);
     - n = 3 with at most 10 generators per side: exact in closed form (no
       LP) at the vertices that the planes <g, u> = 0 cut out of the cube
       surface: its corners, plane/edge crossings and +-(g_i x g_j) scaled;

@@ -14,9 +14,11 @@ import zlib
 
 import numpy as np
 
-from .errors import DimensionTooLarge
+from .errors import DimensionTooLarge, SizeGuard
 
 SIGN_ENUMERATION_LIMIT = 20
+# coordinates in one direction set (128 MiB of float64)
+DIRECTION_COORDINATE_LIMIT = 1 << 24
 
 
 def case_rng(seed: int, stream: str, index: int = 0) -> np.random.Generator:
@@ -30,8 +32,15 @@ def unit_directions(rng: np.random.Generator, count: int, dimension: int) -> np.
 
     Gaussian samples normalized to unit 2-norm; rows that collapse below
     1e-12 are replaced by the first basis vector (probability ~0 event,
-    handled so the output shape is always ``(count, dimension)``).
+    handled so the output shape is always ``(count, dimension)``).  Raises
+    ``SizeGuard`` before allocating when count x dimension exceeds
+    ``DIRECTION_COORDINATE_LIMIT``.
     """
+    if count * dimension > DIRECTION_COORDINATE_LIMIT:
+        raise SizeGuard(
+            f"direction sets capped at {DIRECTION_COORDINATE_LIMIT} coordinates, "
+            f"got {count} x {dimension}"
+        )
     raw = rng.standard_normal((count, dimension))
     norms = np.linalg.norm(raw, axis=1)
     bad = norms < 1e-12

@@ -74,6 +74,23 @@ class TestHullCommand:
             assert captured.out == ""
             assert len(captured.err.splitlines()) == 1
 
+    def test_huge_dimension_exit_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 200 directions of 1e8 coordinates would be 149 GiB; the stub
+        # generator fails the test instead of allocating if the guard lets
+        # the request through
+        class NoDraws:
+            def standard_normal(self, shape):
+                raise AssertionError(f"drew {shape} past the size guard")
+
+        monkeypatch.setattr("lorenz_hulls.cli.case_rng", lambda *args: NoDraws())
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": 100000000, "atoms": []}))
+        assert main(["hull", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "capped" in captured.err
+
 
 class TestProductAndSum:
     def test_product_identity(self, files, tmp_path, capsys):

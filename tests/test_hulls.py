@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from lorenz_hulls import (
     DimensionMismatch,
     Exact2dOnPlaneOnly,
+    SizeGuard,
     SkeletonPointSet,
     TooManyAtoms,
     VectorMeasure,
@@ -23,7 +24,7 @@ from lorenz_hulls import (
     zonogon_vertices,
 )
 from lorenz_hulls.hulls import _BLOCK, ZonogonSupport, _lp_point_distance
-from lorenz_hulls.sampling import case_rng, unit_directions
+from lorenz_hulls.sampling import DIRECTION_COORDINATE_LIMIT, case_rng, unit_directions
 
 SQUARE = Zonotope(2, [[1, 0], [0, 1]])
 # a 3-D pair whose support gap peaks (at 3) only where two of the planes
@@ -32,6 +33,23 @@ CROSS_PEAK = (
     Zonotope(3, [[1, 2, -2], [1, -2, -2]]),
     Zonotope(3, [[-2, 1, -2], [2, -1, -2]]),
 )
+
+
+def closed_reach(z, directions):
+    """Support oracle independent of the library kernels:
+    sum_i max(0, <d, g_i>) per direction row, in row blocks."""
+    d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    blocks = [np.maximum(d[i : i + 256] @ z.generators.T, 0.0).sum(axis=1)
+              for i in range(0, d.shape[0], 256)]
+    return np.concatenate(blocks) if blocks else np.zeros(0)
+
+
+def near_parallel_chain(count=200, step=0.9e-12):
+    """Unit generators at angles step * (1 ... count): successive angles
+    differ by less than the 1e-12 merge rule, so the vertex walk merges the
+    whole chain into one edge."""
+    angles = step * np.arange(1, count + 1)
+    return np.column_stack([np.cos(angles), np.sin(angles)]), angles
 
 
 def brute_reach(z, d):
@@ -43,6 +61,27 @@ def brute_reach(z, d):
     for s in sums:
         best = max(best, float(np.dot(d, s)))
     return best
+
+
+class TestDirectionGuard:
+    class Recorder:
+        """Stands in for a generator; records the draw instead of allocating."""
+
+        def standard_normal(self, shape):
+            self.shape = shape
+            raise StopIteration
+
+    def test_guard_is_checked_before_drawing(self):
+        rng = self.Recorder()
+        with pytest.raises(SizeGuard):
+            unit_directions(rng, DIRECTION_COORDINATE_LIMIT + 1, 1)
+        with pytest.raises(SizeGuard):
+            unit_directions(rng, 2, DIRECTION_COORDINATE_LIMIT // 2 + 1)
+        assert not hasattr(rng, "shape")
+        # the limit itself is allowed through to the draw
+        with pytest.raises(StopIteration):
+            unit_directions(rng, 2, DIRECTION_COORDINATE_LIMIT // 2)
+        assert rng.shape == (2, DIRECTION_COORDINATE_LIMIT // 2)
 
 
 class TestHull:
@@ -164,7 +203,7 @@ class TestZonogon:
             z = hull_of(VectorMeasure(2, rng.uniform(-2, 2, (int(rng.integers(1, 9)), 2))))
             v = zonogon_vertices(z)
             dirs = unit_directions(rng, 500, 2)
-            assert within_tolerance((dirs @ v.T).max(axis=1), reach_many(z, dirs))
+            assert within_tolerance((dirs @ v.T).max(axis=1), closed_reach(z, dirs))
 
 
 class TestArea:
@@ -255,6 +294,22 @@ class TestIncludes:
         r = includes(outer, inner, "sampled", dirs=200)
         assert r.verdict == "excluded"
 
+    def test_near_parallel_chain_facet_violation(self):
+        # a point 4e-9 outside the short facet at the tenth vertex of the
+        # chain's lower walk; the merged walk only sees 3.5e-10
+        gens, angles = near_parallel_chain()
+        outer = Zonotope(2, gens)
+        mid = 0.5 * (angles[9] + angles[10])
+        n_out = np.array([np.sin(mid), -np.cos(mid)])
+        inner = Zonotope(2, (gens[:10].sum(axis=0) + 4e-9 * n_out)[None, :])
+        violation = closed_reach(inner, n_out)[0] - closed_reach(outer, n_out)[0]
+        assert violation > 3.9e-9
+        r = includes(inner, outer)
+        assert r.verdict == "excluded"
+        at_witness = closed_reach(inner, r.witness)[0] - closed_reach(outer, r.witness)[0]
+        assert abs(r.max_violation - at_witness) <= 1e-14 * np.abs(gens).sum()
+        assert r.max_violation >= violation / np.abs(n_out).sum() - 1e-14 * np.abs(gens).sum()
+
     def test_exact2d_guard(self):
         with pytest.raises(Exact2dOnPlaneOnly):
             includes(Zonotope(3, []), Zonotope(3, []), "exact2d")
@@ -291,6 +346,21 @@ class TestHausdorffConvex:
     def test_square_vs_origin(self):
         r = hausdorff_convex(SQUARE, Zonotope(2, []))
         assert r.distance == pytest.approx(2.0, abs=1e-12)
+
+    def test_near_parallel_chain_against_its_sum(self):
+        # the chain's merged walk equals the segment to its sum, which made
+        # the exact route report 0.0 for a distance above the 1e-9 tolerance
+        gens, _ = near_parallel_chain()
+        z1, z2 = Zonotope(2, gens), Zonotope(2, gens.sum(axis=0, keepdims=True))
+        both = np.vstack([z1.generators, z2.generators])
+        perp = np.column_stack([-both[:, 1], both[:, 0]])
+        perp = perp / np.abs(perp).max(axis=1, keepdims=True)
+        cands = np.vstack([[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], perp, -perp])
+        want = np.abs(closed_reach(z1, cands) - closed_reach(z2, cands)).max()
+        assert want > 4e-9
+        r = hausdorff_convex(z1, z2)
+        assert r.mode == "exact"
+        assert abs(r.distance - want) <= 1e-14 * 2.0 * np.abs(gens).sum()
 
     def test_maximizer_need_not_be_sign_vector(self):
         # the (2,1)/(1,2) segment pair: sign vectors only see distance 1
@@ -407,7 +477,7 @@ class TestHausdorffConvex:
             perp = perp / np.abs(perp).max(axis=1, keepdims=True)
             corner = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
             cands = np.vstack([corner, perp, -perp])
-            return np.abs(reach_many(z1, cands) - reach_many(z2, cands)).max()
+            return np.abs(closed_reach(z1, cands) - closed_reach(z2, cands)).max()
 
         rng = case_rng(11, "test.hausdorff.planar")
         for m in (1, 2, 5, 20, 100, 500, 2000):
@@ -444,8 +514,6 @@ class TestHausdorffPoints:
         assert hausdorff_points(a, b).distance == hausdorff_points(b, a).distance
 
     def test_size_guard(self):
-        from lorenz_hulls import SizeGuard
-
         huge = SkeletonPointSet(1, np.zeros(((1 << 20) + 1, 1)), np.zeros(1))
         small = SkeletonPointSet(1, np.zeros((1, 1)), np.zeros(1))
         with pytest.raises(SizeGuard):
@@ -507,7 +575,40 @@ class TestZonogonSupport:
             edges = np.vstack([gens, [[1.0, 0.0], [0.0, 1.0]]])
             perp = np.column_stack([-edges[:, 1], edges[:, 0]])
             queries = np.vstack([queries, np.zeros((2, 2)), edges, -edges, perp, -perp])
-            assert within_tolerance(table.eval(queries), reach_many(z, queries))
+            assert within_tolerance(table.eval(queries), closed_reach(z, queries))
+
+    def test_near_parallel_chain(self):
+        # the merged vertex walk joins the chain into one edge and answers
+        # 9e-11 here against 4.5e-9; queries must see every short edge
+        gens, angles = near_parallel_chain()
+        mid = angles[99]
+        q = np.array([[-np.sin(mid), np.cos(mid)]])
+        want = closed_reach(Zonotope(2, gens), q)[0]
+        assert want > 4e-9
+        assert zonogon_vertices(Zonotope(2, gens)).shape[0] == 2
+        assert abs(ZonogonSupport(gens).eval(q)[0] - want) <= 1e-14 * np.abs(gens).sum()
+
+    def test_chain_corpus_matches_closed_form(self):
+        # chains whose angles step by 1e-14 .. 1e-11, some starting on the
+        # flip boundary (angle 0) or on an axis, with flipped members, zero
+        # rows and generic rows, at three scales
+        rng = case_rng(18, "test.support.chains")
+        for case in range(150):
+            scale = (1e-6, 1.0, 1e6)[case % 3]
+            parts = [rng.normal(size=(int(rng.integers(0, 20)), 2))]
+            for _ in range(int(rng.integers(1, 5))):
+                k = int(rng.integers(2, 200))
+                base = (0.0, 0.5 * np.pi, rng.uniform(-np.pi, np.pi))[int(rng.integers(3))]
+                ang = base + 10.0 ** rng.uniform(-14, -11) * np.cumsum(rng.uniform(-0.5, 1.5, k))
+                parts.append(np.column_stack([np.cos(ang), np.sin(ang)]) * rng.uniform(0.1, 10, (k, 1)))
+            g = np.vstack(parts)
+            g[rng.random(g.shape[0]) < 0.3] *= -1.0
+            g[rng.random(g.shape[0]) < 0.02] = 0.0
+            z = Zonotope(2, scale * g[rng.permutation(g.shape[0])])
+            perp = np.column_stack([-g[:, 1], g[:, 0]])
+            d = np.vstack([rng.normal(size=(100, 2)), perp, -perp, g, np.eye(2), -np.eye(2)])
+            gap = np.abs(reach_many(z, d) - closed_reach(z, d))
+            assert (gap <= 1e-14 * (np.abs(d) @ np.abs(z.generators).T).sum(axis=1)).all(), case
 
     def test_zero_query(self):
         table = ZonogonSupport(np.array([[1.0, 2.0]]))
