@@ -10,6 +10,8 @@ zonotope evaluates in closed form as ``sum_i max(0, <d, g_i>)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -22,13 +24,11 @@ from .errors import (
     TooManyAtoms,
 )
 from .measures import VectorMeasure, _frozen_rows
-from .sampling import case_rng, sign_vectors, unit_directions
+from .sampling import DIRECTION_COORDINATE_LIMIT, case_rng, sign_vectors, unit_directions
 
 SKELETON_ATOM_LIMIT = 20
 POINT_SET_LIMIT = 1 << 20
 HAUSDORFF_DIMENSION_LIMIT = 20
-# cap of the exact n >= 3 routes; n >= 4 solves one LP per subset sum
-_LP_EXACT_MAX_GENERATORS = 10
 
 # float64 elements per temporary block of the dense kernels (512 KB), so a
 # block and its reductions stay in cache
@@ -100,8 +100,8 @@ class HausdorffResult:
 
     ``mode`` is "exact" when the value is the true distance and "sampled"
     when it is a maximum over finitely many probe directions (a certified
-    lower bound).  Exact n = 3 (closed form, no LP) and n >= 4 (LPs) results
-    carry a farthest subset sum as ``witness_point``.
+    lower bound).  Exact n >= 3 results (closed form, no LP) carry a
+    farthest subset sum as ``witness_point``.
     """
 
     distance: float
@@ -221,7 +221,8 @@ def _merge_sorted_2d(g: np.ndarray, ang: np.ndarray):
 
 
 def _merged_generators_2d(generators: np.ndarray):
-    """``(merged, offset)``: the sorted generators with equal-angle runs summed."""
+    """``(merged, offset)``: the sorted generators with equal-angle runs summed.
+    No package caller; ``perfbench/tests/test_tracer.py`` pins the binding."""
     g, ang, offset = _sorted_generators_2d(generators)
     return _merge_sorted_2d(g, ang), offset
 
@@ -242,16 +243,18 @@ def area_2d(z: Zonotope) -> float:
     """Area of a 2-D zonotope: sum over generator pairs of |g_i x g_j|.
 
     Evaluated in O(m log m) after the upper-half-plane sort, where every
-    pairwise cross product of the merged list is nonnegative.
+    pairwise cross product is nonnegative.  Only runs of one exact angle,
+    which add no area, are summed first (so equal atoms give exactly 0.0).
     """
     if z.dimension != 2:
         raise Exact2dOnPlaneOnly("area is planar only")
-    merged, _ = _merged_generators_2d(z.generators)
-    if merged.shape[0] < 2:
+    g, ang, _ = _sorted_generators_2d(z.generators)
+    g = np.add.reduceat(g, np.flatnonzero(np.diff(ang, prepend=-1.0) > 0.0), axis=0)
+    if g.shape[0] < 2:
         return 0.0
-    cum = np.cumsum(merged, axis=0)
+    cum = np.cumsum(g, axis=0)
     prev = cum[:-1]
-    cur = merged[1:]
+    cur = g[1:]
     return float((prev[:, 0] * cur[:, 1] - prev[:, 1] * cur[:, 0]).sum())
 
 
@@ -482,14 +485,13 @@ def hausdorff_convex(
       piecewise-linear support difference (generator normals scaled to the
       box boundary, plus the corners), evaluated on the unmerged walk of
       the planar normal form :class:`ZonogonSupport` in O(m log m);
-    - n = 3 with at most 10 generators per side: exact in closed form (no
-      LP) at the vertices that the planes <g, u> = 0 cut out of the cube
-      surface: its corners, plane/edge crossings and +-(g_i x g_j) scaled;
-    - 4 <= n <= 20 with at most 10 generators per side: exact, as the larger
-      of the two directed distances, each a maximum of point-to-zonotope LP
-      distances over the opposite subset sums;
-    - otherwise: sampled over sign vectors plus seeded directions, reported
-      as mode "sampled" (a lower bound).
+    - n >= 3: exact in closed form (no LP) at the vertices that the
+      hyperplanes <g, u> = 0 of both sides' M nonzero generators cut out of
+      the cube surface ||u||_inf = 1, at most
+      sum_{k < n} C(M, k) C(n, k) 2^(n - k) of them;
+    - past ``sampling.DIRECTION_COORDINATE_LIMIT`` coordinates of those
+      (checked before allocating): sampled over sign vectors plus seeded
+      directions, reported as mode "sampled" (a lower bound).
     """
     if z1.dimension != z2.dimension:
         raise DimensionMismatch(
@@ -500,12 +502,14 @@ def hausdorff_convex(
         raise DimensionTooLarge(
             f"Hausdorff computation capped at n <= {HAUSDORFF_DIMENSION_LIMIT}"
         )
+    gens = np.vstack([z1.generators, z2.generators])
+    gens = gens[np.abs(gens).sum(axis=1) > 0.0]
     if n <= 2:
-        return _hausdorff_2d_exact(z1, z2)
-    if max(z1.generator_count, z2.generator_count) <= _LP_EXACT_MAX_GENERATORS:
-        if n == 3:
-            return _hausdorff_3d_exact(z1, z2)
-        return _hausdorff_lp_exact(z1, z2)
+        return _hausdorff_2d_exact(z1, z2, gens)
+    # facet-vertex count, bounded before any allocation like a direction set
+    bound = sum(comb(len(gens), k) * comb(n, k) << (n - k) for k in range(min(n, len(gens) + 1)))
+    if bound * n <= DIRECTION_COORDINATE_LIMIT:
+        return _hausdorff_arrangement(z1, z2, gens)
     probes = [sign_vectors(n)] if n <= 16 else []
     probes.append(unit_directions(case_rng(seed, "hausdorff.sampled"), dirs, n))
     directions = np.vstack(probes)
@@ -519,13 +523,11 @@ def hausdorff_convex(
     )
 
 
-def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
+def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> HausdorffResult:
     if z1.dimension == 1:
         cands = np.array([[1.0], [-1.0]])
         h1, h2 = reach_many(z1, cands), reach_many(z2, cands)
     else:
-        gens = np.vstack([z1.generators, z2.generators])
-        gens = gens[np.abs(gens).sum(axis=1) > 0.0]
         corner = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         if gens.shape[0]:
             perp = np.column_stack([-gens[:, 1], gens[:, 0]])
@@ -540,30 +542,20 @@ def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
     return HausdorffResult(float(gap[worst]), "exact", witness_direction=cands[worst])
 
 
-def _hausdorff_3d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
-    # The support gap is linear on each cell of the arrangement of the planes
-    # <g, u> = 0, so on the cube surface it peaks at a cube corner, where a
-    # plane crosses a cube edge, or where two planes meet (+-g_i x g_j).
-    gens = np.vstack([z1.generators, z2.generators])
-    gens = gens[np.abs(gens).sum(axis=1) > 0.0]
-    # only the planes matter; unit rows keep the products below from
-    # overflowing or underflowing at extreme scales
+def _hausdorff_arrangement(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> HausdorffResult:
+    # The support gap is linear on each cell of the hyperplane arrangement
+    # <g, u> = 0, so on the cube surface it peaks where n independent ones of
+    # them and of the facets u_j = +-1 hold.  Unit rows keep solves in range.
+    m, n = gens.shape
     gens = gens / np.abs(gens).max(axis=1, keepdims=True)
-    corners = sign_vectors(3)
-    cands = [corners]
-    for k in range(3):
-        ends = corners[corners[:, k] > 0]  # one end of each edge along axis k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (gens[:, k : k + 1] - gens @ ends.T) / gens[:, k : k + 1]
-        i, e = np.nonzero(np.abs(t) <= 1.0)
-        crossing = ends[e]
-        crossing[:, k] = t[i, e]
-        cands.append(crossing)
-    i, j = np.triu_indices(gens.shape[0], 1)
-    c = np.cross(gens[i], gens[j])
-    c = c[np.abs(c).max(axis=1) > 0.0]
-    c = c / np.abs(c).max(axis=1, keepdims=True)
-    cands = np.vstack(cands + [c, -c])
+    cands = [sign_vectors(n)]
+    for k in range(1, min(n - 1, m) + 1):
+        subsets = combinations(range(m), k)
+        # blocks of subsets whose systems span about _BLOCK coordinates
+        step = max(1, _BLOCK // ((n * comb(n, k)) << (n - k)))
+        while block := list(islice(subsets, step)):
+            cands.append(_facet_vertices(gens[np.array(block)]))
+    cands = np.vstack(cands)
     gap = reach_many(z1, cands) - reach_many(z2, cands)
     worst = int(np.argmax(np.abs(gap)))
     # the side with the larger support at the best direction is farthest there
@@ -572,17 +564,24 @@ def _hausdorff_3d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
     return HausdorffResult(float(abs(gap[worst])), "exact", witness_point=far)
 
 
-def _hausdorff_lp_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
-    best = -1.0
-    best_point = None
-    for source, target in ((z1, z2), (z2, z1)):
-        skel = skeleton_points(VectorMeasure(source.dimension, source.generators))
-        for point in skel.points:
-            dist, _ = _lp_point_distance(target, point)
-            if dist > best:
-                best = dist
-                best_point = point
-    return HausdorffResult(float(best), "exact", witness_point=best_point)
+def _facet_vertices(rows: np.ndarray) -> np.ndarray:
+    """Cube-surface points where k hyperplanes meet n - k facets: for each
+    k-subset A in ``rows`` (subsets, k, n), k free coordinates R (``order``
+    lists R, then the rest F) and signs s, u_F = s and A_R u_R = -A_F s,
+    kept when ||u_R||_inf <= 1; ordered by R, subset, s; none if singular."""
+    _, k, n = rows.shape
+    signs = sign_vectors(n - k)
+    order = np.array([r + tuple(j for j in range(n) if j not in r)
+                      for r in combinations(range(n), k)])
+    # (R, subset, k, .) blocks, one batched solve for all of them
+    a_r, a_f = np.split(rows[:, :, order].transpose(2, 0, 1, 3), [k], axis=3)
+    x = np.full(a_f.shape, np.nan)
+    ok = np.linalg.det(a_r) != 0.0
+    x[ok] = np.linalg.solve(a_r[ok], -a_f[ok])
+    u_r = x @ signs.T
+    r, c, p = np.nonzero(np.abs(u_r).max(axis=2) <= 1.0)
+    # rows come out in R, F order; argsort(order) puts coordinates back
+    return np.take_along_axis(np.hstack([u_r[r, c, :, p], signs[p]]), np.argsort(order)[r], axis=1)
 
 
 def _directed_points_1norm(a: np.ndarray, b: np.ndarray):

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,14 @@ class TestArea:
             z = hull_of(VectorMeasure(2, rng.uniform(-2, 2, (int(rng.integers(1, 10)), 2))))
             assert within_tolerance(area_2d(z), shoelace_area(zonogon_vertices(z)))
 
+    def test_near_parallel_chain_keeps_its_area(self):
+        # the vertex walk merges the whole chain into one edge, which made
+        # the area 0.0; the pairwise sum of |g_i x g_j| is 1.2e-6
+        gens, _ = near_parallel_chain()
+        i, j = np.triu_indices(gens.shape[0], 1)
+        want = np.abs(gens[i, 0] * gens[j, 1] - gens[i, 1] * gens[j, 0]).sum()
+        assert area_2d(Zonotope(2, gens)) == pytest.approx(want, rel=1e-12)
+
 
 class TestContainsPoint:
     def test_origin_inside_with_zero_coefficients(self):
@@ -379,8 +389,8 @@ class TestHausdorffConvex:
             assert abs(exact.distance - brute_hausdorff_segments(a, b)) <= 2 * pitch
 
     def test_lp_route_matches_planar_exact(self):
-        # embed a planar pair into 3- and 4-space; every route must agree
-        # (n = 3 takes the closed-form route, n = 4 the LP route)
+        # embed a planar pair into 3- and 4-space: the arrangement route
+        # must agree with the planar route
         rng = case_rng(7, "test.hausdorff.lp")
         g1 = rng.uniform(-1, 1, (4, 2))
         g2 = rng.uniform(-1, 1, (3, 2))
@@ -394,20 +404,21 @@ class TestHausdorffConvex:
             assert lifted.distance == pytest.approx(planar.distance, abs=1e-8)
 
     def test_3d_route_matches_lp_oracle(self):
-        def seeded_side(rng, family):
+        # the arrangement route in n = 3 ... 6 against LPs over subset sums
+        def seeded_side(rng, family, n):
             m = int(rng.integers(0, 6))
             if family == "integer":
-                return Zonotope(3, rng.integers(-2, 3, (m, 3)).astype(float))
-            g = rng.normal(size=(m, 3))
+                return Zonotope(n, rng.integers(-2, 3, (m, n)).astype(float))
+            g = rng.normal(size=(m, n))
             if family == "parallel" and m > 1:
                 g[1:] = g[:1] * rng.uniform(-2, 2, (m - 1, 1))
             elif family == "coplanar":
-                g[:, 2] = 0.0
+                g[:, -1] = 0.0
             elif family == "zero":
                 g[rng.random(m) < 0.3] = 0.0
             elif family == "axis":
-                g[rng.random((m, 3)) < 0.4] = 0.0
-            return Zonotope(3, g)
+                g[rng.random((m, n)) < 0.4] = 0.0
+            return Zonotope(n, g)
 
         def lp_oracle(z1, z2):
             # the larger directed distance, each a maximum of point-to-hull
@@ -415,17 +426,20 @@ class TestHausdorffConvex:
             return max(
                 _lp_point_distance(target, p)[0]
                 for source, target in ((z1, z2), (z2, z1))
-                for p in skeleton_points(VectorMeasure(3, source.generators)).points
+                for p in skeleton_points(VectorMeasure(z1.dimension, source.generators)).points
             )
 
         rng = case_rng(12, "test.hausdorff.3d")
         empty = Zonotope(3, np.zeros((0, 3)))
-        pairs = [(empty, empty), (seeded_side(rng, "generic"), empty)]
+        pairs = [(empty, empty), (seeded_side(rng, "generic", 3), empty)]
         # peaks where two planes meet inside a facet, at +c and at -c
         pairs += [CROSS_PEAK, tuple(Zonotope(3, -z.generators) for z in CROSS_PEAK)]
-        for family in ("generic", "parallel", "coplanar", "zero", "axis", "integer"):
-            pairs += [(seeded_side(rng, family), seeded_side(rng, family)) for _ in range(3)]
-        pairs.append((empty, pairs[-1][0]))
+        for n in (3, 4, 5, 6):
+            for family in ("generic", "parallel", "coplanar", "zero", "axis", "integer"):
+                pairs += [
+                    (seeded_side(rng, family, n), seeded_side(rng, family, n)) for _ in range(3)
+                ]
+            pairs.append((Zonotope(n, np.zeros((0, n))), pairs[-1][0]))
         for z1, z2 in pairs:
             mass = np.abs(z1.generators).sum() + np.abs(z2.generators).sum()
             r = hausdorff_convex(z1, z2)
@@ -448,13 +462,14 @@ class TestHausdorffConvex:
             assert r.distance == base * f
 
     def test_lp_route_scales_exactly(self):
-        # n = 4 solves LPs, on data scaled by a power of two
+        # n = 4 goes through the arrangement route, whose unit-row scaling
+        # and support sums are exact under powers of two
         rng = case_rng(16, "test.hausdorff.lp.scale")
         z1 = Zonotope(4, rng.normal(size=(4, 4)))
         z2 = Zonotope(4, rng.normal(size=(3, 4)))
         base = hausdorff_convex(z1, z2)
         assert base.mode == "exact" and base.distance > 0.0
-        for k in (-300, 300):
+        for k in (-600, -300, 300, 600):
             f = 2.0 ** k
             r = hausdorff_convex(Zonotope(4, z1.generators * f), Zonotope(4, z2.generators * f))
             assert r.mode == "exact" and r.distance == base.distance * f
@@ -489,12 +504,35 @@ class TestHausdorffConvex:
             assert abs(r.distance - dense_reference(z1, z2)) <= 1e-12 * mass
 
     def test_sampled_mode_reported(self):
+        def facet_vertex_bound(m, n):
+            return sum(comb(m, k) * comb(n, k) * 2 ** (n - k) for k in range(min(n - 1, m) + 1))
+
         rng = case_rng(8, "test.hausdorff.sampled")
-        z1 = Zonotope(3, rng.uniform(-1, 1, (12, 3)))
-        z2 = Zonotope(3, rng.uniform(-1, 1, (12, 3)))
-        r = hausdorff_convex(z1, z2)
-        assert r.mode == "sampled"
-        assert r.distance >= 0.0
+        # 40 nonzero generators in n = 6 bound the facet vertices at 9.1e7
+        # coordinates, past the direction-set guard; 80 in n = 20 at 3.3e23,
+        # which only a guard run before any allocation answers at once
+        for n, m in ((6, 20), (20, 40)):
+            assert facet_vertex_bound(2 * m, n) * n > DIRECTION_COORDINATE_LIMIT
+            z1 = Zonotope(n, rng.uniform(-1, 1, (m, n)))
+            z2 = Zonotope(n, rng.uniform(-1, 1, (m, n)))
+            r = hausdorff_convex(z1, z2)
+            assert r.mode == "sampled"
+            assert r.distance >= 0.0
+
+    def test_no_linear_program(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hausdorff_convex solved a linear program")
+
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse)
+        rng = case_rng(17, "test.hausdorff.no_lp")
+        for n in (3, 4, 5, 6):
+            z1 = Zonotope(n, rng.normal(size=(5, n)))
+            z2 = Zonotope(n, rng.normal(size=(4, n)))
+            assert hausdorff_convex(z1, z2).mode == "exact"
+        # the 4-D pair of the CLI's extreme-scale test
+        big = Zonotope(4, [[1e100, 2e100, 0, 1e100], [3e100, 0, 1e100, 1e100]])
+        r = hausdorff_convex(big, Zonotope(4, [[1, 0, 0, 0]]))
+        assert r.mode == "exact" and r.distance == pytest.approx(9e100, rel=1e-12)
 
 
 class TestHausdorffPoints:

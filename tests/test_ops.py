@@ -267,6 +267,11 @@ def classical_gini(incomes):
 class TestGini:
     def test_equal_shares(self):
         assert gini(VectorMeasure(2, [[0.5, 0.5], [0.5, 0.5]])) == 0.0
+        # equal atoms a rounding off the diagonal: prefix sums over the
+        # unsummed run would leave -1.1e-16
+        incomes = np.full(1000, 3.7)
+        atoms = np.column_stack([np.full(1000, 1e-3), incomes / incomes.sum()])
+        assert gini(VectorMeasure(2, atoms)) == 0.0
 
     def test_worked_fixture(self):
         assert gini(VectorMeasure(2, [[0.5, 0.25], [0.5, 0.75]])) == pytest.approx(
