@@ -181,11 +181,13 @@ def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
             f"skeleton enumeration capped at {SKELETON_ATOM_LIMIT} atoms, "
             f"got {m.atom_count}"
         )
-    sums = np.zeros((1, m.dimension))
-    for atom in m.atoms:
-        sums = np.vstack([sums, sums + atom])
-    points = np.unique(sums, axis=0)
-    return SkeletonPointSet(m.dimension, points, m.total())
+    # rows 2^j ... 2^(j+1) - 1 are the first 2^j plus atom j; from +0.0 no -0.0 arises
+    sums = np.zeros((1 << m.atom_count, m.dimension))
+    for j, atom in enumerate(m.atoms):
+        np.add(sums[: 1 << j], atom, out=sums[1 << j : 2 << j])
+    sums = sums[np.lexsort(sums.T[::-1])]
+    fresh = np.concatenate([[True], (sums[1:] != sums[:-1]).any(axis=1)])
+    return SkeletonPointSet(m.dimension, sums[fresh], m.total())
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +333,10 @@ def _lp_exponent(z: Zonotope, p: np.ndarray) -> int:
 
 
 def _lp_point_distance(z: Zonotope, p: np.ndarray):
-    """1-norm distance from ``p`` to the zonotope, with coefficients.
+    """1-norm distance from ``p`` to the zonotope, coefficients and duals.
 
     Solves  min sum(s+ + s-)  s.t.  G^T t + s+ - s- = p,  t in [0,1]^m.
+    Its equality duals, clipped to [-1, 1], maximize <y, p> - reach(z, y).
     """
     m, n = z.generator_count, z.dimension
     e = _lp_exponent(z, p)
@@ -343,14 +346,16 @@ def _lp_point_distance(z: Zonotope, p: np.ndarray):
     res = linprog(c, A_eq=a_eq, b_eq=np.ldexp(p, -e), bounds=bounds, method="highs")
     if res.status != 0:  # pragma: no cover - the program is always feasible
         raise RuntimeError(f"distance LP failed: {res.message}")
-    return float(np.ldexp(res.fun, e)), np.clip(res.x[:m], 0.0, 1.0)
+    dual = np.clip(res.eqlin.marginals, -1.0, 1.0)
+    return float(np.ldexp(res.fun, e)), np.clip(res.x[:m], 0.0, 1.0), dual
 
 
 def separating_direction(z: Zonotope, p: np.ndarray):
     """Best separating direction in the infinity-ball.
 
     Maximizes <d, p> - reach(z, d) over ||d||_inf <= 1; the optimum equals
-    the 1-norm distance from ``p`` to the zonotope.
+    the 1-norm distance from ``p`` to the zonotope.  :func:`contains_point`
+    solves it only when the dual of its distance LP fails the re-check.
     """
     m, n = z.generator_count, z.dimension
     e = _lp_exponent(z, p)
@@ -369,12 +374,12 @@ def separating_direction(z: Zonotope, p: np.ndarray):
 
 
 def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
-    """Decide membership of a point in the hull.
+    """Decide membership of a point in the hull with one distance LP.
 
-    Inside verdicts return coefficients t in [0,1]^m reconstructing the
-    point within ``tol`` in 1-norm; outside verdicts return a direction d
-    with <d, p> > reach(z, d) + tol.  Indeterminate cases within ``tol``
-    resolve to inside.
+    Within ``tol`` of the hull is inside: the verdict returns coefficients
+    t in [0,1]^m and their residual ||t^T G - p||_1 as ``distance``.  Else
+    it returns the LP's dual d, re-checked for <d, p> > reach(z, d) + tol
+    (failing that, the direction of :func:`separating_direction`).
     """
     p = np.asarray(point, dtype=np.float64).reshape(-1)
     if p.shape[0] != z.dimension:
@@ -391,10 +396,11 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     gap_total = np.abs(p - z.total()).sum()
     if gap_total <= tol:
         return Containment(True, np.ones(m), None, float(gap_total))
-    dist, lam = _lp_point_distance(z, p)
+    dist, lam, witness = _lp_point_distance(z, p)
     if dist <= tol:
-        return Containment(True, lam, None, dist)
-    witness, _ = separating_direction(z, p)
+        return Containment(True, lam, None, float(np.abs(lam @ z.generators - p).sum()))
+    if float(witness @ p) - reach(z, witness) <= tol:
+        witness, _ = separating_direction(z, p)
     return Containment(False, None, witness, dist)
 
 
@@ -585,28 +591,21 @@ def _facet_vertices(rows: np.ndarray) -> np.ndarray:
 
 
 def _directed_points_1norm(a: np.ndarray, b: np.ndarray):
-    """sup over rows of ``a`` of the 1-norm distance to the set ``b``."""
+    """sup over rows of ``a`` of the 1-norm distance to ``b``, by kd-tree."""
     if a.shape[0] == 0:
         return 0.0, None
     if b.shape[0] == 0:
         raise SizeGuard("Hausdorff distance against an empty point set")
-    pairs = a.shape[0] * b.shape[0]
-    if pairs > 1 << 22:
-        from scipy.spatial import cKDTree
+    from scipy.spatial import cKDTree
 
-        dist, _ = cKDTree(b).query(a, k=1, p=1)
-    else:
-        dist = np.empty(a.shape[0])
-        step = max(1, _BLOCK // b.size)
-        for i in range(0, a.shape[0], step):
-            block = np.abs(a[i : i + step, None, :] - b[None, :, :]).sum(axis=2)
-            dist[i : i + step] = block.min(axis=1)
+    dist, _ = cKDTree(b).query(a, k=1, p=1)
     worst = int(np.argmax(dist))
     return float(dist[worst]), a[worst]
 
 
 def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffResult:
-    """Exact 1-norm Hausdorff distance between finite point sets."""
+    """Exact 1-norm Hausdorff distance between finite point sets, by exact
+    nearest-neighbour queries in a kd-tree: O(N log N) for N points."""
     if p1.dimension != p2.dimension:
         raise DimensionMismatch(
             f"Hausdorff across dimensions {p1.dimension} and {p2.dimension}"

@@ -25,7 +25,13 @@ from lorenz_hulls import (
     within_tolerance,
     zonogon_vertices,
 )
-from lorenz_hulls.hulls import _BLOCK, ZonogonSupport, _lp_point_distance
+from lorenz_hulls.hulls import (
+    _BLOCK,
+    ZonogonSupport,
+    _lp_point_distance,
+    linprog,
+    separating_direction,
+)
 from lorenz_hulls.sampling import DIRECTION_COORDINATE_LIMIT, case_rng, unit_directions
 
 SQUARE = Zonotope(2, [[1, 0], [0, 1]])
@@ -178,6 +184,23 @@ class TestSkeleton:
         mirrored = np.unique(s.total - s.points, axis=0)
         assert np.array_equal(mirrored, s.points)
 
+    def test_matches_unique_oracle(self):
+        # duplicate, zero and dyadic atoms: the points are byte for byte
+        # np.unique of the sums that a vstack loop builds in the same order
+        rng = case_rng(21, "test.skeleton.oracle")
+        for case in range(40):
+            n, k = int(rng.integers(1, 5)), int(rng.integers(0, 11))
+            atoms = rng.integers(-4, 5, (k, n)) / 4.0 if case % 2 else rng.normal(size=(k, n))
+            if k > 2:
+                atoms[1] = atoms[0]
+                atoms[2] = 0.0
+            sums = np.zeros((1, n))
+            for atom in atoms:
+                sums = np.vstack([sums, sums + atom])
+            want = np.unique(sums, axis=0)
+            got = skeleton_points(VectorMeasure(n, atoms)).points
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
+
 
 class TestZonogon:
     def test_unit_square_ccw(self):
@@ -280,6 +303,88 @@ class TestContainsPoint:
         z = Zonotope(2, [])
         assert contains_point(z, [0, 0]).inside
         assert not contains_point(z, [0.5, 0]).inside
+
+    def test_inside_distance_is_the_residual(self):
+        # at atom scale 1e6 the LP objective reads 0.0 for coefficients that
+        # reconstruct the point only to ~1e-10; the reported distance is
+        # ||t^T G - p||_1 of the coefficients returned
+        rng = case_rng(22, "test.contains.residual")
+        residuals = []
+        for _ in range(6):
+            z = Zonotope(4, 1e6 * rng.normal(size=(8, 4)))
+            p = rng.uniform(0, 1, 8) @ z.generators
+            r = contains_point(z, p)
+            assert r.inside
+            assert r.distance == float(np.abs(r.coefficients @ z.generators - p).sum())
+            residuals.append(r.distance)
+        assert max(residuals) > 0.0
+
+    def test_one_linear_program_per_point(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append("A_eq" in kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", counted)
+        rng = case_rng(19, "test.contains.lp_count")
+        z = Zonotope(4, rng.normal(size=(8, 4)))
+        inside = rng.uniform(0.2, 0.8, 8) @ z.generators
+        for p, verdict in ((inside, True), (z.total() * 0.5 + 10.0, False)):
+            calls.clear()
+            assert contains_point(z, p).inside is verdict
+            # the distance LP alone; an outside witness is its dual
+            assert calls == [True]
+
+    def test_dual_witness_corpus(self):
+        # zero rows, parallel generators, points on an axis, scales 2^-600,
+        # 1 and 2^600: the dual witness separates in closed form, and its
+        # margin is the optimum of separating_direction
+        rng = case_rng(20, "test.contains.dual")
+        for case in range(60):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 12))
+            g = rng.normal(size=(m, n))
+            g[rng.random(m) < 0.2] = 0.0
+            if m > 1:
+                g[-1] = g[0] * rng.uniform(-3.0, 3.0)
+            f = 2.0 ** (-600, 0, 600)[case % 3]
+            z = Zonotope(n, f * g)
+            mass = f * np.abs(g).sum()
+            if case % 4 == 0:
+                p = np.zeros(n)
+                p[case % n] = (mass + f) * rng.choice([-1.0, 1.0])
+            else:
+                # beyond the support plane of a random direction
+                u = rng.normal(size=n)
+                center = z.total() / 2.0
+                lift = reach(z, u) + f * rng.uniform(0.01, 1.0) - u @ center
+                p = center + lift / (u @ u) * u
+            r = contains_point(z, p, tol=1e-9 * f)
+            assert not r.inside, case
+            margin = float(r.witness @ p) - reach(z, r.witness)
+            _, best = separating_direction(z, p)
+            assert np.abs(r.witness).max() <= 1.0 and margin > 1e-9 * f, case
+            assert abs(margin - best) <= 1e-12 * (mass + np.abs(p).sum()), case
+
+    def test_dual_failing_recheck_falls_back(self, monkeypatch):
+        calls = []
+
+        def zero_duals(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            calls.append("A_eq" in kwargs)
+            if "A_eq" in kwargs:
+                res.eqlin.marginals[:] = 0.0
+            return res
+
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", zero_duals)
+        p = np.array([1.5, 0.0])
+        r = contains_point(SQUARE, p)
+        # a zero direction does not separate, so the separation LP runs
+        assert calls == [True, False]
+        assert not r.inside and r.distance == pytest.approx(0.5, abs=1e-9)
+        assert float(r.witness @ p) > reach(SQUARE, r.witness) + 1e-9
+        monkeypatch.undo()
+        assert np.array_equal(r.witness, separating_direction(SQUARE, p)[0])
 
 
 class TestIncludes:
@@ -569,26 +674,23 @@ class TestHausdorffPoints:
                 worst = max(worst, float(block.min(axis=1).max()))
             return worst
 
-        # 3000 * 2500 > 2^22 sends the library down the KD-tree path
+        # 3000 x 2500 points in 2-D against the blocked brute force
         full = hausdorff_points(a, b).distance
         expected = max(directed(a.points, b.points), directed(b.points, a.points))
         assert full == pytest.approx(expected, abs=1e-12)
 
 
     def test_dense_and_tree_routes_agree(self):
-        # 2048 x 2048 = 2^22 pairs is the largest dense case; one repeated
-        # point leaves the set unchanged and sends it to the KD tree
+        # 2048 x 2048 = 2^22 pairs in 3-D; the kd-tree sums each 1-norm in
+        # coordinate order, as the blocked brute force does, so they are equal
         rng = case_rng(17, "test.points.threshold")
         a = rng.uniform(-1, 1, (2048, 3))
         b = rng.uniform(-1, 1, (2048, 3))
-        dense = hausdorff_points(SkeletonPointSet(3, a, np.zeros(3)),
-                                 SkeletonPointSet(3, b, np.zeros(3)))
-        tree = hausdorff_points(SkeletonPointSet(3, np.vstack([a, a[:1]]), np.zeros(3)),
+        tree = hausdorff_points(SkeletonPointSet(3, a, np.zeros(3)),
                                 SkeletonPointSet(3, b, np.zeros(3)))
         brute = max(np.abs(p[i : i + 256, None, :] - q[None, :, :]).sum(axis=2).min(axis=1).max()
                     for p, q in ((a, b), (b, a)) for i in range(0, 2048, 256))
-        assert dense.distance == brute
-        assert tree.distance == pytest.approx(brute, abs=1e-12)
+        assert tree.distance == brute
 
 
 class TestZonogonSupport:
