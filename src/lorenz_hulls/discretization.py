@@ -175,8 +175,9 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     Every nonempty cell k with total 1-norm mass w_k contributes ``reps``
     atoms, each ``(w_k / reps) * u_k`` along the cell representative, so the
     total variation is preserved.  Empty buckets contribute nothing; zero
-    atoms are ignored.  Cells come out in key order (``np.unique`` of the
-    integer key rows); each cell's mass is summed in atom order.
+    atoms are ignored.  Cells come out in lexicographic order of their
+    integer key rows (one ``np.lexsort`` and a neighbour compare); each
+    cell's mass is summed in atom order.
     """
     if m.dimension != part.dimension:
         raise DimensionMismatch(
@@ -190,8 +191,13 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     if not keep.any():
         return VectorMeasure(m.dimension, np.zeros((0, m.dimension)))
     signs, buckets = part._cell_rows(m.atoms[keep])
-    cells, cell = np.unique(np.hstack([signs, buckets]), axis=0, return_inverse=True)
-    masses = np.bincount(cell.reshape(-1), weights=norms[keep])
+    rows = np.hstack([signs, buckets])
+    order = np.lexsort(rows.T[::-1])
+    fresh = np.concatenate([[True], (rows[order[1:]] != rows[order[:-1]]).any(axis=1)])
+    cell = np.empty(order.shape[0], dtype=np.intp)
+    cell[order] = np.cumsum(fresh) - 1
+    cells = rows[order[fresh]]
+    masses = np.bincount(cell, weights=norms[keep])
     n = m.dimension
     atoms = [
         (w / reps) * part.representative((tuple(key[:n]), tuple(key[n:])))

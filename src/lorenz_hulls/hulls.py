@@ -293,6 +293,13 @@ class ZonogonSupport:
       support agrees with sum_i max(0, <q, g_i>) to within rounding even on
       chains of nearly parallel generators that the merge joins.
 
+    The query walk also has slope keys, for ``product_reach_many``:
+    ``slope_keys[k] = -g_k1 / g_k2`` over the same M sorted generators
+    (-inf on the x axis), made nondecreasing where the angle sort and the
+    division disagree in the last ulp.  :meth:`extreme_vertices` answers
+    queries given as slopes q_2 / q_1, which need no ``arctan2`` and keep
+    their order when both coordinates of the queries are scaled.
+
     Construction costs O(m log m) and a batch of k queries O(k log m).
     ``reach_many`` in the plane, the exact planar Hausdorff distance and
     ``product_reach_many`` all evaluate support through this class.
@@ -303,6 +310,11 @@ class ZonogonSupport:
         self.vertices = _walk_2d(offset, _merge_sorted_2d(g, angles))
         self._walk = _walk_2d(offset, g)
         self._edge_angles = np.concatenate([angles, angles + np.pi])
+        keys = np.full(g.shape[0], -np.inf)
+        np.divide(-g[:, 0], g[:, 1], out=keys, where=g[:, 1] > 0.0)
+        self.slope_keys = np.maximum.accumulate(keys)
+        # the query walk closed by its first vertex, one array per coordinate
+        self._walk_x, self._walk_y = (np.append(c, c[0]) for c in self._walk.T)
 
     def eval(self, queries) -> np.ndarray:
         """Support values for query direction rows (k, 2)."""
@@ -319,6 +331,20 @@ class ZonogonSupport:
         w = self._walk[j]
         w *= q
         return w.sum(axis=1)
+
+    def extreme_vertices(self, slopes: np.ndarray, flipped: slice):
+        """Coordinates ``(x, y)`` of an extreme vertex for each query q in
+        the (k, m) array of slopes q_2 / q_1, where q_1 > 0 except in the
+        columns ``flipped``, where q_1 < 0.
+
+        The generators before ``searchsorted(slope_keys, q_2 / q_1)`` are
+        those with <q, g> > 0 when q_1 > 0, so that vertex is extreme; when
+        q_1 < 0 they are the ones with <q, g> < 0, and the extreme vertex is
+        the one M further on, on the return half of the walk.
+        """
+        j = np.searchsorted(self.slope_keys, slopes)
+        j[:, flipped] += self.slope_keys.shape[0]
+        return np.take(self._walk_x, j), np.take(self._walk_y, j)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,19 @@ def skeleton_product(m1: VectorMeasure, m2: VectorMeasure) -> SkeletonPointSet:
     return skeleton_points(coordinate_product(m1, m2))
 
 
+_AXES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _axis_reach(x: np.ndarray, w: np.ndarray, up: float, down: float) -> np.ndarray:
+    """sum_i h(x * w_i * e) for scalars x, by positive homogeneity from
+    ``up = h(e)`` and ``down = h(-e)``."""
+    pos = np.maximum(w, 0.0).sum()
+    neg = np.maximum(-w, 0.0).sum()
+    return np.maximum(x, 0.0) * (pos * up + neg * down) + np.maximum(-x, 0.0) * (
+        pos * down + neg * up
+    )
+
+
 def product_reach_many(
     factor_atoms: np.ndarray, other_support: ZonogonSupport, directions: np.ndarray
 ) -> np.ndarray:
@@ -230,25 +243,47 @@ def product_reach_many(
 
     For direction u the product support is sum_i h_B(u * a_i) over the
     atoms a_i of the first factor (componentwise scaling), so the product's
-    generators are never materialized.  The atoms are sorted by angle once;
-    scaling by u keeps or reverses their cyclic order, so each direction's
-    queries are one cyclic run for ``searchsorted``.  Values go back to atom
-    order for the row sums.  Cost O(dirs * m_a * log m_b).
+    generators are never materialized.  The atoms with a_1 != 0 are split
+    by the sign of a_1 and each part is sorted once by rho = a_2 / a_1.  The
+    query u * a_i has slope (u_2 / u_1) * rho_i, so one ``searchsorted`` of
+    these sorted slopes into the slope keys of ``other_support`` finds
+    every extreme vertex (``ZonogonSupport.extreme_vertices``), and the sum
+    is u_1 * sum_i a_i1 x_j + u_2 * sum_i a_i2 y_j over those vertices.
+    Atoms with a_1 = 0 and directions on an axis (or with u_2 / u_1 out of
+    range) follow in closed form from h_B(+-e_1) and h_B(+-e_2).
+
+    Cost O(dirs * m_a * log m_b) after O(m_a log m_a) sorting, with no
+    ``arctan2``.  Every direction's value depends on that direction alone:
+    its row sums are plain numpy reductions, whatever the batch.
     """
     atoms = np.asarray(factor_atoms, dtype=np.float64).reshape(-1, 2)
-    order = np.argsort(np.arctan2(atoms[:, 1], atoms[:, 0]), kind="stable")
-    unsort = np.argsort(order)
-    atoms = atoms[order]
     D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    out = np.empty(D.shape[0])
-    step = max(1, _BLOCK // max(atoms.shape[0], 1))
-    for i in range(0, D.shape[0], step):
-        block = D[i : i + step]
-        queries = block[:, None, :] * atoms[None, :, :]
-        vals = other_support.eval(queries.reshape(-1, 2))
-        # take, unlike [:, unsort], returns C order: each row sums pairwise
-        vals = np.take(vals.reshape(block.shape[0], -1), unsort, axis=1)
-        out[i : i + step] = vals.sum(axis=1)
+    u1, u2 = D[:, 0], D[:, 1]
+    a1 = atoms[:, 0]
+    moving = atoms[a1 != 0.0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = u2 / u1
+        rho = moving[:, 1] / moving[:, 0]
+    h = other_support.eval(_AXES)
+    out = _axis_reach(u2, atoms[a1 == 0.0, 1], h[2], h[3])
+    axis = ~(np.isfinite(slope) & (slope != 0.0))
+    out[axis] = _axis_reach(u1[axis], a1, h[0], h[1]) + _axis_reach(
+        u2[axis], atoms[:, 1], h[2], h[3]
+    )
+    # a_1 > 0 first, then a_1 < 0, each by rho
+    order = np.lexsort((rho, moving[:, 0] < 0.0))
+    rho = rho[order]
+    ax, ay = moving[order, 0], moving[order, 1]
+    split = int(np.count_nonzero(ax > 0.0))
+    step = max(1, _BLOCK // max(rho.shape[0], 1))
+    # u_1 a_1 < 0 on the a_1 < 0 columns when u_1 > 0, and the other way round
+    for flipped, rows in ((slice(split, None), u1 > 0.0), (slice(split), u1 < 0.0)):
+        rows = np.flatnonzero(rows & ~axis)
+        for i in range(0, rows.shape[0], step):
+            r = rows[i : i + step]
+            with np.errstate(over="ignore"):
+                x, y = other_support.extreme_vertices(slope[r, None] * rho, flipped)
+            out[r] += u1[r] * (x * ax).sum(axis=1) + u2[r] * (y * ay).sum(axis=1)
     return out
 
 

@@ -117,6 +117,33 @@ class TestDiscretize:
                 out = discretize(m, part, 3)
                 assert np.array_equal(out.atoms, per_atom_discretize(m, part, 3))
 
+    def test_matches_unique_oracle(self):
+        # the cells and masses of np.unique(axis=0) over the integer key rows,
+        # byte for byte
+        def unique_discretize(m, part, reps):
+            norms = np.abs(m.atoms).sum(axis=1)
+            keep = norms > 0.0
+            signs, buckets = part._cell_rows(m.atoms[keep])
+            cells, cell = np.unique(np.hstack([signs, buckets]), axis=0, return_inverse=True)
+            masses = np.bincount(cell.reshape(-1), weights=norms[keep])
+            n = m.dimension
+            rows = [(w / reps) * part.representative((tuple(k[:n]), tuple(k[n:])))
+                    for w, k in zip(masses, cells.tolist())]
+            return np.repeat(rows, reps, axis=0)
+
+        rng = case_rng(22, "test.discretize.unique")
+        for n in range(1, 7):
+            for delta in (2.0, 0.5, 0.07, 1e-3, 1e-5):
+                k = int(rng.integers(1, 300))
+                atoms = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+                atoms[rng.random(k) < 0.1] = 0.0
+                atoms[rng.random((k, n)) < 0.25] = 0.0
+                atoms[: k // 4] = atoms[k // 4 : 2 * (k // 4)] * -2.0
+                m = VectorMeasure(n, atoms)
+                out = discretize(m, partition_sphere(n, delta), 2).atoms
+                want = unique_discretize(m, partition_sphere(n, delta), 2)
+                assert out.shape == want.shape and out.tobytes() == want.tobytes(), (n, delta)
+
     def test_zero_measure(self):
         out = discretize(VectorMeasure(2, []), partition_sphere(2, 0.5), 3)
         assert out.atom_count == 0

@@ -750,6 +750,18 @@ class TestZonogonSupport:
             gap = np.abs(reach_many(z, d) - closed_reach(z, d))
             assert (gap <= 1e-14 * (np.abs(d) @ np.abs(z.generators).T).sum(axis=1)).all(), case
 
+    def test_slope_keys_never_decrease(self):
+        # the last two rows share one arctan2 value, but their slopes -g1/g2
+        # fall by an ulp in that (stable) order; the searched keys must not
+        twins = np.array([[-0.33253141453891205, 0.8413494449801757],
+                          [-0.20637481595664878, 0.5221561911790269]])
+        assert np.arctan2(twins[0, 1], twins[0, 0]) == np.arctan2(twins[1, 1], twins[1, 0])
+        assert -twins[1, 0] / twins[1, 1] < -twins[0, 0] / twins[0, 1]
+        gens = np.vstack([[[2.0, 0.0], [1.0, 1.0], [0.0, 1.0]], twins, [[-1.0, 0.1]]])
+        keys = ZonogonSupport(gens).slope_keys
+        assert keys[0] == -np.inf and keys.shape == (6,)
+        assert (np.diff(keys) >= 0.0).all()
+
     def test_zero_query(self):
         table = ZonogonSupport(np.array([[1.0, 2.0]]))
         assert table.eval(np.zeros((1, 2)))[0] == 0.0

@@ -216,10 +216,60 @@ class TestProductReach:
             scale = np.abs(a).sum() * np.abs(b_atoms).sum()
             closed = np.maximum(dirs @ hull.generators.T, 0).sum(1)
             assert np.abs(via_factors - closed).max() <= 1e-12 * scale
-            # the same values as one unsorted batch summed in atom order
-            one_batch = support.eval((dirs[:, None, :] * a[None, :, :]).reshape(-1, 2))
-            assert np.array_equal(via_factors, one_batch.reshape(len(dirs), -1).sum(axis=1))
+            # each direction's value has the same bytes alone, in the full
+            # batch, and with the block boundaries moved or the batch reversed
+            alone = [product_reach_many(a, support, d)[0] for d in dirs]
+            assert np.array_equal(via_factors, alone)
+            for cut in (1, 97):
+                assert np.array_equal(via_factors[cut:], product_reach_many(a, support, dirs[cut:]))
+            assert np.array_equal(via_factors[::-1], product_reach_many(a, support, dirs[::-1]))
         assert product_reach_many(np.zeros((0, 2)), ZonogonSupport(b_atoms), dirs).tolist() == [0.0] * len(dirs)
+
+    @staticmethod
+    def product_gap(a, b, dirs):
+        """Largest gap to the closed form over the materialized product, in
+        units of the product measure's 1-norm mass."""
+        prod = (a[:, None, :] * b[None, :, :]).reshape(-1, 2)
+        closed = np.maximum(dirs @ prod.T, 0.0).sum(axis=1)
+        got = product_reach_many(a, ZonogonSupport(b), dirs)
+        return np.abs(got - closed).max() / np.abs(prod).sum()
+
+    def test_scales_exactly(self):
+        # slopes do not see 2^k, so the value scales by exactly 2^(2k)
+        rng = case_rng(19, "test.product_reach.scale")
+        a = np.vstack([rng.normal(size=(60, 2)), [[0.0, 2.0], [0.0, -1.0], [3.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]])
+        b = np.vstack([rng.normal(size=(40, 2)), [[0.0, 1.0], [-2.0, 0.0], [0.0, 0.0]]])
+        dirs = np.vstack([unit_directions(rng, 200, 2), np.eye(2), -np.eye(2), [[1.0, -1.0]]])
+        base = product_reach_many(a, ZonogonSupport(b), dirs)
+        for k in (-300, 300):
+            scaled = product_reach_many(np.ldexp(a, k), ZonogonSupport(np.ldexp(b, k)), dirs)
+            assert np.array_equal(scaled, np.ldexp(base, 2 * k)), k
+
+    def test_near_parallel_chain(self):
+        # B is a chain of 200 unit generators 0.9e-12 rad apart; A's atoms lie
+        # on the chain's normals, so u = +-(1, 1) queries each chain edge
+        # exactly at its slope key
+        angles = 0.9e-12 * np.arange(1, 201)
+        b = np.column_stack([np.cos(angles), np.sin(angles)])
+        normals = np.column_stack([-np.sin(angles), np.cos(angles)])
+        rng = case_rng(20, "test.product_reach.chain")
+        a = np.vstack([normals, -normals[::3], normals[::7] * rng.uniform(0.5, 2.0, (29, 1))])
+        dirs = np.vstack([[[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0 + 1e-12]],
+                          unit_directions(rng, 50, 2)])
+        assert self.product_gap(a, b, dirs) <= 1e-12
+
+    def test_axis_and_perpendicular_directions(self):
+        # directions on the axes and exactly perpendicular to product
+        # generators a_i * b_k, with axis and zero atoms on both sides
+        rng = case_rng(21, "test.product_reach.perp")
+        for _ in range(5):
+            a = np.vstack([rng.normal(size=(30, 2)), [[0.0, 1.5], [0.0, -0.5], [2.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]])
+            b = np.vstack([rng.normal(size=(20, 2)), [[0.0, -1.0], [1.0, 0.0], [0.0, 0.0]]])
+            a = a[rng.permutation(a.shape[0])]
+            p = a[rng.integers(0, a.shape[0], 40)] * b[rng.integers(0, b.shape[0], 40)]
+            perp = np.column_stack([-p[:, 1], p[:, 0]])
+            dirs = np.vstack([np.eye(2), -np.eye(2), 3.0 * np.eye(2), np.zeros((1, 2)), perp, -perp])
+            assert self.product_gap(a, b, dirs) <= 1e-12
 
 
 class TestLorenzCurve:
