@@ -74,12 +74,15 @@ class SpherePartition:
         signs, buckets = key
         if len(signs) != self.dimension or len(buckets) != self.dimension - 1:
             raise DimensionMismatch(f"malformed cell key {key!r}")
-        r = self.resolution
-        head = (np.asarray(buckets, dtype=np.float64) + 0.5) / r
-        tail = max(0.0, 1.0 - head.sum())
-        y = np.concatenate([head, [tail]])
-        y = y / y.sum()
-        return np.asarray(signs, dtype=np.float64) * y
+        return self.representative_rows([signs], [buckets])[0]
+
+    def representative_rows(self, signs, buckets) -> np.ndarray:
+        """Representatives of the cells keyed by the rows of ``signs``
+        (k, n) and ``buckets`` (k, n - 1), as returned by ``_cell_rows``."""
+        head = (np.asarray(buckets, dtype=np.float64) + 0.5) / self.resolution
+        tail = np.maximum(0.0, 1.0 - head.sum(axis=1, keepdims=True))
+        y = np.hstack([head, tail])
+        return np.asarray(signs, dtype=np.float64) * (y / y.sum(axis=1, keepdims=True))
 
     def cells(self) -> Iterator[tuple[CellKey, np.ndarray]]:
         """Materialize every (key, representative) pair."""
@@ -199,10 +202,7 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     cells = rows[order[fresh]]
     masses = np.bincount(cell, weights=norms[keep])
     n = m.dimension
-    atoms = [
-        (w / reps) * part.representative((tuple(key[:n]), tuple(key[n:])))
-        for w, key in zip(masses, cells.tolist())
-    ]
+    atoms = (masses / reps)[:, None] * part.representative_rows(cells[:, :n], cells[:, n:])
     return VectorMeasure(m.dimension, np.repeat(atoms, reps, axis=0))
 
 

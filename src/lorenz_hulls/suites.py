@@ -1,10 +1,22 @@
-"""Seeded property suites.
+"""Seeded property suites, as the rows of one table.
 
 Each suite checks one group of library invariants on deterministically
-seeded instances and returns a :class:`SuiteReport`.  Scale "full" runs the
-acceptance-level case counts; "small" runs reduced counts for quick checks.
-All randomness flows from the suite seed through :func:`sampling.case_rng`,
-so reports are identical across runs and worker counts.
+seeded instances and returns a :class:`SuiteReport`.  :data:`SUITES` is the
+table: one :class:`Suite` row per suite, in report order, holding the
+suite's one-line description and its case families.  A family is a
+:func:`sampling.case_rng` stream name, a full count, a small count and a
+private case body.  ``Suite.__call__`` holds the only case loop: case
+``index`` of a family gets the generator ``case_rng(seed, stream, index)``,
+and every ``(ok, message)`` check its body yields is recorded against the
+case number.  Each family numbers its cases from 0, after the cases of any
+fixture family (stream ``None``, no generator) listed before it.
+
+The ``cases=`` count of a report counts checks, not cases: a body may
+yield several checks per case (the measure suite yields 3 + m_b) or stop
+early (the identity suite skips its second check on colinear seeds).
+Scale "full" runs the acceptance-level counts; "small" runs reduced counts
+for quick checks.  All randomness flows from the suite seed through
+``case_rng``, so reports are identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -102,20 +114,33 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-class _Recorder:
-    def __init__(self, suite: str, seed: int) -> None:
-        self.suite = suite
-        self.seed = seed
-        self.cases = 0
-        self.failures: list[CaseFailure] = []
+class Suite:
+    """One row of the suite table: a name, its one-line description, and
+    its case families ``(stream, full count, small count, body)``.  A body
+    is called as ``body(rng, case, seed, full)`` and yields ``(ok, message)``.
+    """
 
-    def check(self, case: int, ok: bool, message: str) -> None:
-        self.cases += 1
-        if not ok:
-            self.failures.append(CaseFailure(case, self.seed, message))
+    def __init__(self, name: str, doc: str, *families: tuple) -> None:
+        self.name, self.doc, self.families = name, doc, families
 
-    def report(self) -> SuiteReport:
-        return SuiteReport(self.suite, self.cases, self.failures)
+    def __call__(self, seed: int, scale: str = "small") -> SuiteReport:
+        start = time.perf_counter()
+        full = scale == "full"
+        report = SuiteReport(self.name, 0)
+        first = 0
+        for stream, full_count, small_count, body in self.families:
+            count = full_count if full else small_count
+            for index in range(count):
+                case = first + index
+                rng = None if stream is None else case_rng(seed, stream, index)
+                for ok, message in body(rng, case, seed, full):
+                    report.cases += 1
+                    if not ok:
+                        report.failures.append(CaseFailure(case, seed, message))
+            if stream is None:
+                first += count
+        report.wall_time_s = time.perf_counter() - start
+        return report
 
 
 def _digest(*arrays) -> str:
@@ -224,59 +249,6 @@ def _perturb_hull_preserving(rng, m: VectorMeasure, steps: int) -> VectorMeasure
     return cur
 
 
-def _counts(scale: str, full: int, small: int) -> int:
-    return full if scale == "full" else small
-
-
-# ---------------------------------------------------------------------------
-# suites
-
-
-def run_measure_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Total-variation additivity, product mass bound, density directions,
-    and product-order symmetry."""
-    rec = _Recorder("measure", seed)
-    for case in range(_counts(scale, 100, 25)):
-        rng = case_rng(seed, "measure", case)
-        n = int(rng.integers(1, 5))
-        a = VectorMeasure(n, _random_atoms(rng, int(rng.integers(0, 7)), n))
-        b = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 7)), n))
-        tv_a, tv_b = total_variation_mass(a), total_variation_mass(b)
-        tv_sum = total_variation_mass(direct_sum(a, b))
-        rec.check(
-            case,
-            within_tolerance(tv_sum, tv_a + tv_b, atol=0.0, rtol=1e-12),
-            f"digest={_digest(a.atoms, b.atoms)} total variation not additive: "
-            f"{tv_sum!r} vs {tv_a + tv_b!r} (rtol=1e-12)",
-        )
-        prod = coordinate_product(a, b)
-        tv_prod = total_variation_mass(prod)
-        rec.check(
-            case,
-            tv_prod <= tv_a * tv_b * (1.0 + 1e-9) + 1e-12,
-            f"digest={_digest(prod.atoms)} product mass {tv_prod!r} exceeds "
-            f"{tv_a!r} * {tv_b!r} (rtol=1e-9)",
-        )
-        for i in range(b.atom_count):
-            if np.abs(b.atoms[i]).sum() == 0:
-                continue
-            norm = float(np.abs(rn_direction(b, i)).sum())
-            rec.check(
-                case,
-                abs(norm - 1.0) <= 1e-12,
-                f"digest={_digest(b.atoms)} direction 1-norm {norm!r} not within "
-                "1e-12 of 1",
-            )
-        swapped = coordinate_product(b, a)
-        rec.check(
-            case,
-            np.array_equal(_sorted_rows(prod.atoms), _sorted_rows(swapped.atoms)),
-            f"digest={_digest(prod.atoms, swapped.atoms)} product multiset not "
-            "symmetric under operand swap (exact)",
-        )
-    return rec.report()
-
-
 def _sorted_rows(a: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0:
         return a
@@ -284,362 +256,10 @@ def _sorted_rows(a: np.ndarray) -> np.ndarray:
     return a[order]
 
 
-def run_complex_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Embedding of complex products equals the interleaved pairwise product
-    of the embeddings, as exact multisets."""
-    rec = _Recorder("complex", seed)
-    for case in range(_counts(scale, 100, 25)):
-        rng = case_rng(seed, "complex", case)
-        n = int(rng.integers(1, 4))
-        ma, mb = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        a = ComplexVectorMeasure(n, _random_atoms(rng, ma, 2 * n))
-        b = ComplexVectorMeasure(n, _random_atoms(rng, mb, 2 * n))
-        left = complex_embed(complex_coordinate_product(a, b)).atoms
-        ea, eb = complex_embed(a).atoms, complex_embed(b).atoms
-        right = interleaved_product(ea[:, None, :], eb[None, :, :]).reshape(
-            ma * mb, 2 * n
-        )
-        rec.check(
-            case,
-            np.array_equal(_sorted_rows(left), _sorted_rows(right)),
-            f"digest={_digest(a.atoms, b.atoms)} complex product embedding "
-            "differs from interleaved pairwise product (exact multiset)",
-        )
-    return rec.report()
-
-
-def run_roundtrip_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Serialization round trip is bit-exact."""
-    rec = _Recorder("roundtrip", seed)
-    for case in range(_counts(scale, 100, 30)):
-        rng = case_rng(seed, "roundtrip", case)
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(0, 8))
-        if case % 3 == 2:
-            measure = ComplexVectorMeasure(n, _random_atoms(rng, m, 2 * n, scale=10.0))
-        else:
-            labels = None
-            if case % 2:
-                labels = tuple(f"atom{i}" for i in range(m))
-            measure = VectorMeasure(
-                n, _random_atoms(rng, m, n, scale=10.0) * 10.0 ** rng.integers(-8, 9),
-                labels=labels,
-            )
-        payload = json.dumps(measure_to_json_dict(measure))
-        back = measure_from_json_dict(json.loads(payload))
-        rec.check(
-            case,
-            back == measure,
-            f"digest={_digest(measure.atoms)} serialization round trip not "
-            "bit-exact",
-        )
-    return rec.report()
-
-
-def run_geometry_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Zonogon support equivalence, area oracle, exact skeleton symmetry,
-    and containment certificates."""
-    rec = _Recorder("geometry", seed)
-    for case in range(_counts(scale, 40, 10)):
-        rng = case_rng(seed, "geometry", case)
-        m = VectorMeasure(2, _random_atoms(rng, int(rng.integers(1, 9)), 2))
-        z = hull_of(m)
-        verts = zonogon_vertices(z)
-        dirs = unit_directions(rng, 500, 2)
-        vertex_max = (dirs @ verts.T).max(axis=1)
-        # closed form, not reach_many: the planar reach_many and the vertex
-        # walk share the ZonogonSupport normal form
-        closed = np.maximum(dirs @ z.generators.T, 0.0).sum(axis=1)
-        rec.check(
-            case,
-            within_tolerance(vertex_max, closed),
-            f"digest={_digest(z.generators)} vertex support differs from reach "
-            f"by {_gap(vertex_max, closed)!r} (tol 1e-9)",
-        )
-        rec.check(
-            case,
-            within_tolerance(area_2d(z), shoelace_area(verts)),
-            f"digest={_digest(z.generators)} area {area_2d(z)!r} vs shoelace "
-            f"{shoelace_area(verts)!r} (tol 1e-9)",
-        )
-        dy = VectorMeasure(2, _dyadic_atoms(rng, int(rng.integers(1, 9)), 2))
-        skel = skeleton_points(dy)
-        mirrored = np.unique(skel.total - skel.points, axis=0)
-        rec.check(
-            case,
-            np.array_equal(mirrored, skel.points),
-            f"digest={_digest(dy.atoms)} skeleton not exactly centrally symmetric",
-        )
-        lam = rng.uniform(0.0, 1.0, z.generator_count)
-        inside_pt = lam @ z.generators if z.generator_count else np.zeros(2)
-        verdict = contains_point(z, inside_pt, tol=1e-9)
-        residual = (
-            float(np.abs(verdict.coefficients @ z.generators - inside_pt).sum())
-            if verdict.inside and z.generator_count
-            else float(np.abs(inside_pt).sum())
-        )
-        rec.check(
-            case,
-            verdict.inside and residual <= 1e-9 + 1e-12,
-            f"digest={_digest(z.generators, inside_pt)} interior point rejected "
-            f"or residual {residual!r} above tol 1e-9",
-        )
-        d = unit_directions(rng, 1, 2)[0]
-        outside_pt = inside_pt + d * (reach(z, d) - float(d @ inside_pt) + 0.5)
-        verdict = contains_point(z, outside_pt, tol=1e-9)
-        violates = (
-            not verdict.inside
-            and float(verdict.witness @ outside_pt) > reach(z, verdict.witness)
-        )
-        rec.check(
-            case,
-            violates,
-            f"digest={_digest(z.generators, outside_pt)} exterior point accepted "
-            "or witness does not violate the support inequality",
-        )
-    return rec.report()
-
-
-def run_hausdorff_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Identity of indiscernibles, triangle inequality, and the brute-force
-    segment oracle for the convex Hausdorff distance."""
-    rec = _Recorder("hausdorff", seed)
-    for case in range(_counts(scale, 20, 5)):
-        rng = case_rng(seed, "hausdorff.identity", case)
-        z = hull_of(VectorMeasure(2, _random_atoms(rng, int(rng.integers(0, 7)), 2)))
-        res = hausdorff_convex(z, z)
-        rec.check(
-            case,
-            res.distance == 0.0 and res.mode == "exact",
-            f"digest={_digest(z.generators)} self distance {res.distance!r} != 0",
-        )
-    for case in range(_counts(scale, 30, 8)):
-        rng = case_rng(seed, "hausdorff.triangle", case)
-        zs = [
-            hull_of(VectorMeasure(2, _random_atoms(rng, int(rng.integers(1, 6)), 2)))
-            for _ in range(3)
-        ]
-        dab = hausdorff_convex(zs[0], zs[1]).distance
-        dbc = hausdorff_convex(zs[1], zs[2]).distance
-        dac = hausdorff_convex(zs[0], zs[2]).distance
-        rec.check(
-            case,
-            dac <= dab + dbc + 1e-9,
-            f"digest={_digest(*[z.generators for z in zs])} triangle inequality "
-            f"violated: {dac!r} > {dab!r} + {dbc!r} (tol 1e-9)",
-        )
-    samples = 10_000
-    for case in range(_counts(scale, 6, 2)):
-        rng = case_rng(seed, "hausdorff.segments", case)
-        a = rng.uniform(-2.0, 2.0, 2)
-        b = rng.uniform(-2.0, 2.0, 2)
-        za = Zonotope(2, a[None, :])
-        zb = Zonotope(2, b[None, :])
-        exact = hausdorff_convex(za, zb).distance
-        grid = np.linspace(0.0, 1.0, samples)
-        pa = grid[:, None] * a[None, :]
-        pb = grid[:, None] * b[None, :]
-        brute = hausdorff_points(
-            SkeletonPointSet(2, pa, a), SkeletonPointSet(2, pb, b)
-        ).distance
-        pitch = max(np.abs(a).sum(), np.abs(b).sum()) / (samples - 1)
-        rec.check(
-            case,
-            abs(exact - brute) <= 2.0 * pitch,
-            f"digest={_digest(a, b)} segment distance {exact!r} vs brute force "
-            f"{brute!r} beyond 2 * pitch = {2.0 * pitch!r}",
-        )
-    return rec.report()
-
-
-def run_oracle_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Acceptance 1: reach equals the subset-sum support maximum."""
-    rec = _Recorder("oracle", seed)
-    dirs_per_case = _counts(scale, 200, 100)
-    for case in range(_counts(scale, 200, 40)):
-        rng = case_rng(seed, "oracle", case)
-        n = int(rng.integers(2, 5))
-        m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 13)), n))
-        skel = skeleton_points(m)
-        directions = unit_directions(rng, dirs_per_case, n)
-        r = reach_many(hull_of(m), directions)
-        s = (directions @ skel.points.T).max(axis=1)
-        rec.check(
-            case,
-            within_tolerance(r, s),
-            f"digest={_digest(m.atoms)} reach vs skeleton maximum gap "
-            f"{_gap(r, s)!r} above tolerance 1e-9",
-        )
-    return rec.report()
-
-
-def run_identity_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Identity law is exact; hulls with non-codirectional points have no
-    inverse."""
-    rec = _Recorder("identity", seed)
-    for case in range(_counts(scale, 50, 10)):
-        rng = case_rng(seed, "identity", case)
-        n = int(rng.integers(2, 5))
-        h = hull_of(VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 6)), n)))
-        left = lorenz_product(identity_hull(n), h)
-        right = lorenz_product(h, identity_hull(n))
-        ok = np.array_equal(left.generators, h.generators) and np.array_equal(
-            right.generators, h.generators
-        )
-        rec.check(
-            case,
-            ok,
-            f"digest={_digest(h.generators)} identity law not generator-exact",
-        )
-        two = hull_of(VectorMeasure(n, _dyadic_atoms(rng, 2, n)))
-        if _colinear_pairs(two.generators):
-            continue  # colinear seed; the two-generator hull is a segment
-        other = hull_of(VectorMeasure(n, _dyadic_atoms(rng, int(rng.integers(1, 4)), n)))
-        prod = lorenz_product(two, other)
-        mode = "exact2d" if n == 2 else "sampled"
-        rec.check(
-            case,
-            not hull_equal(prod, identity_hull(n), mode, dirs=200, seed=seed),
-            f"digest={_digest(two.generators, other.generators)} product of a "
-            "non-segment hull reproduced the identity",
-        )
-    return rec.report()
-
-
-def run_algebra_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Acceptance 3: commutativity, associativity, distributivity, identity,
-    all as exact sorted-generator multisets (integer atoms)."""
-    rec = _Recorder("algebra", seed)
-    for case in range(_counts(scale, 100, 25)):
-        rng = case_rng(seed, "algebra", case)
-        n = int(rng.integers(2, 5))
-        hulls = [
-            hull_of(
-                VectorMeasure(
-                    n, rng.integers(-9, 10, (int(rng.integers(1, 6)), n)).astype(float)
-                )
-            )
-            for _ in range(3)
-        ]
-        h1, h2, h3 = hulls
-        comm_ok = np.array_equal(
-            _sorted_rows(lorenz_product(h1, h2).generators),
-            _sorted_rows(lorenz_product(h2, h1).generators),
-        )
-        assoc_ok = np.array_equal(
-            _sorted_rows(lorenz_product(lorenz_product(h1, h2), h3).generators),
-            _sorted_rows(lorenz_product(h1, lorenz_product(h2, h3)).generators),
-        )
-        left = lorenz_product(h1, minkowski_sum(h2, h3)).generators
-        right = np.vstack(
-            [lorenz_product(h1, h2).generators, lorenz_product(h1, h3).generators]
-        )
-        dist_ok = np.array_equal(_sorted_rows(left), _sorted_rows(right))
-        ident_ok = np.array_equal(
-            lorenz_product(h1, identity_hull(n)).generators, h1.generators
-        )
-        rec.check(
-            case,
-            comm_ok and assoc_ok and dist_ok and ident_ok,
-            f"digest={_digest(*[h.generators for h in hulls])} algebra law broken "
-            f"(comm={comm_ok} assoc={assoc_ok} dist={dist_ok} ident={ident_ok})",
-        )
-    return rec.report()
-
-
-def run_well_definedness_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Acceptance 2: the product hull is invariant under hull-preserving
-    reshaping of either factor measure."""
-    rec = _Recorder("well_definedness", seed)
-    for case in range(_counts(scale, 100, 25)):
-        rng = case_rng(seed, "well_definedness", case)
-        n = 2 if case % 2 == 0 else int(rng.integers(3, 6))
-        m1 = VectorMeasure(n, _dyadic_atoms(rng, int(rng.integers(2, 6)), n))
-        m2 = VectorMeasure(n, _dyadic_atoms(rng, int(rng.integers(2, 6)), n))
-        t1 = _perturb_hull_preserving(rng, m1, int(rng.integers(1, 6)))
-        t2 = _perturb_hull_preserving(rng, m2, int(rng.integers(1, 6)))
-        base = lorenz_product(hull_of(m1), hull_of(m2))
-        reshaped = lorenz_product(hull_of(t1), hull_of(t2))
-        if n == 2:
-            equal = hull_equal(base, reshaped, "exact2d", tol=1e-9)
-        else:
-            equal = hull_equal(
-                base, reshaped, "sampled", dirs=1000, seed=seed, tol=1e-9
-            )
-        rec.check(
-            case,
-            equal,
-            f"digest={_digest(m1.atoms, m2.atoms, t1.atoms, t2.atoms)} product "
-            "hull changed under hull-preserving transforms (tol 1e-9)",
-        )
-    return rec.report()
-
-
-def run_inclusion_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Acceptance 4: products preserve inclusion; no excluded verdicts for
-    nested factors, and definitive inclusion in the plane."""
-    rec = _Recorder("inclusion", seed)
-    for case in range(_counts(scale, 100, 25)):
-        rng = case_rng(seed, "inclusion", case)
-        n = 2 if case % 2 == 0 else int(rng.integers(3, 5))
-        outers = [
-            hull_of(VectorMeasure(n, _random_atoms(rng, int(rng.integers(2, 6)), n)))
-            for _ in range(2)
-        ]
-        inners = []
-        for outer in outers:
-            lam = rng.uniform(0.0, 1.0, outer.generator_count)
-            keep = rng.uniform(0.0, 1.0, outer.generator_count) > 0.25
-            inners.append(Zonotope(n, (outer.generators * lam[:, None])[keep]))
-        prod_inner = lorenz_product(inners[0], inners[1])
-        prod_outer = lorenz_product(outers[0], outers[1])
-        sampled = includes(
-            prod_inner, prod_outer, "sampled", dirs=1000, seed=seed, tol=1e-9
-        )
-        ok = sampled.verdict != "excluded"
-        msg = (
-            f"digest={_digest(prod_inner.generators, prod_outer.generators)} "
-            f"sampled verdict {sampled.verdict} violation {sampled.max_violation!r}"
-        )
-        if n == 2:
-            exact = includes(prod_inner, prod_outer, "exact2d", tol=1e-9)
-            ok = ok and exact.verdict == "included"
-            msg += f"; exact2d verdict {exact.verdict}"
-        rec.check(case, ok, msg)
-    return rec.report()
-
-
 def _classical_gini(incomes: np.ndarray) -> float:
     diffs = np.abs(incomes[:, None] - incomes[None, :]).sum()
     k = incomes.shape[0]
     return float(diffs / (2.0 * k * k * incomes.mean()))
-
-
-def run_gini_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Acceptance 5: hull-area Gini equals the pairwise-difference formula."""
-    rec = _Recorder("gini", seed)
-    fixture = VectorMeasure(2, [[0.5, 0.25], [0.5, 0.75]])
-    rec.check(
-        0,
-        abs(gini(fixture) - 0.25) <= 1e-12,
-        f"worked fixture expected 0.25, got {gini(fixture)!r}",
-    )
-    for case in range(_counts(scale, 50, 15)):
-        rng = case_rng(seed, "gini", case)
-        k = int(rng.integers(2, 51))
-        incomes = rng.integers(0, 101, k).astype(np.float64)
-        if incomes.sum() == 0:
-            incomes[0] = 1.0
-        atoms = np.column_stack([np.full(k, 1.0 / k), incomes / incomes.sum()])
-        got = gini(VectorMeasure(2, atoms))
-        want = _classical_gini(incomes)
-        rec.check(
-            case + 1,
-            abs(got - want) <= 1e-9,
-            f"digest={_digest(incomes)} hull Gini {got!r} vs classical {want!r} "
-            "(tol 1e-9)",
-        )
-    return rec.report()
 
 
 def _dedupe_collinear(points: np.ndarray) -> np.ndarray:
@@ -655,301 +275,583 @@ def _dedupe_collinear(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
-def run_curve_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Lorenz curves are convex and trace the zonogon's lower chain."""
-    rec = _Recorder("curve", seed)
-    for case in range(_counts(scale, 40, 10)):
-        rng = case_rng(seed, "curve", case)
-        k = int(rng.integers(1, 12))
-        atoms = rng.uniform(0.0, 1.0, (k, 2)) + 1e-3
-        curve = lorenz_curve(VectorMeasure(2, atoms))
-        slopes = curve.slopes()
-        finite = slopes[np.isfinite(slopes)]
-        convex = bool(np.all(np.diff(finite) >= -1e-12)) and bool(
-            np.all(np.isinf(slopes[len(finite):]))
-        )
-        endpoints = np.array_equal(curve.points[0], [0.0, 0.0]) and np.array_equal(
-            curve.points[-1], [1.0, 1.0]
-        )
-        norm = atoms / atoms.sum(axis=0)
-        verts = zonogon_vertices(hull_of(VectorMeasure(2, norm)))
-        chain_len = verts.shape[0] // 2 + 1 if verts.shape[0] > 2 else verts.shape[0]
-        lower = verts[:chain_len]
-        merged = _dedupe_collinear(curve.points)
-        match = merged.shape == lower.shape and np.abs(merged - lower).max() <= 1e-9
-        rec.check(
-            case,
-            convex and endpoints and match,
-            f"digest={_digest(atoms)} curve convex={convex} endpoints={endpoints} "
-            f"lower-chain match={match}",
-        )
-    return rec.report()
+# ---------------------------------------------------------------------------
+# case bodies: each yields the (ok, message) checks of one case
 
 
-def run_partition_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Partition covers the sphere with cells of guaranteed radius."""
-    rec = _Recorder("partition", seed)
-    count = _counts(scale, 10_000, 2000)
-    configs = [(1, 0.7), (2, 0.5), (3, 0.4), (4, 0.6), (6, 0.9)]
-    rec.check(
-        0,
-        disc.partition_sphere(1, 0.5).cell_count == 2,
-        "one-dimensional sphere should have exactly two cells",
+def _measure_case(rng, case, seed, full):
+    n = int(rng.integers(1, 5))
+    a = VectorMeasure(n, _random_atoms(rng, int(rng.integers(0, 7)), n))
+    b = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 7)), n))
+    tv_a, tv_b = total_variation_mass(a), total_variation_mass(b)
+    tv_sum = total_variation_mass(direct_sum(a, b))
+    yield within_tolerance(tv_sum, tv_a + tv_b, atol=0.0, rtol=1e-12), (
+        f"digest={_digest(a.atoms, b.atoms)} total variation not additive: "
+        f"{tv_sum!r} vs {tv_a + tv_b!r} (rtol=1e-12)"
     )
-    p2 = disc.partition_sphere(2, 0.5)
-    rec.check(
-        1,
-        p2.resolution == 8 and p2.cell_count == 32,
-        f"expected resolution 8 and 32 cells at n=2 delta=0.5, got "
-        f"{p2.resolution} and {p2.cell_count}",
+    prod = coordinate_product(a, b)
+    tv_prod = total_variation_mass(prod)
+    yield tv_prod <= tv_a * tv_b * (1.0 + 1e-9) + 1e-12, (
+        f"digest={_digest(prod.atoms)} product mass {tv_prod!r} exceeds "
+        f"{tv_a!r} * {tv_b!r} (rtol=1e-9)"
     )
-    for case, (n, delta) in enumerate(configs, start=2):
-        rng = case_rng(seed, "partition", case)
-        part = disc.partition_sphere(n, delta)
-        pts = _unit_1norm_rows(rng, count, n)
-        keys = part.cell_of(pts)
-        reps = {key: part.representative(key) for key in set(keys)}
-        rep_rows = np.array([reps[key] for key in keys])
-        dists = np.abs(pts - rep_rows).sum(axis=1)
-        norms_ok = all(
-            abs(np.abs(rep).sum() - 1.0) <= 1e-12 for rep in reps.values()
+    for i in range(b.atom_count):
+        if np.abs(b.atoms[i]).sum() == 0:
+            continue
+        norm = float(np.abs(rn_direction(b, i)).sum())
+        yield abs(norm - 1.0) <= 1e-12, (
+            f"digest={_digest(b.atoms)} direction 1-norm {norm!r} not within "
+            "1e-12 of 1"
         )
-        rec.check(
-            case,
-            float(dists.max()) < delta and norms_ok,
-            f"n={n} delta={delta}: worst point-to-representative distance "
-            f"{float(dists.max())!r}, representative norms ok={norms_ok}",
+    swapped = coordinate_product(b, a)
+    yield np.array_equal(_sorted_rows(prod.atoms), _sorted_rows(swapped.atoms)), (
+        f"digest={_digest(prod.atoms, swapped.atoms)} product multiset not "
+        "symmetric under operand swap (exact)"
+    )
+
+
+def _complex_case(rng, case, seed, full):
+    n = int(rng.integers(1, 4))
+    ma, mb = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    a = ComplexVectorMeasure(n, _random_atoms(rng, ma, 2 * n))
+    b = ComplexVectorMeasure(n, _random_atoms(rng, mb, 2 * n))
+    left = complex_embed(complex_coordinate_product(a, b)).atoms
+    ea, eb = complex_embed(a).atoms, complex_embed(b).atoms
+    right = interleaved_product(ea[:, None, :], eb[None, :, :]).reshape(
+        ma * mb, 2 * n
+    )
+    yield np.array_equal(_sorted_rows(left), _sorted_rows(right)), (
+        f"digest={_digest(a.atoms, b.atoms)} complex product embedding "
+        "differs from interleaved pairwise product (exact multiset)"
+    )
+
+
+def _roundtrip_case(rng, case, seed, full):
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, 8))
+    if case % 3 == 2:
+        measure = ComplexVectorMeasure(n, _random_atoms(rng, m, 2 * n, scale=10.0))
+    else:
+        labels = None
+        if case % 2:
+            labels = tuple(f"atom{i}" for i in range(m))
+        measure = VectorMeasure(
+            n, _random_atoms(rng, m, n, scale=10.0) * 10.0 ** rng.integers(-8, 9),
+            labels=labels,
         )
-    return rec.report()
+    payload = json.dumps(measure_to_json_dict(measure))
+    back = measure_from_json_dict(json.loads(payload))
+    yield back == measure, (
+        f"digest={_digest(measure.atoms)} serialization round trip not "
+        "bit-exact"
+    )
 
 
-def run_discretization_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Mass preservation and the single-measure hull convergence bound."""
-    rec = _Recorder("discretization", seed)
-    for case in range(_counts(scale, 20, 5)):
-        rng = case_rng(seed, "discretization.mass", case)
-        n = int(rng.integers(1, 5))
-        m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 40)), n))
-        part = disc.partition_sphere(n, float(rng.uniform(0.2, 1.5)))
-        d = disc.discretize(m, part, int(rng.integers(1, 5)))
-        tv_in, tv_out = total_variation_mass(m), total_variation_mass(d)
-        rec.check(
-            case,
-            within_tolerance(tv_out, tv_in, atol=0.0, rtol=1e-9),
-            f"digest={_digest(m.atoms)} mass not preserved: {tv_out!r} vs {tv_in!r}",
+def _geometry_case(rng, case, seed, full):
+    m = VectorMeasure(2, _random_atoms(rng, int(rng.integers(1, 9)), 2))
+    z = hull_of(m)
+    verts = zonogon_vertices(z)
+    dirs = unit_directions(rng, 500, 2)
+    vertex_max = (dirs @ verts.T).max(axis=1)
+    # closed form, not reach_many: the planar reach_many and the vertex
+    # walk share the ZonogonSupport normal form
+    closed = np.maximum(dirs @ z.generators.T, 0.0).sum(axis=1)
+    yield within_tolerance(vertex_max, closed), (
+        f"digest={_digest(z.generators)} vertex support differs from reach "
+        f"by {_gap(vertex_max, closed)!r} (tol 1e-9)"
+    )
+    yield within_tolerance(area_2d(z), shoelace_area(verts)), (
+        f"digest={_digest(z.generators)} area {area_2d(z)!r} vs shoelace "
+        f"{shoelace_area(verts)!r} (tol 1e-9)"
+    )
+    dy = VectorMeasure(2, _dyadic_atoms(rng, int(rng.integers(1, 9)), 2))
+    skel = skeleton_points(dy)
+    mirrored = np.unique(skel.total - skel.points, axis=0)
+    yield np.array_equal(mirrored, skel.points), (
+        f"digest={_digest(dy.atoms)} skeleton not exactly centrally symmetric"
+    )
+    lam = rng.uniform(0.0, 1.0, z.generator_count)
+    inside_pt = lam @ z.generators if z.generator_count else np.zeros(2)
+    verdict = contains_point(z, inside_pt, tol=1e-9)
+    residual = (
+        float(np.abs(verdict.coefficients @ z.generators - inside_pt).sum())
+        if verdict.inside and z.generator_count
+        else float(np.abs(inside_pt).sum())
+    )
+    yield verdict.inside and residual <= 1e-9 + 1e-12, (
+        f"digest={_digest(z.generators, inside_pt)} interior point rejected "
+        f"or residual {residual!r} above tol 1e-9"
+    )
+    d = unit_directions(rng, 1, 2)[0]
+    outside_pt = inside_pt + d * (reach(z, d) - float(d @ inside_pt) + 0.5)
+    verdict = contains_point(z, outside_pt, tol=1e-9)
+    violates = (
+        not verdict.inside
+        and float(verdict.witness @ outside_pt) > reach(z, verdict.witness)
+    )
+    yield violates, (
+        f"digest={_digest(z.generators, outside_pt)} exterior point accepted "
+        "or witness does not violate the support inequality"
+    )
+
+
+def _hausdorff_identity(rng, case, seed, full):
+    z = hull_of(VectorMeasure(2, _random_atoms(rng, int(rng.integers(0, 7)), 2)))
+    res = hausdorff_convex(z, z)
+    yield res.distance == 0.0 and res.mode == "exact", (
+        f"digest={_digest(z.generators)} self distance {res.distance!r} != 0"
+    )
+
+
+def _hausdorff_triangle(rng, case, seed, full):
+    zs = [
+        hull_of(VectorMeasure(2, _random_atoms(rng, int(rng.integers(1, 6)), 2)))
+        for _ in range(3)
+    ]
+    dab = hausdorff_convex(zs[0], zs[1]).distance
+    dbc = hausdorff_convex(zs[1], zs[2]).distance
+    dac = hausdorff_convex(zs[0], zs[2]).distance
+    yield dac <= dab + dbc + 1e-9, (
+        f"digest={_digest(*[z.generators for z in zs])} triangle inequality "
+        f"violated: {dac!r} > {dab!r} + {dbc!r} (tol 1e-9)"
+    )
+
+
+def _hausdorff_segments(rng, case, seed, full):
+    samples = 10_000
+    a = rng.uniform(-2.0, 2.0, 2)
+    b = rng.uniform(-2.0, 2.0, 2)
+    za = Zonotope(2, a[None, :])
+    zb = Zonotope(2, b[None, :])
+    exact = hausdorff_convex(za, zb).distance
+    grid = np.linspace(0.0, 1.0, samples)
+    pa = grid[:, None] * a[None, :]
+    pb = grid[:, None] * b[None, :]
+    brute = hausdorff_points(
+        SkeletonPointSet(2, pa, a), SkeletonPointSet(2, pb, b)
+    ).distance
+    pitch = max(np.abs(a).sum(), np.abs(b).sum()) / (samples - 1)
+    yield abs(exact - brute) <= 2.0 * pitch, (
+        f"digest={_digest(a, b)} segment distance {exact!r} vs brute force "
+        f"{brute!r} beyond 2 * pitch = {2.0 * pitch!r}"
+    )
+
+
+def _oracle_case(rng, case, seed, full):
+    n = int(rng.integers(2, 5))
+    m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 13)), n))
+    skel = skeleton_points(m)
+    directions = unit_directions(rng, 200 if full else 100, n)
+    r = reach_many(hull_of(m), directions)
+    s = (directions @ skel.points.T).max(axis=1)
+    yield within_tolerance(r, s), (
+        f"digest={_digest(m.atoms)} reach vs skeleton maximum gap "
+        f"{_gap(r, s)!r} above tolerance 1e-9"
+    )
+
+
+def _identity_case(rng, case, seed, full):
+    n = int(rng.integers(2, 5))
+    h = hull_of(VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 6)), n)))
+    left = lorenz_product(identity_hull(n), h)
+    right = lorenz_product(h, identity_hull(n))
+    ok = np.array_equal(left.generators, h.generators) and np.array_equal(
+        right.generators, h.generators
+    )
+    yield ok, f"digest={_digest(h.generators)} identity law not generator-exact"
+    two = hull_of(VectorMeasure(n, _dyadic_atoms(rng, 2, n)))
+    if _colinear_pairs(two.generators):
+        return  # colinear seed; the two-generator hull is a segment
+    other = hull_of(VectorMeasure(n, _dyadic_atoms(rng, int(rng.integers(1, 4)), n)))
+    prod = lorenz_product(two, other)
+    mode = "exact2d" if n == 2 else "sampled"
+    yield not hull_equal(prod, identity_hull(n), mode, dirs=200, seed=seed), (
+        f"digest={_digest(two.generators, other.generators)} product of a "
+        "non-segment hull reproduced the identity"
+    )
+
+
+def _algebra_case(rng, case, seed, full):
+    n = int(rng.integers(2, 5))
+    hulls = [
+        hull_of(
+            VectorMeasure(
+                n, rng.integers(-9, 10, (int(rng.integers(1, 6)), n)).astype(float)
+            )
         )
-    atom_count = _counts(scale, 10_000, 1500)
-    for case in range(_counts(scale, 3, 1)):
-        rng = case_rng(seed, "discretization.hull", case)
-        m = _fine_measure(rng, atom_count, float(rng.uniform(0.5, 2.0)), grid=10)
-        mass = total_variation_mass(m)
-        hull = hull_of(m)
-        previous = None
-        ok = True
-        notes = []
-        for level in range(4):
-            delta = 0.4 / 2 ** level
-            part = disc.partition_sphere(2, delta)
-            approx = hull_of(disc.discretize(m, part, 1))
-            measured = hausdorff_convex(hull, approx).distance
-            bound = delta * mass
-            notes.append(f"{measured!r}<= {bound!r}")
-            if measured > bound or (previous is not None and measured >= previous):
-                ok = False
-            previous = measured
-        rec.check(
-            case,
-            ok,
-            f"digest={_digest(m.atoms)} hull convergence failed: "
-            + "; ".join(notes),
+        for _ in range(3)
+    ]
+    h1, h2, h3 = hulls
+    comm_ok = np.array_equal(
+        _sorted_rows(lorenz_product(h1, h2).generators),
+        _sorted_rows(lorenz_product(h2, h1).generators),
+    )
+    assoc_ok = np.array_equal(
+        _sorted_rows(lorenz_product(lorenz_product(h1, h2), h3).generators),
+        _sorted_rows(lorenz_product(h1, lorenz_product(h2, h3)).generators),
+    )
+    left = lorenz_product(h1, minkowski_sum(h2, h3)).generators
+    right = np.vstack(
+        [lorenz_product(h1, h2).generators, lorenz_product(h1, h3).generators]
+    )
+    dist_ok = np.array_equal(_sorted_rows(left), _sorted_rows(right))
+    ident_ok = np.array_equal(
+        lorenz_product(h1, identity_hull(n)).generators, h1.generators
+    )
+    yield comm_ok and assoc_ok and dist_ok and ident_ok, (
+        f"digest={_digest(*[h.generators for h in hulls])} algebra law broken "
+        f"(comm={comm_ok} assoc={assoc_ok} dist={dist_ok} ident={ident_ok})"
+    )
+
+
+def _well_definedness_case(rng, case, seed, full):
+    n = 2 if case % 2 == 0 else int(rng.integers(3, 6))
+    m1 = VectorMeasure(n, _dyadic_atoms(rng, int(rng.integers(2, 6)), n))
+    m2 = VectorMeasure(n, _dyadic_atoms(rng, int(rng.integers(2, 6)), n))
+    t1 = _perturb_hull_preserving(rng, m1, int(rng.integers(1, 6)))
+    t2 = _perturb_hull_preserving(rng, m2, int(rng.integers(1, 6)))
+    base = lorenz_product(hull_of(m1), hull_of(m2))
+    reshaped = lorenz_product(hull_of(t1), hull_of(t2))
+    if n == 2:
+        equal = hull_equal(base, reshaped, "exact2d", tol=1e-9)
+    else:
+        equal = hull_equal(
+            base, reshaped, "sampled", dirs=1000, seed=seed, tol=1e-9
         )
-    return rec.report()
+    yield equal, (
+        f"digest={_digest(m1.atoms, m2.atoms, t1.atoms, t2.atoms)} product "
+        "hull changed under hull-preserving transforms (tol 1e-9)"
+    )
 
 
-def run_product_bound_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Acceptance 6: discretized product hulls obey the quantitative error
-    bound and improve monotonically across refinement levels.
+def _inclusion_case(rng, case, seed, full):
+    n = 2 if case % 2 == 0 else int(rng.integers(3, 5))
+    outers = [
+        hull_of(VectorMeasure(n, _random_atoms(rng, int(rng.integers(2, 6)), n)))
+        for _ in range(2)
+    ]
+    inners = []
+    for outer in outers:
+        lam = rng.uniform(0.0, 1.0, outer.generator_count)
+        keep = rng.uniform(0.0, 1.0, outer.generator_count) > 0.25
+        inners.append(Zonotope(n, (outer.generators * lam[:, None])[keep]))
+    prod_inner = lorenz_product(inners[0], inners[1])
+    prod_outer = lorenz_product(outers[0], outers[1])
+    sampled = includes(
+        prod_inner, prod_outer, "sampled", dirs=1000, seed=seed, tol=1e-9
+    )
+    ok = sampled.verdict != "excluded"
+    msg = (
+        f"digest={_digest(prod_inner.generators, prod_outer.generators)} "
+        f"sampled verdict {sampled.verdict} violation {sampled.max_violation!r}"
+    )
+    if n == 2:
+        exact = includes(prod_inner, prod_outer, "exact2d", tol=1e-9)
+        ok = ok and exact.verdict == "included"
+        msg += f"; exact2d verdict {exact.verdict}"
+    yield ok, msg
 
-    The product hulls have one generator per pair of factor atoms (10^8 at
-    the full scale), so distances are measured by support-difference
+
+def _gini_fixture(rng, case, seed, full):
+    fixture = VectorMeasure(2, [[0.5, 0.25], [0.5, 0.75]])
+    yield abs(gini(fixture) - 0.25) <= 1e-12, (
+        f"worked fixture expected 0.25, got {gini(fixture)!r}"
+    )
+
+
+def _gini_case(rng, case, seed, full):
+    k = int(rng.integers(2, 51))
+    incomes = rng.integers(0, 101, k).astype(np.float64)
+    if incomes.sum() == 0:
+        incomes[0] = 1.0
+    atoms = np.column_stack([np.full(k, 1.0 / k), incomes / incomes.sum()])
+    got = gini(VectorMeasure(2, atoms))
+    want = _classical_gini(incomes)
+    yield abs(got - want) <= 1e-9, (
+        f"digest={_digest(incomes)} hull Gini {got!r} vs classical {want!r} "
+        "(tol 1e-9)"
+    )
+
+
+def _curve_case(rng, case, seed, full):
+    k = int(rng.integers(1, 12))
+    atoms = rng.uniform(0.0, 1.0, (k, 2)) + 1e-3
+    curve = lorenz_curve(VectorMeasure(2, atoms))
+    slopes = curve.slopes()
+    finite = slopes[np.isfinite(slopes)]
+    convex = bool(np.all(np.diff(finite) >= -1e-12)) and bool(
+        np.all(np.isinf(slopes[len(finite):]))
+    )
+    endpoints = np.array_equal(curve.points[0], [0.0, 0.0]) and np.array_equal(
+        curve.points[-1], [1.0, 1.0]
+    )
+    norm = atoms / atoms.sum(axis=0)
+    verts = zonogon_vertices(hull_of(VectorMeasure(2, norm)))
+    chain_len = verts.shape[0] // 2 + 1 if verts.shape[0] > 2 else verts.shape[0]
+    lower = verts[:chain_len]
+    merged = _dedupe_collinear(curve.points)
+    match = merged.shape == lower.shape and np.abs(merged - lower).max() <= 1e-9
+    yield convex and endpoints and match, (
+        f"digest={_digest(atoms)} curve convex={convex} endpoints={endpoints} "
+        f"lower-chain match={match}"
+    )
+
+
+def _partition_case(rng, case, seed, full):
+    """Cases 0 and 1 are fixed cell counts; cases 2-6 are the seeded
+    configurations (n, delta)."""
+    if case < 2:
+        p = disc.partition_sphere(case + 1, 0.5)
+        if case == 0:
+            yield p.cell_count == 2, "one-dimensional sphere should have exactly two cells"
+        else:
+            yield p.resolution == 8 and p.cell_count == 32, (
+                f"expected resolution 8 and 32 cells at n=2 delta=0.5, got "
+                f"{p.resolution} and {p.cell_count}"
+            )
+        return
+    n, delta = [(1, 0.7), (2, 0.5), (3, 0.4), (4, 0.6), (6, 0.9)][case - 2]
+    part = disc.partition_sphere(n, delta)
+    pts = _unit_1norm_rows(rng, 10_000 if full else 2000, n)
+    rep_rows = part.representative_rows(*part._cell_rows(pts))
+    dists = np.abs(pts - rep_rows).sum(axis=1)
+    norms_ok = bool(np.all(np.abs(np.abs(rep_rows).sum(axis=1) - 1.0) <= 1e-12))
+    yield float(dists.max()) < delta and norms_ok, (
+        f"n={n} delta={delta}: worst point-to-representative distance "
+        f"{float(dists.max())!r}, representative norms ok={norms_ok}"
+    )
+
+
+def _discretization_mass(rng, case, seed, full):
+    n = int(rng.integers(1, 5))
+    m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 40)), n))
+    part = disc.partition_sphere(n, float(rng.uniform(0.2, 1.5)))
+    d = disc.discretize(m, part, int(rng.integers(1, 5)))
+    tv_in, tv_out = total_variation_mass(m), total_variation_mass(d)
+    yield within_tolerance(tv_out, tv_in, atol=0.0, rtol=1e-9), (
+        f"digest={_digest(m.atoms)} mass not preserved: {tv_out!r} vs {tv_in!r}"
+    )
+
+
+def _discretization_hull(rng, case, seed, full):
+    m = _fine_measure(
+        rng, 10_000 if full else 1500, float(rng.uniform(0.5, 2.0)), grid=10
+    )
+    mass = total_variation_mass(m)
+    hull = hull_of(m)
+    previous = None
+    ok = True
+    notes = []
+    for level in range(4):
+        delta = 0.4 / 2 ** level
+        part = disc.partition_sphere(2, delta)
+        approx = hull_of(disc.discretize(m, part, 1))
+        measured = hausdorff_convex(hull, approx).distance
+        bound = delta * mass
+        notes.append(f"{measured!r}<= {bound!r}")
+        if measured > bound or (previous is not None and measured >= previous):
+            ok = False
+        previous = measured
+    yield ok, (
+        f"digest={_digest(m.atoms)} hull convergence failed: "
+        + "; ".join(notes)
+    )
+
+
+def _product_bound_case(rng, case, seed, full):
+    """The product hulls have one generator per pair of factor atoms (10^8
+    at the full scale), so distances are measured by support-difference
     sampling on a fixed direction grid through the factored product support;
     the sampled value is a lower bound of the true distance, which itself
     satisfies the bound.
     """
-    rec = _Recorder("product_bound", seed)
-    pairs = _counts(scale, 10, 3)
-    atom_count = _counts(scale, 10_000, 1500)
-    grid_count = _counts(scale, 512, 256)
+    atom_count = 10_000 if full else 1500
+    grid_count = 512 if full else 256
     angles = (np.arange(grid_count) + 0.5) * (2.0 * np.pi / grid_count)
     grid = np.column_stack([np.cos(angles), np.sin(angles)])
     # probe on the boundary of the dual (infinity-norm) unit ball, where the
     # support difference maximum equals the 1-norm Hausdorff distance
     grid /= np.abs(grid).max(axis=1, keepdims=True)
     n = 2
-    for case in range(pairs):
-        rng = case_rng(seed, "product_bound", case)
-        a = _fine_measure(rng, atom_count, float(rng.uniform(0.8, 2.0)))
-        b = _fine_measure(rng, atom_count, float(rng.uniform(0.8, 2.0)))
-        mass1, mass2 = total_variation_mass(a), total_variation_mass(b)
-        support_b = ZonogonSupport(hull_of(b).generators)
-        orig = product_reach_many(a.atoms, support_b, grid)
-        previous = None
-        ok = True
-        notes = []
-        for level in range(3):
-            eps = mass1 * mass2 / 2 ** level
-            params = disc.product_params(n, mass1, mass2, eps)
-            if not params.satisfies_reps_constraint(n, mass1, mass2):
-                ok = False
-                notes.append(f"level {level}: replication constraint violated")
-                continue
-            part = disc.partition_sphere(n, params.delta)
-            da = disc.discretize(a, part, params.reps)
-            db = disc.discretize(b, part, params.reps)
-            approx = product_reach_many(
-                da.atoms, ZonogonSupport(hull_of(db).generators), grid
-            )
-            measured = float(np.abs(orig - approx).max())
-            bound = disc.product_error_bound(params, mass1, mass2, n)
-            notes.append(f"level {level}: measured {measured!r} bound {bound!r}")
-            if measured > bound or (previous is not None and measured >= previous):
-                ok = False
-            previous = measured
-        rec.check(
-            case,
-            ok,
-            f"digest={_digest(a.atoms, b.atoms)} product bound failed: "
-            + "; ".join(notes),
+    a = _fine_measure(rng, atom_count, float(rng.uniform(0.8, 2.0)))
+    b = _fine_measure(rng, atom_count, float(rng.uniform(0.8, 2.0)))
+    mass1, mass2 = total_variation_mass(a), total_variation_mass(b)
+    support_b = ZonogonSupport(hull_of(b).generators)
+    orig = product_reach_many(a.atoms, support_b, grid)
+    previous = None
+    ok = True
+    notes = []
+    for level in range(3):
+        eps = mass1 * mass2 / 2 ** level
+        params = disc.product_params(n, mass1, mass2, eps)
+        if not params.satisfies_reps_constraint(n, mass1, mass2):
+            ok = False
+            notes.append(f"level {level}: replication constraint violated")
+            continue
+        part = disc.partition_sphere(n, params.delta)
+        da = disc.discretize(a, part, params.reps)
+        db = disc.discretize(b, part, params.reps)
+        approx = product_reach_many(
+            da.atoms, ZonogonSupport(hull_of(db).generators), grid
         )
-    return rec.report()
+        measured = float(np.abs(orig - approx).max())
+        bound = disc.product_error_bound(params, mass1, mass2, n)
+        notes.append(f"level {level}: measured {measured!r} bound {bound!r}")
+        if measured > bound or (previous is not None and measured >= previous):
+            ok = False
+        previous = measured
+    yield ok, (
+        f"digest={_digest(a.atoms, b.atoms)} product bound failed: "
+        + "; ".join(notes)
+    )
 
 
-def run_skeleton_bound_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Acceptance 7: skeleton products of close-skeleton measures stay
-    within 4 n M delta in brute-force Hausdorff distance."""
-    rec = _Recorder("skeleton_bound", seed)
+def _cube_constant(*measures: VectorMeasure) -> float:
+    bound = 0.0
+    for m in measures:
+        pos = np.clip(m.atoms, 0.0, None).sum(axis=0)
+        neg = -np.clip(m.atoms, None, 0.0).sum(axis=0)
+        bound = max(bound, float(np.maximum(pos, neg).max()))
+    return bound
+
+
+def _skeleton_bound_case(rng, case, seed, full):
+    n = int(rng.integers(2, 4))
     shapes = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]
-
-    def cube_constant(*measures: VectorMeasure) -> float:
-        bound = 0.0
-        for m in measures:
-            pos = np.clip(m.atoms, 0.0, None).sum(axis=0)
-            neg = -np.clip(m.atoms, None, 0.0).sum(axis=0)
-            bound = max(bound, float(np.maximum(pos, neg).max()))
-        return bound
-
-    for case in range(_counts(scale, 50, 10)):
-        rng = case_rng(seed, "skeleton_bound", case)
-        n = int(rng.integers(2, 4))
-        ma, mb = shapes[int(rng.integers(len(shapes)))]
-        a = VectorMeasure(n, _dyadic_atoms(rng, ma, n, denom=16, lo=-24, hi=25))
-        b = VectorMeasure(n, _dyadic_atoms(rng, mb, n, denom=16, lo=-24, hi=25))
-        if case % 3 == 0 and (ma + 1) * mb <= 16:
-            a2 = apply_transform(a, [SplitAtom(int(rng.integers(ma)), 0.5)])
-        else:
-            a2 = VectorMeasure(n, a.atoms + rng.uniform(-0.01, 0.01, a.atoms.shape))
-        b2 = VectorMeasure(n, b.atoms + rng.uniform(-0.01, 0.01, b.atoms.shape))
-        delta = max(
-            hausdorff_points(skeleton_points(a), skeleton_points(a2)).distance,
-            hausdorff_points(skeleton_points(b), skeleton_points(b2)).distance,
-        )
-        bound_constant = cube_constant(a, a2, b, b2)
-        measured = hausdorff_points(
-            skeleton_product(a, b), skeleton_product(a2, b2)
-        ).distance
-        bound = disc.skeleton_bound(n, bound_constant, delta)
-        rec.check(
-            case,
-            measured <= bound + 1e-12,
-            f"digest={_digest(a.atoms, b.atoms)} skeleton product moved "
-            f"{measured!r} against bound {bound!r} (delta={delta!r}, "
-            f"M={bound_constant!r})",
-        )
-    return rec.report()
+    ma, mb = shapes[int(rng.integers(len(shapes)))]
+    a = VectorMeasure(n, _dyadic_atoms(rng, ma, n, denom=16, lo=-24, hi=25))
+    b = VectorMeasure(n, _dyadic_atoms(rng, mb, n, denom=16, lo=-24, hi=25))
+    if case % 3 == 0 and (ma + 1) * mb <= 16:
+        a2 = apply_transform(a, [SplitAtom(int(rng.integers(ma)), 0.5)])
+    else:
+        a2 = VectorMeasure(n, a.atoms + rng.uniform(-0.01, 0.01, a.atoms.shape))
+    b2 = VectorMeasure(n, b.atoms + rng.uniform(-0.01, 0.01, b.atoms.shape))
+    delta = max(
+        hausdorff_points(skeleton_points(a), skeleton_points(a2)).distance,
+        hausdorff_points(skeleton_points(b), skeleton_points(b2)).distance,
+    )
+    bound_constant = _cube_constant(a, a2, b, b2)
+    measured = hausdorff_points(
+        skeleton_product(a, b), skeleton_product(a2, b2)
+    ).distance
+    bound = disc.skeleton_bound(n, bound_constant, delta)
+    yield measured <= bound + 1e-12, (
+        f"digest={_digest(a.atoms, b.atoms)} skeleton product moved "
+        f"{measured!r} against bound {bound!r} (delta={delta!r}, "
+        f"M={bound_constant!r})"
+    )
 
 
-def run_zonoid_suite(seed: int, scale: str = "small") -> SuiteReport:
-    """Acceptance 8: density support equals reach; achieved points
-    reconstruct; interval realizations nest."""
-    rec = _Recorder("zonoid", seed)
-    for case in range(_counts(scale, 20, 5)):
-        rng = case_rng(seed, "zonoid.support", case)
-        n = int(rng.integers(2, 5))
-        m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 9)), n))
-        dirs = unit_directions(rng, 500, n)
-        lhs = density_reach_many(to_density(m), dirs)
-        rhs = reach_many(hull_of(m), dirs)
-        rec.check(
-            case,
-            within_tolerance(lhs, rhs),
-            f"digest={_digest(m.atoms)} density support differs from reach by "
-            f"{_gap(lhs, rhs)!r} (tol 1e-9)",
+def _zonoid_support(rng, case, seed, full):
+    n = int(rng.integers(2, 5))
+    m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 9)), n))
+    dirs = unit_directions(rng, 500, n)
+    lhs = density_reach_many(to_density(m), dirs)
+    rhs = reach_many(hull_of(m), dirs)
+    yield within_tolerance(lhs, rhs), (
+        f"digest={_digest(m.atoms)} density support differs from reach by "
+        f"{_gap(lhs, rhs)!r} (tol 1e-9)"
+    )
+
+
+def _zonoid_achieve(rng, case, seed, full):
+    n = int(rng.integers(2, 5))
+    m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 9)), n))
+    lam = rng.uniform(0.0, 1.0, m.atom_count)
+    target = lam @ m.atoms if m.atom_count else np.zeros(n)
+    cert = achieve(m, target, tol=1e-9)
+    residual = float(np.abs(cert.coefficients @ m.atoms - target).sum()) \
+        if m.atom_count else float(np.abs(target).sum())
+    lengths = sum(hi - lo for lo, hi in cert.intervals)
+    lengths_ok = abs(lengths - cert.coefficients.sum()) <= 1e-9
+    yield residual <= 1e-8 and lengths_ok, (
+        f"digest={_digest(m.atoms, target)} reconstruction residual "
+        f"{residual!r} above 1e-8 or interval mass off"
+    )
+
+
+def _zonoid_nesting(rng, case, seed, full):
+    n = int(rng.integers(2, 4))
+    m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 7)), n))
+    previous: set = set()
+    ok = True
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+        cert = interval_realization(m, np.full(m.atom_count, lam))
+        current = set(cert.intervals)
+        total = sum(hi - lo for lo, hi in cert.intervals)
+        nested = all(
+            any(lo2 <= lo and hi <= hi2 for lo2, hi2 in current)
+            for lo, hi in previous
         )
-    for case in range(_counts(scale, 100, 25)):
-        rng = case_rng(seed, "zonoid.achieve", case)
-        n = int(rng.integers(2, 5))
-        m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 9)), n))
-        lam = rng.uniform(0.0, 1.0, m.atom_count)
-        target = lam @ m.atoms if m.atom_count else np.zeros(n)
-        cert = achieve(m, target, tol=1e-9)
-        residual = float(np.abs(cert.coefficients @ m.atoms - target).sum()) \
-            if m.atom_count else float(np.abs(target).sum())
-        lengths = sum(hi - lo for lo, hi in cert.intervals)
-        lengths_ok = abs(lengths - cert.coefficients.sum()) <= 1e-9
-        rec.check(
-            case,
-            residual <= 1e-8 and lengths_ok,
-            f"digest={_digest(m.atoms, target)} reconstruction residual "
-            f"{residual!r} above 1e-8 or interval mass off",
-        )
-    for case in range(_counts(scale, 10, 4)):
-        rng = case_rng(seed, "zonoid.nesting", case)
-        n = int(rng.integers(2, 4))
-        m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 7)), n))
-        previous: set = set()
-        ok = True
-        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            cert = interval_realization(m, np.full(m.atom_count, lam))
-            current = set(cert.intervals)
-            total = sum(hi - lo for lo, hi in cert.intervals)
-            nested = all(
-                any(lo2 <= lo and hi <= hi2 for lo2, hi2 in current)
-                for lo, hi in previous
-            )
-            if not nested or abs(total - lam * m.atom_count) > 1e-12:
-                ok = False
-            previous = current
-        rec.check(
-            case,
-            ok,
-            f"digest={_digest(m.atoms)} interval realizations not nested or "
-            "wrong total length",
-        )
-    return rec.report()
+        if not nested or abs(total - lam * m.atom_count) > 1e-12:
+            ok = False
+        previous = current
+    yield ok, (
+        f"digest={_digest(m.atoms)} interval realizations not nested or "
+        "wrong total length"
+    )
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
+# the table, in report order; families are (stream, full, small, body)
 
-SUITES: dict[str, Callable[[int, str], SuiteReport]] = {
-    "measure": run_measure_suite,
-    "complex": run_complex_suite,
-    "roundtrip": run_roundtrip_suite,
-    "geometry": run_geometry_suite,
-    "hausdorff": run_hausdorff_suite,
-    "oracle": run_oracle_suite,
-    "identity": run_identity_suite,
-    "algebra": run_algebra_suite,
-    "well_definedness": run_well_definedness_suite,
-    "inclusion": run_inclusion_suite,
-    "gini": run_gini_suite,
-    "curve": run_curve_suite,
-    "partition": run_partition_suite,
-    "discretization": run_discretization_suite,
-    "product_bound": run_product_bound_suite,
-    "skeleton_bound": run_skeleton_bound_suite,
-    "zonoid": run_zonoid_suite,
-}
+SUITES: dict[str, Suite] = {suite.name: suite for suite in (
+    Suite("measure", "Total-variation additivity, product mass bound, density "
+          "directions, and product-order symmetry.",
+          ("measure", 100, 25, _measure_case)),
+    Suite("complex", "Embedding of complex products equals the interleaved "
+          "pairwise product of the embeddings, as exact multisets.",
+          ("complex", 100, 25, _complex_case)),
+    Suite("roundtrip", "Serialization round trip is bit-exact.",
+          ("roundtrip", 100, 30, _roundtrip_case)),
+    Suite("geometry", "Zonogon support equivalence, area oracle, exact skeleton "
+          "symmetry, and containment certificates.",
+          ("geometry", 40, 10, _geometry_case)),
+    Suite("hausdorff", "Identity of indiscernibles, triangle inequality, and the "
+          "brute-force segment oracle for the convex Hausdorff distance.",
+          ("hausdorff.identity", 20, 5, _hausdorff_identity),
+          ("hausdorff.triangle", 30, 8, _hausdorff_triangle),
+          ("hausdorff.segments", 6, 2, _hausdorff_segments)),
+    Suite("oracle", "Acceptance 1: reach equals the subset-sum support maximum.",
+          ("oracle", 200, 40, _oracle_case)),
+    Suite("identity", "Identity law is exact; hulls with non-codirectional "
+          "points have no inverse.",
+          ("identity", 50, 10, _identity_case)),
+    Suite("algebra", "Acceptance 3: commutativity, associativity, "
+          "distributivity, identity, all as exact sorted-generator multisets "
+          "(integer atoms).",
+          ("algebra", 100, 25, _algebra_case)),
+    Suite("well_definedness", "Acceptance 2: the product hull is invariant "
+          "under hull-preserving reshaping of either factor measure.",
+          ("well_definedness", 100, 25, _well_definedness_case)),
+    Suite("inclusion", "Acceptance 4: products preserve inclusion; no excluded "
+          "verdicts for nested factors, and definitive inclusion in the plane.",
+          ("inclusion", 100, 25, _inclusion_case)),
+    Suite("gini", "Acceptance 5: hull-area Gini equals the pairwise-difference "
+          "formula.",
+          (None, 1, 1, _gini_fixture), ("gini", 50, 15, _gini_case)),
+    Suite("curve", "Lorenz curves are convex and trace the zonogon's lower chain.",
+          ("curve", 40, 10, _curve_case)),
+    Suite("partition", "Partition covers the sphere with cells of guaranteed "
+          "radius.",
+          ("partition", 7, 7, _partition_case)),
+    Suite("discretization", "Mass preservation and the single-measure hull "
+          "convergence bound.",
+          ("discretization.mass", 20, 5, _discretization_mass),
+          ("discretization.hull", 3, 1, _discretization_hull)),
+    Suite("product_bound", "Acceptance 6: discretized product hulls obey the "
+          "quantitative error bound and improve monotonically across "
+          "refinement levels.",
+          ("product_bound", 10, 3, _product_bound_case)),
+    Suite("skeleton_bound", "Acceptance 7: skeleton products of close-skeleton "
+          "measures stay within 4 n M delta in brute-force Hausdorff distance.",
+          ("skeleton_bound", 50, 10, _skeleton_bound_case)),
+    Suite("zonoid", "Acceptance 8: density support equals reach; achieved "
+          "points reconstruct; interval realizations nest.",
+          ("zonoid.support", 20, 5, _zonoid_support),
+          ("zonoid.achieve", 100, 25, _zonoid_achieve),
+          ("zonoid.nesting", 10, 4, _zonoid_nesting)),
+)}
 
 
 def default_workers() -> int:
@@ -967,28 +869,25 @@ def run_suites(
     scale: str = "small",
     workers: Optional[int] = None,
 ) -> list[SuiteReport]:
-    """Run suites (sharded across worker threads) in registry order.
+    """Run the named suites, or every suite for the name "all", sharded
+    across worker threads, in registry order.
 
     Report content is independent of the worker count: each case derives
-    its own generator from (seed, suite, index) and reports are ordered by
-    the registry, not by completion.
+    its own generator from (seed, stream, index) and reports are ordered by
+    the registry, not by completion.  An unknown name raises ``ValueError``
+    before any suite runs.
     """
     for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
-    ordered = [name for name in SUITES if name in set(names)]
+        if name != "all" and name not in SUITES:
+            raise ValueError(
+                f"unknown suite {name!r}; pick one of {', '.join(SUITES)} or all"
+            )
+    ordered = [suite for name, suite in SUITES.items() if "all" in names or name in names]
     workers = workers if workers is not None else default_workers()
-
-    def _run(name: str) -> SuiteReport:
-        start = time.perf_counter()
-        report = SUITES[name](seed, scale)
-        report.wall_time_s = time.perf_counter() - start
-        return report
-
     if workers <= 1 or len(ordered) <= 1:
-        return [_run(name) for name in ordered]
+        return [suite(seed, scale) for suite in ordered]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run, ordered))
+        return list(pool.map(lambda suite: suite(seed, scale), ordered))
 
 
 def render_reports(reports: list[SuiteReport]) -> str:

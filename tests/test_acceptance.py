@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, run at full scale.
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
-the captured output).  Tolerances are pinned inside the suite functions;
-criteria with stated runtime budgets assert them here.
+the captured output).  Each criterion runs its row of the
+``suites.SUITES`` table, whose case bodies pin the tolerances; criteria
+with stated runtime budgets assert them here.
 """
 
 import os
@@ -30,39 +31,39 @@ def _run(criterion: str, suite_fn, limit_s: float | None = None) -> None:
 
 
 def test_criterion_01_subset_sum_oracle():
-    _run("1 (subset-sum oracle)", suites.run_oracle_suite, limit_s=30.0)
+    _run("1 (subset-sum oracle)", suites.SUITES["oracle"], limit_s=30.0)
 
 
 def test_criterion_02_product_well_definedness():
-    _run("2 (well-definedness)", suites.run_well_definedness_suite)
+    _run("2 (well-definedness)", suites.SUITES["well_definedness"])
 
 
 def test_criterion_03_algebraic_laws_exact():
-    _run("3 (algebraic laws)", suites.run_algebra_suite)
+    _run("3 (algebraic laws)", suites.SUITES["algebra"])
 
 
 def test_criterion_04_inclusion_preservation():
-    _run("4 (inclusion preservation)", suites.run_inclusion_suite)
+    _run("4 (inclusion preservation)", suites.SUITES["inclusion"])
 
 
 def test_criterion_05_gini_equivalence():
-    _run("5 (Gini equivalence)", suites.run_gini_suite)
+    _run("5 (Gini equivalence)", suites.SUITES["gini"])
 
 
 def test_criterion_06_product_error_bound():
-    _run("6 (product error bound)", suites.run_product_bound_suite, limit_s=120.0)
+    _run("6 (product error bound)", suites.SUITES["product_bound"], limit_s=120.0)
 
 
 def test_criterion_07_skeleton_bound():
-    _run("7 (skeleton bound)", suites.run_skeleton_bound_suite)
+    _run("7 (skeleton bound)", suites.SUITES["skeleton_bound"])
 
 
 def test_criterion_08_zonoid_representation():
-    _run("8 (zonoid representation)", suites.run_zonoid_suite)
+    _run("8 (zonoid representation)", suites.SUITES["zonoid"])
 
 
 def test_criterion_09_complex_consistency():
-    _run("9 (complex consistency)", suites.run_complex_suite)
+    _run("9 (complex consistency)", suites.SUITES["complex"])
 
 
 def _verify_all(threads: str) -> bytes:

@@ -224,6 +224,37 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown suite 'nope'; pick one of measure, complex, roundtrip, "
+            "geometry, hausdorff, oracle, identity, algebra, well_definedness, "
+            "inclusion, gini, curve, partition, discretization, product_bound, "
+            "skeleton_bound, zonoid or all\n"
+        )
+
+    def test_all_suites_check_counts(self, capsys):
+        # cases= counts checks, not cases: pinned for every suite at seed 7
+        assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
+        counts = [
+            ("measure", 160), ("complex", 25), ("roundtrip", 30), ("geometry", 50),
+            ("hausdorff", 15), ("oracle", 40), ("identity", 20), ("algebra", 25),
+            ("well_definedness", 25), ("inclusion", 25), ("gini", 16), ("curve", 10),
+            ("partition", 7), ("discretization", 6), ("product_bound", 3),
+            ("skeleton_bound", 10), ("zonoid", 34),
+        ]
+        want = [f"suite {name}: cases={n} failures=0" for name, n in counts]
+        want.append("total: suites=17 cases=501 failures=0")
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+    def test_failing_suite_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("lorenz_hulls.suites.gini", lambda measure: 0.0)
+        assert main(["verify", "--suite", "gini", "--seed", "7"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "suite gini: cases=16 failures=16"
+        assert lines[1] == "  FAIL case=0 seed=7 worked fixture expected 0.25, got 0.0"
+        assert [line.split()[:2] for line in lines[1:-1]] == [
+            ["FAIL", f"case={case}"] for case in range(16)
+        ]
+        assert lines[-1] == "total: suites=1 cases=16 failures=16"
 
     def test_deterministic_across_runs(self, capsys):
         assert main(["verify", "--suite", "algebra", "--seed", "11"]) == 0

@@ -91,6 +91,30 @@ class TestPartition:
         assert len(listed) == part.cell_count
         assert len({key for key, _ in listed}) == len(listed)
 
+    def test_representative_rows_match_per_key_formula(self):
+        # reference: one key at a time, the bucket midpoints renormalized
+        def per_key(part, signs, buckets):
+            head = (np.asarray(buckets, dtype=np.float64) + 0.5) / part.resolution
+            y = np.concatenate([head, [max(0.0, 1.0 - head.sum())]])
+            return np.asarray(signs, dtype=np.float64) * (y / y.sum())
+
+        rng = case_rng(3, "test.partition.representatives")
+        for n in range(1, 7):
+            for delta in (2.0, 0.9, 0.3, 1e-2, 1e-5):
+                part = partition_sphere(n, delta)
+                pts = rng.normal(size=(300, n)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+                pts[rng.random((300, n)) < 0.25] = 0.0
+                pts[np.abs(pts).sum(axis=1) == 0.0, 0] = -1.0
+                signs, buckets = part._cell_rows(pts)
+                # and keys off the sphere's grid: bucket sums above resolution
+                signs = np.vstack([signs, np.where(rng.random((100, n)) < 0.5, 1, -1)])
+                buckets = np.vstack([buckets, rng.integers(0, part.resolution, (100, n - 1))])
+                got = part.representative_rows(signs, buckets)
+                want = np.array([per_key(part, s, b) for s, b in zip(signs, buckets)])
+                assert got.tobytes() == want.tobytes(), (n, delta)
+                one = part.representative((tuple(signs[0]), tuple(buckets[0])))
+                assert one.tobytes() == want[0].tobytes()
+
 
 class TestDiscretize:
     def test_codirectional_atoms_collapse(self):
