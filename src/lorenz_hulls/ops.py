@@ -22,6 +22,7 @@ from .hulls import (
     SkeletonPointSet,
     Zonotope,
     ZonogonSupport,
+    _check_tol,
     area_2d,
     reach_many,
     skeleton_points,
@@ -105,6 +106,7 @@ def hull_equal(
         raise DimensionMismatch(
             f"hull equality across dimensions {h1.dimension} and {h2.dimension}"
         )
+    _check_tol(tol)
     n = h1.dimension
     if mode == "exact2d":
         if n != 2:

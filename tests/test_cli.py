@@ -127,6 +127,16 @@ class TestIncludeCommand:
         assert payload["witness"] is not None
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_exit_2(self, files, capsys, tol):
+        # a tolerance that is not finite and positive decides nothing
+        assert main(["include", files["double"], files["square"], f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite and positive")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestHausdorffCommand:
     def test_identical_files(self, files, capsys):
         assert main(["hausdorff", files["square"], files["square"]]) == 0
@@ -206,6 +216,18 @@ class TestAchieveCommand:
         assert main(["achieve", "-i", files["square"], "--target", "3,3"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "not_in_hull"
+
+
+    @pytest.mark.parametrize("target", ["nan,1", "inf,0", "0.5,-inf"])
+    def test_non_finite_target_exit_2(self, files, capsys, target):
+        assert main(["achieve", "-i", files["square"], f"--target={target}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: point contains a NaN or infinite coordinate\n"
+
+    def test_bad_tol_exit_2(self, files, capsys):
+        assert main(["achieve", "-i", files["square"], "--target=0.5,0.5", "--tol=nan"]) == 2
+        assert capsys.readouterr().err == "error: tol must be finite and positive, got nan\n"
 
 
 class TestSkeletonCommand:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lorenz_hulls import (
     DimensionMismatch,
     Exact2dOnPlaneOnly,
+    NonFiniteValue,
     SizeGuard,
     SkeletonPointSet,
     TooManyAtoms,
@@ -258,7 +259,24 @@ class TestArea:
         assert area_2d(Zonotope(2, gens)) == pytest.approx(want, rel=1e-12)
 
 
+BAD_TOLS = (float("nan"), float("inf"), -float("inf"), 0.0, -1.0)
+
+
 class TestContainsPoint:
+    def test_tol_must_be_finite_and_positive(self):
+        for tol in BAD_TOLS:
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                contains_point(SQUARE, [0.5, 0.5], tol=tol)
+
+    def test_non_finite_point_rejected_before_any_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no LP may run on a non-finite point")
+
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse)
+        for point in ([float("nan"), 1.0], [float("inf"), 0.0], [0.0, -float("inf")]):
+            with pytest.raises(NonFiniteValue, match="NaN or infinite"):
+                contains_point(SQUARE, point)
+
     def test_origin_inside_with_zero_coefficients(self):
         r = contains_point(SQUARE, [0, 0])
         assert r.inside and r.coefficients.tolist() == [0, 0]
@@ -388,6 +406,13 @@ class TestContainsPoint:
 
 
 class TestIncludes:
+    def test_tol_must_be_finite_and_positive(self):
+        big = Zonotope(2, [[3, 0], [0, 3]])
+        for tol in BAD_TOLS:
+            for mode in ("exact2d", "sampled"):
+                with pytest.raises(ValueError, match="tol must be finite and positive"):
+                    includes(big, SQUARE, mode, tol=tol)
+
     def test_reflexive(self):
         assert includes(SQUARE, SQUARE).verdict == "included"
         assert includes(SQUARE, SQUARE, "sampled", dirs=64).verdict == "no_violation_found"
@@ -691,6 +716,88 @@ class TestHausdorffPoints:
         brute = max(np.abs(p[i : i + 256, None, :] - q[None, :, :]).sum(axis=2).min(axis=1).max()
                     for p, q in ((a, b), (b, a)) for i in range(0, 2048, 256))
         assert tree.distance == brute
+
+    def test_matches_plain_query_byte_for_byte(self):
+        # distance and witness equal those of one full kd-tree query per row
+        for label, a, b in _point_set_corpus():
+            r = hausdorff_points(_points(a), _points(b))
+            distance, witness = _plain_hausdorff_points(a, b)
+            assert r.distance == distance, label
+            assert np.array_equal(r.witness_point, witness), label
+
+    def test_scales_exactly_by_powers_of_two(self):
+        for label, a, b in _point_set_corpus():
+            r = hausdorff_points(_points(a), _points(b))
+            for k in (600, -600):
+                s = hausdorff_points(_points(np.ldexp(a, k)), _points(np.ldexp(b, k)))
+                assert s.distance == np.ldexp(r.distance, k), (label, k)
+                assert np.array_equal(s.witness_point, np.ldexp(r.witness_point, k)), (label, k)
+
+    def test_witness_is_lowest_index_row_at_the_maximum(self):
+        # rows 0, 70 and 140 of 200 all lie 2 away from b; the rest are nearer
+        a = np.zeros((200, 2))
+        a[:, 0] = np.linspace(-0.5, 0.5, 200)
+        a[[0, 70, 140]] = [[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0]]
+        b = np.zeros((1, 2))
+        for rows in (np.arange(200), np.arange(200)[::-1]):
+            r = hausdorff_points(_points(a[rows]), _points(b))
+            assert r.distance == 2.0
+            assert np.array_equal(r.witness_point, a[rows][np.flatnonzero(
+                np.abs(a[rows]).sum(axis=1) == 2.0)[0]])
+
+    def test_empty_sets(self):
+        empty = _points(np.zeros((0, 2)))
+        r = hausdorff_points(empty, empty)
+        assert r.distance == 0.0 and r.mode == "exact" and r.witness_point is None
+        one = _points(np.ones((1, 2)))
+        for pair in ((empty, one), (one, empty)):
+            with pytest.raises(SizeGuard):
+                hausdorff_points(*pair)
+
+
+def _points(rows: np.ndarray) -> SkeletonPointSet:
+    return SkeletonPointSet(rows.shape[1], rows, np.zeros(rows.shape[1]))
+
+
+def _plain_hausdorff_points(a: np.ndarray, b: np.ndarray):
+    """Reference: a full kd-tree query of every row both ways, first row in
+    input order at the maximum, the a-to-b direction winning ties."""
+    from scipy.spatial import cKDTree
+
+    found = []
+    for p, q in ((a, b), (b, a)):
+        d = cKDTree(q).query(p, p=1)[0]
+        worst = int(np.argmax(d))
+        found.append((float(d[worst]), p[worst]))
+    return found[0] if found[0][0] >= found[1][0] else found[1]
+
+
+def _point_set_corpus():
+    """Seeded (label, a, b) point-set pairs for the pruned Hausdorff pass."""
+    rng = case_rng(23, "test.points.pruned")
+    for n in range(1, 6):
+        for rows in (1, 63, 64, 65, 129, 1000):
+            other = int(rng.integers(1, 200))
+            yield f"gaussian n={n} rows={rows}", rng.normal(size=(rows, n)), rng.normal(size=(other, n))
+            # a half-integer grid drawn with repeats: duplicate rows, exact ties
+            grid = np.round(2.0 * rng.normal(size=(rows, n))) / 2.0
+            yield (f"ties n={n} rows={rows}", grid[rng.integers(0, rows, rows)],
+                   np.round(2.0 * rng.normal(size=(other, n))) / 2.0)
+            # points of one ray a few ulps apart, farther from the single
+            # point b than b is from any of them: bounds within rounding of
+            # the maximum, which the margin must cover
+            for _ in range(4):
+                t = 1.0 + rng.integers(0, 8, rows) * 2.0**-52
+                yield (f"near ties n={n} rows={rows}", t[:, None] * rng.uniform(0.5, 2.0, n) + 3.0,
+                       -rng.uniform(0.0, 1.0, (1, n)))
+    # segments sampled as in the hausdorff suite, at 45 degrees (where 1-norm
+    # distances plateau) and at seeded angles
+    grid = np.linspace(0.0, 1.0, 2000)[:, None]
+    ends = [([1.0, 1.0], [1.0, -1.0]), ([1.0, 1.0], [2.0, 0.0]), ([-1.0, 1.0], [0.5, 0.5]),
+            ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0])]
+    ends += [(rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(4)]
+    for u, v in ends:
+        yield f"segments {u} {v}", grid * np.asarray(u), grid[::3] * np.asarray(v)
 
 
 class TestZonogonSupport:

@@ -110,6 +110,12 @@ class TestHullEqual:
     def test_reflexive(self):
         assert hull_equal(SQUARE, SQUARE)
 
+    def test_tol_must_be_finite_and_positive(self):
+        for tol in (float("nan"), float("inf"), 0.0, -1.0):
+            for mode in ("exact2d", "sampled"):
+                with pytest.raises(ValueError, match="tol must be finite and positive"):
+                    hull_equal(SQUARE, SQUARE, mode, tol=tol)
+
     def test_split_segment(self):
         assert hull_equal(Zonotope(2, [[2, 2]]), Zonotope(2, [[1, 1], [1, 1]]))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lorenz_hulls import (
+    NonFiniteValue,
     NotInHull,
     PiecewiseDensityMeasure,
     VectorMeasure,
@@ -57,6 +58,13 @@ class TestToDensity:
 
 
 class TestAchieve:
+    def test_non_finite_target_and_bad_tol_rejected(self):
+        m = VectorMeasure(2, [[1, 0], [0, 1]])
+        with pytest.raises(NonFiniteValue, match="NaN or infinite"):
+            achieve(m, [float("nan"), 1.0])
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            achieve(m, [0.5, 0.5], tol=float("nan"))
+
     def test_zero_target(self):
         cert = achieve(VectorMeasure(2, [[1, 0], [0, 1]]), [0, 0])
         assert cert.coefficients.tolist() == [0, 0]
