@@ -643,27 +643,29 @@ def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray):
     input order, first with ``cut`` as the search radius and then, if
     nothing lies within it, in full.
 
-    ``cut = best - 2(n + 1) ulp(best)`` covers the rounding of the three
-    1-norm sums.  With u = 2^-53, a computed sum of n terms |x_k - y_k| is
-    within a factor 1 +- g, g = nu / (1 - nu), of the exact one (each
-    subtraction and addition rounds by at most u; subnormal results of
-    both are exact).  Let b_j be the neighbour found for a_r.  Then
-    ||a_i - b_j|| <= (d_r + gap_i) / (1 - g) <= bound_i (1 + u) / (1 - g),
-    and the exact (eps = 0) query of a_i returns the least computed sum
-    over B, at most the computed ||a_i - b_j||, so at most
-    bound_i (1 + u)(1 + g) / (1 - g) < bound_i (1 + (2n + 2) u).  For
-    normal ``best``, ulp(best) > u best and the subtraction is exact, so
-    bound_i < cut implies a distance below ``best``; for subnormal ``best``
+    ``cut = best - 4(n + 1) ulp(best)`` covers the rounding of the three
+    1-norm sums.  Each subtraction and addition rounds by a factor within
+    1 +- u, u = 2^-53 (subnormal results of both are exact), and all terms
+    are nonnegative, so a computed sum of n terms |x_k - y_k| lies within
+    factors (1 +- u)^n of the exact one.  ``bound_i`` is summed as
+    d_r + |a_i1 - a_r1| + ... + |a_in - a_rn|, so it is at least
+    (1 - u)^(n + 1) (d_r + ||a_i - a_r||).  With b_j the neighbour found for
+    a_r, d_r >= (1 - u)^n ||a_r - b_j||, so ||a_i - b_j|| is at most
+    ||a_r - b_j|| + ||a_i - a_r|| <= bound_i / (1 - u)^(2n + 1).
+    The exact (eps = 0) query of a_i returns the least computed sum over B,
+    at most (1 + u)^n ||a_i - b_j|| < bound_i (1 + (3n + 2) u).  For normal
+    ``best``, ulp(best) > u best and the subtraction is exact, so
+    bound_i < cut makes that query less than
+    best (1 - 4(n + 1) u)(1 + (3n + 2) u) < best; for subnormal ``best``
     every sum involved is exact.  A distance at or above ``cut`` is beyond
     the radius of the first search and is queried in full, so every row
     that can attain the maximum carries its exact query value.
-
     """
     rows, n = a.shape
     first = order[::_LEAD_BLOCK]
     d_first = tree_b.query(a[first], p=1)[0]
     best = d_first.max()
-    cut = best - 2 * (n + 1) * np.spacing(best)
+    cut = best - 4 * (n + 1) * np.spacing(best)
     # bounds in ``order``, one (blocks, _LEAD_BLOCK) pass per coordinate;
     # the last block is padded with its own last row, dropped afterwards
     blocks = np.append(order, np.repeat(order[-1], -rows % _LEAD_BLOCK))
