@@ -69,13 +69,6 @@ class SpherePartition:
         buckets = np.minimum(np.floor(r * y[:, :-1]).astype(int), r - 1)
         return signs, buckets
 
-    def representative(self, key: CellKey) -> np.ndarray:
-        """Canonical unit 1-norm vector inside (within delta of) the cell."""
-        signs, buckets = key
-        if len(signs) != self.dimension or len(buckets) != self.dimension - 1:
-            raise DimensionMismatch(f"malformed cell key {key!r}")
-        return self.representative_rows([signs], [buckets])[0]
-
     def representative_rows(self, signs, buckets) -> np.ndarray:
         """Representatives of the cells keyed by the rows of ``signs``
         (k, n) and ``buckets`` (k, n - 1), as returned by ``_cell_rows``."""
@@ -89,8 +82,8 @@ class SpherePartition:
         for signs in np.ndindex(*(2,) * self.dimension):
             sign_tuple = tuple(1 if s else -1 for s in signs)
             for buckets in _feasible_buckets(self.dimension - 1, self.resolution):
-                key = (sign_tuple, buckets)
-                yield key, self.representative(key)
+                rep = self.representative_rows([sign_tuple], [buckets])[0]
+                yield (sign_tuple, buckets), rep
 
 
 def _feasible_buckets(d: int, r: int) -> Iterator[tuple[int, ...]]:

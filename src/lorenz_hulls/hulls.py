@@ -24,7 +24,7 @@ from .errors import (
     SizeGuard,
     TooManyAtoms,
 )
-from .measures import VectorMeasure, _frozen_rows
+from .measures import VectorMeasure, _frozen_rows, _same_dimension
 from .sampling import DIRECTION_COORDINATE_LIMIT, case_rng, sign_vectors, unit_directions
 
 SKELETON_ATOM_LIMIT = 20
@@ -93,11 +93,18 @@ class Zonotope:
 
 @dataclass(frozen=True)
 class SkeletonPointSet:
-    """All subset sums of a measure's atoms, duplicates collapsed."""
+    """All subset sums of a measure's atoms, duplicates collapsed.  The
+    points and the total are validated and frozen like generator rows."""
 
     dimension: int
     points: np.ndarray
     total: np.ndarray
+
+    def __post_init__(self) -> None:
+        points = _frozen_rows(self.points, self.dimension, "point array")
+        total = _frozen_rows(np.reshape(self.total, (1, -1)), self.dimension, "total")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "total", total[0])
 
     @property
     def point_count(self) -> int:
@@ -294,54 +301,51 @@ class ZonogonSupport:
     """Planar normal form of a 2-D zonotope, for repeated support queries.
 
     The nonzero generators are flipped into the upper half-plane and sorted
-    by angle once.  Two counterclockwise walks share that order:
+    by angle once; the angle only sorts and merges.  Two counterclockwise
+    walks share that order:
 
     - ``vertices``, the polygon: runs of generators whose angles differ by
       at most 1e-12 are merged, so collinear edges give one vertex pair;
-    - the query walk, over every nonzero generator unmerged.  Its edge
-      angles are the sorted angles followed by the same angles plus pi, so
-      one ``searchsorted`` finds the extreme vertex of a query, and the
+    - the query walk, over every nonzero generator unmerged, so that the
       support agrees with sum_i max(0, <q, g_i>) to within rounding even on
       chains of nearly parallel generators that the merge joins.
 
-    The query walk also has slope keys, for ``product_reach_many``:
-    ``slope_keys[k] = -g_k1 / g_k2`` over the same M sorted generators
-    (-inf on the x axis), made nondecreasing where the angle sort and the
-    division disagree in the last ulp.  :meth:`extreme_vertices` answers
-    queries given as slopes q_2 / q_1, which need no ``arctan2`` and keep
-    their order when both coordinates of the queries are scaled.
+    Queries search slope keys: ``slope_keys[k] = -g_k1 / g_k2`` over the
+    same M sorted generators (-inf on the x axis), made nondecreasing where
+    the angle sort and the division disagree in the last ulp.  A query q is
+    given by its slope q_2 / q_1 and the sign bit of q_1, which need no
+    ``arctan2`` and keep their order when both coordinates are scaled
+    (:meth:`extreme_vertices`).
 
     Construction costs O(m log m) and a batch of k queries O(k log m).
-    ``reach_many`` in the plane, the exact planar Hausdorff distance and
-    ``product_reach_many`` all evaluate support through this class.
+    ``reach_many`` in the plane, and through it the exact planar inclusion
+    and Hausdorff distance, and ``product_reach_many`` all evaluate support
+    through this class.
     """
 
     def __init__(self, generators) -> None:
         g, angles, offset = _sorted_generators_2d(generators)
         self.vertices = _walk_2d(offset, _merge_sorted_2d(g, angles))
-        self._walk = _walk_2d(offset, g)
-        self._edge_angles = np.concatenate([angles, angles + np.pi])
         keys = np.full(g.shape[0], -np.inf)
-        np.divide(-g[:, 0], g[:, 1], out=keys, where=g[:, 1] > 0.0)
+        with np.errstate(over="ignore"):
+            np.divide(-g[:, 0], g[:, 1], out=keys, where=g[:, 1] > 0.0)
         self.slope_keys = np.maximum.accumulate(keys)
         # the query walk closed by its first vertex, one array per coordinate
-        self._walk_x, self._walk_y = (np.append(c, c[0]) for c in self._walk.T)
+        self._walk_x, self._walk_y = (np.append(c, c[0]) for c in _walk_2d(offset, g).T)
 
     def eval(self, queries) -> np.ndarray:
-        """Support values for query direction rows (k, 2)."""
+        """Support values for query direction rows (k, 2).
+
+        Each row takes the vertex of :meth:`extreme_vertices`, the one M
+        further on when q_1 has its sign bit set.  The sign bit settles
+        q_1 = +-0.0 (slopes +-inf, or NaN for the zero query, which any
+        vertex answers with 0) and subnormal q_1 without a special case.
+        """
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        # vertex j is extreme while the query's angle + pi/2 lies between
-        # the angles of the edges entering and leaving it; updates are in
-        # place, so a batch allocates one array each of angles, indices and
-        # gathered vertices
-        t = np.arctan2(q[:, 1], q[:, 0])
-        t += 0.5 * np.pi
-        np.add(t, 2.0 * np.pi, out=t, where=t < 0.0)
-        j = np.searchsorted(self._edge_angles, t)
-        j %= self._walk.shape[0]
-        w = self._walk[j]
-        w *= q
-        return w.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            j = np.searchsorted(self.slope_keys, q[:, 1] / q[:, 0])
+        j[np.signbit(q[:, 0])] += self.slope_keys.shape[0]
+        return np.take(self._walk_x, j) * q[:, 0] + np.take(self._walk_y, j) * q[:, 1]
 
     def extreme_vertices(self, slopes: np.ndarray, flipped: slice):
         """Coordinates ``(x, y)`` of an extreme vertex for each query q in
@@ -463,10 +467,7 @@ def includes(
     directions.  A violating direction certifies exclusion; otherwise the
     verdict is only "no_violation_found".
     """
-    if inner.dimension != outer.dimension:
-        raise DimensionMismatch(
-            f"inclusion across dimensions {inner.dimension} and {outer.dimension}"
-        )
+    _same_dimension("inclusion across dimensions", inner.dimension, outer.dimension)
     _check_tol(tol)
     n = inner.dimension
     if mode == "exact2d":
@@ -538,10 +539,7 @@ def hausdorff_convex(
       (checked before allocating): sampled over sign vectors plus seeded
       directions, reported as mode "sampled" (a lower bound).
     """
-    if z1.dimension != z2.dimension:
-        raise DimensionMismatch(
-            f"Hausdorff across dimensions {z1.dimension} and {z2.dimension}"
-        )
+    _same_dimension("Hausdorff across dimensions", z1.dimension, z2.dimension)
     n = z1.dimension
     if n > HAUSDORFF_DIMENSION_LIMIT:
         raise DimensionTooLarge(
@@ -571,18 +569,12 @@ def hausdorff_convex(
 def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> HausdorffResult:
     if z1.dimension == 1:
         cands = np.array([[1.0], [-1.0]])
-        h1, h2 = reach_many(z1, cands), reach_many(z2, cands)
     else:
+        perp = np.column_stack([-gens[:, 1], gens[:, 0]])
+        perp = perp / np.abs(perp).max(axis=1, keepdims=True)
         corner = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        if gens.shape[0]:
-            perp = np.column_stack([-gens[:, 1], gens[:, 0]])
-            perp = perp / np.abs(perp).max(axis=1, keepdims=True)
-            cands = np.vstack([corner, perp, -perp])
-        else:
-            cands = corner
-        h1 = ZonogonSupport(z1.generators).eval(cands)
-        h2 = ZonogonSupport(z2.generators).eval(cands)
-    gap = np.abs(h1 - h2)
+        cands = np.vstack([corner, perp, -perp])
+    gap = np.abs(reach_many(z1, cands) - reach_many(z2, cands))
     worst = int(np.argmax(gap))
     return HausdorffResult(float(gap[worst]), "exact", witness_direction=cands[worst])
 
@@ -705,10 +697,7 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
     The distance and ``witness_point`` are those of a full query of every
     row, the witness being the first row in input order attaining it.
     """
-    if p1.dimension != p2.dimension:
-        raise DimensionMismatch(
-            f"Hausdorff across dimensions {p1.dimension} and {p2.dimension}"
-        )
+    _same_dimension("Hausdorff across dimensions", p1.dimension, p2.dimension)
     if max(p1.point_count, p2.point_count) > POINT_SET_LIMIT:
         raise SizeGuard(f"point sets capped at {POINT_SET_LIMIT} points")
     if p1.point_count == 0 or p2.point_count == 0:

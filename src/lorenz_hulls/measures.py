@@ -54,6 +54,12 @@ def _frozen_rows(values, width: int, what: str) -> np.ndarray:
     return a
 
 
+def _same_dimension(what: str, a: int, b: int) -> None:
+    """The one operand check: DimensionMismatch "{what} {a} and {b}" unless a == b."""
+    if a != b:
+        raise DimensionMismatch(f"{what} {a} and {b}")
+
+
 def _check_labels(labels: Optional[Sequence[str]], count: int):
     if labels is None:
         return None
@@ -275,10 +281,7 @@ def rn_direction(m: VectorMeasure, i: int) -> np.ndarray:
 
 def direct_sum(a: VectorMeasure, b: VectorMeasure) -> VectorMeasure:
     """Measure on the disjoint union of ground sets: atom concatenation."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"direct sum of dimensions {a.dimension} and {b.dimension}"
-        )
+    _same_dimension("direct sum of dimensions", a.dimension, b.dimension)
     atoms = np.vstack([a.atoms, b.atoms]) if (a.atom_count or b.atom_count) \
         else a.atoms
     labels = None
@@ -296,10 +299,7 @@ def coordinate_product(a: VectorMeasure, b: VectorMeasure) -> VectorMeasure:
     i of ``a`` and atom j of ``b``.  Atoms are ordered lexicographically by
     (i, j); the result has ``a.atom_count * b.atom_count`` atoms.
     """
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"product of dimensions {a.dimension} and {b.dimension}"
-        )
+    _same_dimension("product of dimensions", a.dimension, b.dimension)
     prod = (a.atoms[:, None, :] * b.atoms[None, :, :]).reshape(
         a.atom_count * b.atom_count, a.dimension
     )
@@ -346,10 +346,7 @@ def complex_coordinate_product(
     a: ComplexVectorMeasure, b: ComplexVectorMeasure
 ) -> ComplexVectorMeasure:
     """Pairwise complex coordinate-wise products, (i, j) lexicographic."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"product of complex dimensions {a.dimension} and {b.dimension}"
-        )
+    _same_dimension("product of complex dimensions", a.dimension, b.dimension)
     prod = interleaved_product(a.atoms[:, None, :], b.atoms[None, :, :])
     return ComplexVectorMeasure(
         a.dimension, prod.reshape(a.atom_count * b.atom_count, 2 * a.dimension)

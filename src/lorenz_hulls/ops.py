@@ -23,13 +23,14 @@ from .hulls import (
     Zonotope,
     ZonogonSupport,
     _check_tol,
+    _sorted_generators_2d,
     area_2d,
     reach_many,
     skeleton_points,
     within_tolerance,
     zonogon_vertices,
 )
-from .measures import VectorMeasure, coordinate_product
+from .measures import VectorMeasure, _same_dimension, coordinate_product
 from .sampling import case_rng, sign_vectors, unit_directions
 
 SKELETON_PRODUCT_ATOM_LIMIT = 20
@@ -47,10 +48,7 @@ def lorenz_product(h1: Zonotope, h2: Zonotope) -> Zonotope:
     result depends only on the two hulls, not on which measures generated
     them.
     """
-    if h1.dimension != h2.dimension:
-        raise DimensionMismatch(
-            f"product of dimensions {h1.dimension} and {h2.dimension}"
-        )
+    _same_dimension("product of dimensions", h1.dimension, h2.dimension)
     prod = (h1.generators[:, None, :] * h2.generators[None, :, :]).reshape(
         -1, h1.dimension
     )
@@ -61,10 +59,7 @@ def lorenz_product(h1: Zonotope, h2: Zonotope) -> Zonotope:
 
 def minkowski_sum(h1: Zonotope, h2: Zonotope) -> Zonotope:
     """Minkowski sum: generator concatenation."""
-    if h1.dimension != h2.dimension:
-        raise DimensionMismatch(
-            f"Minkowski sum of dimensions {h1.dimension} and {h2.dimension}"
-        )
+    _same_dimension("Minkowski sum of dimensions", h1.dimension, h2.dimension)
     return Zonotope(h1.dimension, np.vstack([h1.generators, h2.generators]))
 
 
@@ -102,10 +97,7 @@ def hull_equal(
     ``tol``; sampled compares reach on all sign vectors plus ``dirs`` seeded
     directions within ``tol`` (absolute plus relative).
     """
-    if h1.dimension != h2.dimension:
-        raise DimensionMismatch(
-            f"hull equality across dimensions {h1.dimension} and {h2.dimension}"
-        )
+    _same_dimension("hull equality across dimensions", h1.dimension, h2.dimension)
     _check_tol(tol)
     n = h1.dimension
     if mode == "exact2d":
@@ -213,10 +205,7 @@ def apply_transform(m: VectorMeasure, steps: HullTransformSpec) -> VectorMeasure
 
 def skeleton_product(m1: VectorMeasure, m2: VectorMeasure) -> SkeletonPointSet:
     """Skeleton of the coordinate-wise product (all product subset sums)."""
-    if m1.dimension != m2.dimension:
-        raise DimensionMismatch(
-            f"skeleton product of dimensions {m1.dimension} and {m2.dimension}"
-        )
+    _same_dimension("skeleton product of dimensions", m1.dimension, m2.dimension)
     if m1.atom_count * m2.atom_count > SKELETON_PRODUCT_ATOM_LIMIT:
         raise TooManyAtoms(
             f"skeleton product capped at {SKELETON_PRODUCT_ATOM_LIMIT} product atoms, "
@@ -320,16 +309,17 @@ def _normalized_nonneg_atoms(m: VectorMeasure) -> np.ndarray:
 def lorenz_curve(m: VectorMeasure) -> LorenzCurve:
     """Lower boundary of the normalized 2-D hull.
 
-    Atoms are scaled so each coordinate totals one, sorted by ascending
-    slope (zero-first-coordinate atoms last, ties by original index), and
-    accumulated.  The polyline is convex and matches the lower chain of the
-    zonogon vertex walk.
+    Atoms are scaled so each coordinate totals one and accumulated in the
+    planar normal form's order: the nonzero atoms by ascending angle, which
+    on [0, pi/2] is the order of ascending slope (zero-first-coordinate
+    atoms last, ties by original index), then the zero atoms, so there is
+    one point per atom.  The polyline is convex and matches the lower chain
+    of the zonogon vertex walk.
     """
     atoms = _normalized_nonneg_atoms(m)
-    x, y = atoms[:, 0], atoms[:, 1]
-    slope = np.where(x > 0, np.divide(y, np.where(x > 0, x, 1.0)), np.inf)
-    order = np.argsort(slope, kind="stable")
-    cum = np.vstack([np.zeros(2), np.cumsum(atoms[order], axis=0)])
+    g = _sorted_generators_2d(atoms)[0]
+    steps = np.vstack([g, np.zeros((atoms.shape[0] - g.shape[0], 2))])
+    cum = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
     cum[-1] = (1.0, 1.0)
     return LorenzCurve(cum)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInHull
 from .hulls import contains_point, hull_of
-from .measures import PiecewiseDensityMeasure, VectorMeasure
+from .measures import PiecewiseDensityMeasure, VectorMeasure, _same_dimension
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,7 @@ def density_direct_sum(
     a: PiecewiseDensityMeasure, b: PiecewiseDensityMeasure
 ) -> PiecewiseDensityMeasure:
     """Concatenate piece lists; ranges add in the Minkowski sense."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"direct sum of densities with dimensions {a.dimension} and {b.dimension}"
-        )
+    _same_dimension("direct sum of densities with dimensions", a.dimension, b.dimension)
     return PiecewiseDensityMeasure(
         a.dimension,
         np.concatenate([a.lengths, b.lengths]),

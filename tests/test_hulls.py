@@ -681,6 +681,18 @@ class TestHausdorffPoints:
         b = SkeletonPointSet(3, rng.uniform(-1, 1, (25, 3)), np.zeros(3))
         assert hausdorff_points(a, b).distance == hausdorff_points(b, a).distance
 
+    def test_non_finite_point_rejected(self):
+        ok = SkeletonPointSet(2, np.zeros((1, 2)), np.zeros(2))
+        with pytest.raises(NonFiniteValue):
+            hausdorff_points(SkeletonPointSet(2, np.array([[np.nan, 0.0]]), np.zeros(2)), ok)
+
+    def test_wrong_width_rejected(self):
+        ok = SkeletonPointSet(2, np.zeros((1, 2)), np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            hausdorff_points(SkeletonPointSet(2, np.zeros((4, 3)), np.zeros(2)), ok)
+        with pytest.raises(DimensionMismatch):
+            SkeletonPointSet(2, np.zeros((4, 2)), np.zeros(3))
+
     def test_size_guard(self):
         huge = SkeletonPointSet(1, np.zeros(((1 << 20) + 1, 1)), np.zeros(1))
         small = SkeletonPointSet(1, np.zeros((1, 1)), np.zeros(1))
@@ -801,6 +813,7 @@ def _point_set_corpus():
 
 
 class TestZonogonSupport:
+    @pytest.mark.filterwarnings("error")
     def test_matches_reach(self):
         rng = case_rng(10, "test.support")
         cases = [rng.uniform(-2, 2, (int(rng.integers(1, 60)), 2)) for _ in range(10)]
@@ -813,15 +826,22 @@ class TestZonogonSupport:
             np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], [0.0, 1.0], [0.0, -3.0]]),
             np.array([[-1.0, 1e-300]]),
             np.array([[-1.0, 1e-300], [1.0, 0.0], [0.0, 1.0]]),
+            np.array([[-1e150, 1e-160], [1.0, 1.0]]),  # slope key overflows to inf
         ]
         for gens in cases:
             z = Zonotope(2, gens)
             table = ZonogonSupport(gens)
             queries = rng.normal(size=(200, 2))
-            # zero queries, queries along and perpendicular to every edge
+            # zero queries, queries along and perpendicular to every edge, the
+            # nonzero perpendiculars scaled to the infinity box, and q_1 of
+            # either sign bit at zero and at the least subnormal
             edges = np.vstack([gens, [[1.0, 0.0], [0.0, 1.0]]])
             perp = np.column_stack([-edges[:, 1], edges[:, 0]])
-            queries = np.vstack([queries, np.zeros((2, 2)), edges, -edges, perp, -perp])
+            peak = np.abs(perp).max(axis=1, keepdims=True)
+            box = perp[peak[:, 0] > 0.0] / peak[peak[:, 0] > 0.0]
+            tiny = [[q1, q2] for q1 in (0.0, -0.0, 5e-324, -5e-324)
+                    for q2 in (1.0, -1.0, 0.0, -0.0)]
+            queries = np.vstack([queries, np.zeros((2, 2)), edges, -edges, perp, -perp, box, -box, tiny])
             assert within_tolerance(table.eval(queries), closed_reach(z, queries))
 
     def test_near_parallel_chain(self):

@@ -310,6 +310,18 @@ class TestLorenzCurve:
         chain = verts[: verts.shape[0] // 2 + 1]
         assert np.abs(c.points - chain).max() <= 1e-9
 
+    def test_zero_atoms_and_vertical_atoms(self):
+        # zero atoms and atoms with x = 0 both have infinite slope; every
+        # atom keeps its point, the zero ones after all others
+        atoms = [[0, 0], [0, 2], [1, 0], [0, 0], [3, 1], [0, 1], [1, 1], [0, 0]]
+        c = lorenz_curve(VectorMeasure(2, atoms))
+        assert c.points.shape == (len(atoms) + 1, 2)
+        assert c.points[0].tolist() == [0, 0] and c.points[-1].tolist() == [1, 1]
+        slopes = c.slopes()
+        finite = slopes[np.isfinite(slopes)]
+        assert np.all(np.diff(finite) >= 0.0) and np.all(np.isinf(slopes[len(finite):]))
+        assert c.points[-3:].tolist() == [[1, 1]] * 3
+
     def test_unnormalized_input_is_scaled(self):
         c = lorenz_curve(VectorMeasure(2, [[2, 1], [2, 3]]))
         assert c.points.tolist() == [[0, 0], [0.5, 0.25], [1, 1]]
