@@ -26,7 +26,6 @@ from .measures import (
 )
 from .ops import gini, lorenz_curve
 from .sampling import case_rng, unit_directions
-from .suites import render_reports, run_suites
 from .zonoid import achieve, certificate_to_json_dict
 
 
@@ -203,6 +202,8 @@ def _cmd_skeleton(args) -> int:
 def _cmd_verify(args) -> int:
     import time
 
+    from .suites import render_reports, run_suites
+
     start = time.perf_counter()
     reports = run_suites([args.suite], seed=args.seed, scale=args.scale, workers=args.workers)
     elapsed = time.perf_counter() - start
@@ -287,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", choices=("small", "full"), default="small")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default LORENZ_THREADS or 1)")
+                   help="worker processes (default LORENZ_THREADS or 1)")
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -66,6 +66,10 @@ class NotInHull(LorenzError):
         super().__init__(message)
         self.witness = witness
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` alone, which lacks the witness
+        return type(self), (self.args[0], self.witness), self.__dict__
+
 
 class ParseError(LorenzError):
     """A measure file or CLI argument could not be parsed."""

@@ -16,7 +16,8 @@ yield several checks per case (the measure suite yields 3 + m_b) or stop
 early (the identity suite skips its second check on colinear seeds).
 Scale "full" runs the acceptance-level counts; "small" runs reduced counts
 for quick checks.  All randomness flows from the suite seed through
-``case_rng``, so reports are identical across runs and worker counts.
+``case_rng``, so reports are identical across runs and across the number of
+worker processes that :func:`run_suites` spreads the suites over.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import json
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -863,6 +863,11 @@ def default_workers() -> int:
     return max(1, value)
 
 
+def _run_one(name: str, seed: int, scale: str) -> SuiteReport:
+    """Run the suite ``name``; module level, so a worker process can call it."""
+    return SUITES[name](seed, scale)
+
+
 def run_suites(
     names: list[str],
     seed: int = 0,
@@ -870,11 +875,13 @@ def run_suites(
     workers: Optional[int] = None,
 ) -> list[SuiteReport]:
     """Run the named suites, or every suite for the name "all", sharded
-    across worker threads, in registry order.
+    across worker processes, in registry order.
 
     Report content is independent of the worker count: each case derives
     its own generator from (seed, stream, index) and reports are ordered by
-    the registry, not by completion.  An unknown name raises ``ValueError``
+    the registry, not by completion.  The pool maps suite names through
+    :func:`_run_one` and never has more workers than suites; one worker or
+    one suite runs in this process.  An unknown name raises ``ValueError``
     before any suite runs.
     """
     for name in names:
@@ -882,12 +889,15 @@ def run_suites(
             raise ValueError(
                 f"unknown suite {name!r}; pick one of {', '.join(SUITES)} or all"
             )
-    ordered = [suite for name, suite in SUITES.items() if "all" in names or name in names]
+    ordered = [name for name in SUITES if "all" in names or name in names]
     workers = workers if workers is not None else default_workers()
     if workers <= 1 or len(ordered) <= 1:
-        return [suite(seed, scale) for suite in ordered]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda suite: suite(seed, scale), ordered))
+        return [_run_one(name, seed, scale) for name in ordered]
+    from concurrent.futures import ProcessPoolExecutor
+
+    count = len(ordered)
+    with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+        return list(pool.map(_run_one, ordered, [seed] * count, [scale] * count))
 
 
 def render_reports(reports: list[SuiteReport]) -> str:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -277,6 +279,18 @@ class TestVerifyCommand:
             ["FAIL", f"case={case}"] for case in range(16)
         ]
         assert lines[-1] == "total: suites=1 cases=16 failures=16"
+
+    def test_import_leaves_suites_and_pools_unloaded(self):
+        # only verify pays for the suite table and the process pool
+        code = (
+            "import sys, lorenz_hulls.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'lorenz_hulls.suites'"
+            " or m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_deterministic_across_runs(self, capsys):
         assert main(["verify", "--suite", "algebra", "--seed", "11"]) == 0
