@@ -7,9 +7,9 @@ import pickle
 import numpy as np
 import pytest
 
-from lorenz_hulls import errors, suites
+from lorenz_hulls import errors
 from lorenz_hulls.errors import LorenzError, NotInHull
-from lorenz_hulls.suites import SUITES, Suite, render_reports, run_suites
+from lorenz_hulls.suites import SUITES, Suite, SuiteReport, render_reports, run_suites
 
 WITNESS = np.array([0.5, -1.0])
 
@@ -74,7 +74,7 @@ class _RecordingPool:
 
     def map(self, fn, names, *rest):
         self.names = list(names)
-        return [suites.SuiteReport(name, 0) for name in self.names]
+        return [SuiteReport(name, 0) for name in self.names]
 
 
 @pytest.mark.parametrize(
