@@ -15,7 +15,9 @@ from pathlib import Path
 
 from . import discretization as disc
 from .errors import LorenzError, NotInHull, ParseError
-from .hulls import hausdorff_convex, hull_of, includes, reach_many, skeleton_points
+from .hulls import (
+    hausdorff_convex, hull_of, includes, reach_many, skeleton_points, zonogon_vertices
+)
 from .measures import (
     VectorMeasure,
     coordinate_product,
@@ -29,7 +31,7 @@ from .sampling import case_rng, unit_directions
 from .zonoid import achieve, certificate_to_json_dict
 
 
-def _load_measure(path: str):
+def _load_real_measure(path: str) -> VectorMeasure:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -37,11 +39,7 @@ def _load_measure(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return measure_from_json_dict(payload)
-
-
-def _load_real_measure(path: str) -> VectorMeasure:
-    measure = _load_measure(path)
+    measure = measure_from_json_dict(payload)
     if not isinstance(measure, VectorMeasure):
         raise ParseError(f"{path} holds a complex measure where a real one is needed")
     return measure
@@ -77,12 +75,9 @@ def _witness_payload(result) -> list | None:
 # subcommands
 
 
-def _cmd_hull(args) -> int:
-    measure = _load_real_measure(args.input)
+def _cmd_hull(args, measure) -> int:
     zonotope = hull_of(measure)
     if measure.dimension == 2:
-        from .hulls import zonogon_vertices
-
         _emit(_csv(zonogon_vertices(zonotope)), args.out)
     else:
         rng = case_rng(args.seed, "cli.hull")
@@ -93,24 +88,19 @@ def _cmd_hull(args) -> int:
     return 0
 
 
-def _cmd_product(args) -> int:
-    a, b = _load_real_measure(args.a), _load_real_measure(args.b)
+def _cmd_product(args, a, b) -> int:
     _write_measure(coordinate_product(a, b), args.out)
     return 0
 
 
-def _cmd_sum(args) -> int:
-    a, b = _load_real_measure(args.a), _load_real_measure(args.b)
+def _cmd_sum(args, a, b) -> int:
     _write_measure(direct_sum(a, b), args.out)
     return 0
 
 
-def _cmd_include(args) -> int:
-    inner = hull_of(_load_real_measure(args.inner))
-    outer = hull_of(_load_real_measure(args.outer))
-    result = includes(
-        inner, outer, args.mode, dirs=args.dirs, seed=args.seed, tol=args.tol
-    )
+def _cmd_include(args, inner, outer) -> int:
+    result = includes(hull_of(inner), hull_of(outer), args.mode,
+                      dirs=args.dirs, seed=args.seed, tol=args.tol)
     payload = {
         "verdict": result.verdict,
         "witness": None if result.witness is None else [float(x) for x in result.witness],
@@ -120,10 +110,8 @@ def _cmd_include(args) -> int:
     return 1 if result.verdict == "excluded" else 0
 
 
-def _cmd_hausdorff(args) -> int:
-    a = hull_of(_load_real_measure(args.a))
-    b = hull_of(_load_real_measure(args.b))
-    result = hausdorff_convex(a, b, seed=args.seed, dirs=args.dirs)
+def _cmd_hausdorff(args, a, b) -> int:
+    result = hausdorff_convex(hull_of(a), hull_of(b), seed=args.seed, dirs=args.dirs)
     payload = {
         "distance": result.distance,
         "witness": _witness_payload(result),
@@ -133,9 +121,8 @@ def _cmd_hausdorff(args) -> int:
     return 0
 
 
-def _cmd_gini(args) -> int:
-    value = gini(_load_real_measure(args.input))
-    _emit(f"{value:.12f}\n", args.out)
+def _cmd_gini(args, measure) -> int:
+    _emit(f"{gini(measure):.12f}\n", args.out)
     return 0
 
 
@@ -147,8 +134,8 @@ _SVG_TEMPLATE = """<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">
 """
 
 
-def _cmd_curve(args) -> int:
-    curve = lorenz_curve(_load_real_measure(args.input))
+def _cmd_curve(args, measure) -> int:
+    curve = lorenz_curve(measure)
     _emit(_csv(curve.points), args.out)
     if args.out:
         svg_points = " ".join(f"{x:.6f},{1.0 - y:.6f}" for x, y in curve.points)
@@ -157,8 +144,7 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _cmd_discretize(args) -> int:
-    measure = _load_real_measure(args.input)
+def _cmd_discretize(args, measure) -> int:
     part = disc.partition_sphere(measure.dimension, args.delta)
     approx = disc.discretize(measure, part, args.reps)
     if args.out:
@@ -177,8 +163,7 @@ def _cmd_discretize(args) -> int:
     return 0
 
 
-def _cmd_achieve(args) -> int:
-    measure = _load_real_measure(args.input)
+def _cmd_achieve(args, measure) -> int:
     target = [float(x) for x in args.target.split(",")]
     try:
         cert = achieve(measure, target, tol=args.tol)
@@ -193,8 +178,7 @@ def _cmd_achieve(args) -> int:
     return 0
 
 
-def _cmd_skeleton(args) -> int:
-    measure = _load_real_measure(args.input)
+def _cmd_skeleton(args, measure) -> int:
     _emit(_csv(skeleton_points(measure).points), args.out)
     return 0
 
@@ -214,7 +198,46 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
+
+# option -> (flags, add_argument keywords); each command row sets the default
+_OPTIONS = {
+    "out": (("--out", "-o"), {"help": "output file (default stdout)"}),
+    "tol": (("--tol",), {"type": float}),
+    "seed": (("--seed",), {"type": int}),
+    "dirs": (("--dirs",), {"type": int}),
+    "mode": (("--mode",), {"choices": ("exact2d", "sampled")}),
+    "delta": (("--delta",), {"type": float, "required": True}),
+    "reps": (("--reps",), {"type": int}),
+    "target": (("--target",), {"required": True, "help": "comma-separated coordinates"}),
+    "suite": (("--suite",), {}),
+    "scale": (("--scale",), {"choices": ("small", "full")}),
+    "workers": (("--workers",), {"type": int,
+                                 "help": "worker processes (default LORENZ_THREADS or 1)"}),
+}
+
+# command -> (handler, help, measure files in load order, {option: default});
+# "input" is the -i/--input file, any other name a positional one
+_COMMANDS = {
+    "hull": (_cmd_hull, "vertex CSV (n=2) or seeded reach table", ("input",),
+             {"out": None, "seed": 0, "dirs": 200}),
+    "product": (_cmd_product, "coordinate-wise product measure", ("a", "b"), {"out": None}),
+    "sum": (_cmd_sum, "direct sum measure", ("a", "b"), {"out": None}),
+    "include": (_cmd_include, "zonotope inclusion test", ("inner", "outer"),
+                {"out": None, "mode": "exact2d", "tol": 1e-9, "seed": 0, "dirs": 1000}),
+    "hausdorff": (_cmd_hausdorff, "1-norm Hausdorff distance between hulls", ("a", "b"),
+                  {"out": None, "seed": 0, "dirs": 200}),
+    "gini": (_cmd_gini, "hull-area Gini coefficient", ("input",), {"out": None}),
+    "curve": (_cmd_curve, "Lorenz curve CSV (and SVG next to --out)", ("input",),
+              {"out": None}),
+    "discretize": (_cmd_discretize, "direction-bucketed approximation", ("input",),
+                   {"out": None, "delta": None, "reps": 1}),
+    "achieve": (_cmd_achieve, "coefficients and intervals for a hull point", ("input",),
+                {"out": None, "target": None, "tol": 1e-9}),
+    "skeleton": (_cmd_skeleton, "subset-sum point CSV", ("input",), {"out": None}),
+    "verify": (_cmd_verify, "run seeded property suites", (),
+               {"suite": "all", "seed": 0, "scale": "small", "workers": None, "out": None}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,86 +246,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Algebra of Lorenz hulls of finite signed vector measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, inputs=0, named_input=False):
-        if named_input:
-            p.add_argument("--input", "-i", required=True, help="measure JSON file")
-        for name in ("a", "b")[:inputs]:
-            p.add_argument(name, help="measure JSON file")
-        p.add_argument("--out", "-o", default=None, help="output file (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--dirs", type=int, default=200)
-
-    p = sub.add_parser("hull", help="vertex CSV (n=2) or seeded reach table")
-    add_common(p, named_input=True)
-    p.set_defaults(func=_cmd_hull)
-
-    p = sub.add_parser("product", help="coordinate-wise product measure")
-    add_common(p, inputs=2)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("sum", help="direct sum measure")
-    add_common(p, inputs=2)
-    p.set_defaults(func=_cmd_sum)
-
-    p = sub.add_parser("include", help="zonotope inclusion test")
-    p.add_argument("inner", help="inner measure JSON file")
-    p.add_argument("outer", help="outer measure JSON file")
-    p.add_argument("--out", "-o", default=None)
-    p.add_argument("--mode", choices=("exact2d", "sampled"), default="exact2d")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dirs", type=int, default=1000)
-    p.set_defaults(func=_cmd_include)
-
-    p = sub.add_parser("hausdorff", help="1-norm Hausdorff distance between hulls")
-    add_common(p, inputs=2)
-    p.set_defaults(func=_cmd_hausdorff)
-
-    p = sub.add_parser("gini", help="hull-area Gini coefficient")
-    add_common(p, named_input=True)
-    p.set_defaults(func=_cmd_gini)
-
-    p = sub.add_parser("curve", help="Lorenz curve CSV (and SVG next to --out)")
-    add_common(p, named_input=True)
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("discretize", help="direction-bucketed approximation")
-    add_common(p, named_input=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--reps", type=int, default=1)
-    p.set_defaults(func=_cmd_discretize)
-
-    p = sub.add_parser("achieve", help="coefficients and intervals for a hull point")
-    add_common(p, named_input=True)
-    p.add_argument("--target", required=True, help="comma-separated coordinates")
-    p.set_defaults(func=_cmd_achieve)
-
-    p = sub.add_parser("skeleton", help="subset-sum point CSV")
-    add_common(p, named_input=True)
-    p.set_defaults(func=_cmd_skeleton)
-
-    p = sub.add_parser("verify", help="run seeded property suites")
-    p.add_argument("--suite", default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", choices=("small", "full"), default="small")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default LORENZ_THREADS or 1)")
-    p.add_argument("--out", "-o", default=None)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (_, help_text, inputs, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in inputs:
+            if dest == "input":
+                p.add_argument("--input", "-i", required=True, help="measure JSON file")
+            else:
+                p.add_argument(dest, help="measure JSON file")
+        for dest, default in options.items():
+            flags, keywords = _OPTIONS[dest]
+            p.add_argument(*flags, default=default, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    handler, _, inputs, _ = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        measures = [_load_real_measure(getattr(args, dest)) for dest in inputs]
+        return handler(args, *measures)
     except (ValueError, LorenzError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

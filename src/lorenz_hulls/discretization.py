@@ -6,14 +6,14 @@ and expose the quantitative Hausdorff error bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
+from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DeltaOutOfRange, DimensionGuard, DimensionMismatch
+from .errors import DeltaOutOfRange, DimensionGuard, DimensionMismatch, SizeGuard
 from .measures import VectorMeasure
+from .sampling import DIRECTION_COORDINATE_LIMIT
 
 PARTITION_DIMENSION_LIMIT = 6
 
@@ -44,9 +44,10 @@ class SpherePartition:
 
     @property
     def cell_count(self) -> int:
-        return (2 ** self.dimension) * _simplex_bucket_count(
-            self.dimension - 1, self.resolution
-        )
+        # bucket tuples in {0..r-1}^d with sum <= r: all nonnegative ones
+        # with sum <= r, less the d that put r in one entry
+        d, r = self.dimension - 1, self.resolution
+        return (2 ** self.dimension) * (comb(r + d, d) - d)
 
     def cell_of(self, points: np.ndarray) -> list[CellKey]:
         """Cell keys of unit (or any nonzero) vectors, one per row."""
@@ -100,31 +101,17 @@ def _feasible_buckets(d: int, r: int) -> Iterator[tuple[int, ...]]:
             stack.append((prefix + (k,), total + k))
 
 
-@lru_cache(maxsize=None)
-def _simplex_bucket_count(d: int, r: int) -> int:
-    """Count bucket tuples k in {0..r-1}^d with sum(k) <= r."""
-    if d == 0:
-        return 1
-    ways = [0] * (r + 1)
-    ways[0] = 1
-    for _ in range(d):
-        prefix = list(accumulate(ways))
-        nxt = [0] * (r + 1)
-        for j in range(r + 1):
-            lo = j - (r - 1)
-            nxt[j] = prefix[j] - (prefix[lo - 1] if lo >= 1 else 0)
-        ways = nxt
-    return sum(ways)
-
-
 def partition_sphere(n: int, delta: float) -> SpherePartition:
-    """Partition with per-face grid resolution ``ceil(2 n / delta)``."""
+    """Partition with per-face grid resolution ``ceil(2 n / delta)``, which
+    must not exceed 2**53 so that the bucket integers stay exact."""
     if not 1 <= n <= PARTITION_DIMENSION_LIMIT:
         raise DimensionGuard(
             f"sphere partition supports 1 <= n <= {PARTITION_DIMENSION_LIMIT}, got {n}"
         )
     if not 0.0 < delta <= 2.0:
         raise DeltaOutOfRange(f"delta must lie in (0, 2], got {delta}")
+    if 2.0 * n / delta > 2.0 ** 53:
+        raise DeltaOutOfRange(f"delta {delta} puts 2n/delta above 2**53")
     resolution = int(np.ceil(2.0 * n / delta))
     return SpherePartition(n, float(delta), resolution)
 
@@ -173,7 +160,9 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     total variation is preserved.  Empty buckets contribute nothing; zero
     atoms are ignored.  Cells come out in lexicographic order of their
     integer key rows (one ``np.lexsort`` and a neighbour compare); each
-    cell's mass is summed in atom order.
+    cell's mass is summed in atom order.  Raises ``SizeGuard`` before the
+    output is allocated when its cells x reps x n coordinates exceed
+    ``sampling.DIRECTION_COORDINATE_LIMIT``.
     """
     if m.dimension != part.dimension:
         raise DimensionMismatch(
@@ -193,8 +182,13 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     cell = np.empty(order.shape[0], dtype=np.intp)
     cell[order] = np.cumsum(fresh) - 1
     cells = rows[order[fresh]]
-    masses = np.bincount(cell, weights=norms[keep])
     n = m.dimension
+    if cells.shape[0] * reps * n > DIRECTION_COORDINATE_LIMIT:
+        raise SizeGuard(
+            f"discretized measures capped at {DIRECTION_COORDINATE_LIMIT} coordinates, "
+            f"got {cells.shape[0]} cells x {reps} reps x {n}"
+        )
+    masses = np.bincount(cell, weights=norms[keep])
     atoms = (masses / reps)[:, None] * part.representative_rows(cells[:, :n], cells[:, n:])
     return VectorMeasure(m.dimension, np.repeat(atoms, reps, axis=0))
 

@@ -193,11 +193,17 @@ def reach_many(z: Zonotope, directions) -> np.ndarray:
 
 
 def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
-    """Enumerate the 2^m subset sums of the measure's atoms."""
+    """Enumerate the 2^m subset sums of the measure's atoms; both guards
+    fire before the 2^m x n sums are allocated."""
     if m.atom_count > SKELETON_ATOM_LIMIT:
         raise TooManyAtoms(
             f"skeleton enumeration capped at {SKELETON_ATOM_LIMIT} atoms, "
             f"got {m.atom_count}"
+        )
+    if (1 << m.atom_count) * m.dimension > DIRECTION_COORDINATE_LIMIT:
+        raise SizeGuard(
+            f"skeletons capped at {DIRECTION_COORDINATE_LIMIT} coordinates, "
+            f"got 2^{m.atom_count} x {m.dimension}"
         )
     # rows 2^j ... 2^(j+1) - 1 are the first 2^j plus atom j; from +0.0 no -0.0 arises
     sums = np.zeros((1 << m.atom_count, m.dimension))

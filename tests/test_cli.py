@@ -1,11 +1,19 @@
+import argparse
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from lorenz_hulls import cli
 from lorenz_hulls.cli import main
 from lorenz_hulls.measures import measure_from_json_dict
+from lorenz_hulls.sampling import case_rng
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SQUARE = {"dim": 2, "atoms": [[1.0, 0.0], [0.0, 1.0]], "complex": False}
 DOUBLE = {"dim": 2, "atoms": [[2.0, 0.0], [0.0, 2.0]], "complex": False}
@@ -92,6 +100,108 @@ class TestHullCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "capped" in captured.err
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# every value each subcommand lets a caller set: 41 in all
+SURFACE = {
+    "hull": {"input", "out", "seed", "dirs"},
+    "product": {"a", "b", "out"},
+    "sum": {"a", "b", "out"},
+    "include": {"inner", "outer", "out", "mode", "tol", "seed", "dirs"},
+    "hausdorff": {"a", "b", "out", "seed", "dirs"},
+    "gini": {"input", "out"},
+    "curve": {"input", "out"},
+    "discretize": {"input", "out", "delta", "reps"},
+    "achieve": {"input", "out", "target", "tol"},
+    "skeleton": {"input", "out"},
+    "verify": {"suite", "seed", "scale", "workers", "out"},
+}
+
+# a call per subcommand that exits 0 on the fixture files
+WORKING = {
+    "hull": ["hull", "-i", "square"],
+    "product": ["product", "square", "double"],
+    "sum": ["sum", "square", "double"],
+    "hausdorff": ["hausdorff", "square", "double"],
+    "gini": ["gini", "-i", "income"],
+    "curve": ["curve", "-i", "income"],
+    "discretize": ["discretize", "-i", "square", "--delta", "0.5"],
+    "achieve": ["achieve", "-i", "square", "--target", "0.5,0.5"],
+    "skeleton": ["skeleton", "-i", "square"],
+}
+
+# the options these subcommands used to parse and then ignore
+UNREAD = (
+    [("hull", "--tol", "1e-3"), ("hausdorff", "--tol", "1e-3"),
+     ("achieve", "--seed", "1"), ("achieve", "--dirs", "5")]
+    + [(command, option, value)
+       for command in ("product", "sum", "gini", "curve", "discretize", "skeleton")
+       for option, value in (("--tol", "1e-3"), ("--seed", "1"), ("--dirs", "5"))]
+)
+
+
+class TestOptionSurface:
+    def test_parser_matches_table(self):
+        subparsers = _subparsers()
+        assert list(subparsers) == list(cli._COMMANDS) == list(SURFACE)
+        for name, (_, _, inputs, options) in cli._COMMANDS.items():
+            dests = {a.dest for a in subparsers[name]._actions} - {"help"}
+            assert dests == set(inputs) | set(options) == SURFACE[name], name
+        assert sum(map(len, SURFACE.values())) == 41
+
+    @pytest.mark.parametrize("command, option, value", UNREAD)
+    def test_unread_option_exit_2(self, files, capsys, command, option, value):
+        argv = [files.get(arg, arg) for arg in WORKING[command]]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + [option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option} {value}" in captured.err
+
+    def test_discretize_d_prefix_is_delta(self, files, capsys):
+        assert main(["discretize", "-i", files["square"], "--d", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == 0.5
+
+
+class TestReadme:
+    def test_command_lines_exit_as_documented(self, tmp_path, monkeypatch, capsys):
+        # every `lorenz` line of the README's command-line block, on fixture
+        # files of the names it uses; "# exit N" in a comment documents a
+        # nonzero exit code
+        block = README.read_text().split("## Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("lorenz ")]
+        assert len(lines) >= len(SURFACE)
+        fine = case_rng(0, "test.readme.fine").normal(size=(300, 2))
+        for name, payload in (("square", SQUARE), ("a", SQUARE), ("b", DOUBLE),
+                              ("inner", SQUARE), ("outer", DOUBLE), ("income", INCOME),
+                              ("fine", {"dim": 2, "atoms": fine.tolist()})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            documented = re.search(r"# exit (\d)", line)
+            expected = int(documented.group(1)) if documented else 0
+            assert main(shlex.split(line, comments=True)[1:]) == expected, line
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_option_table_matches_parser(self):
+        # the README's table of options names each subcommand's flags
+        text = README.read_text()
+        rows = re.findall(r"^\| ((?:`\w+`(?:, )?)+) \|(.*)\|$", text, flags=re.M)
+        documented = {}
+        for names, rest in rows:
+            for name in re.findall(r"`(\w+)`", names):
+                documented[name] = set(re.findall(r"--\w+", rest)) | {"--out", "--help"}
+        for name, subparser in _subparsers().items():
+            flags = {f for a in subparser._actions for f in a.option_strings if f.startswith("--")}
+            assert documented.get(name) == flags, name
 
 
 class TestProductAndSum:
@@ -207,6 +317,19 @@ class TestDiscretizeCommand:
         assert approx.atom_count == 4
 
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--delta", "0.5", "--reps", "1000000000000000"],
+         "error: discretized measures capped at 16777216 coordinates, "
+         "got 2 cells x 1000000000000000 reps x 2\n"),
+        (["--delta", "1e-310"], "error: delta 1e-310 puts 2n/delta above 2**53\n"),
+    ], ids=["reps", "delta"])
+    def test_hostile_sizes_exit_2(self, files, capsys, extra, message):
+        assert main(["discretize", "-i", files["income"], *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+
 class TestAchieveCommand:
     def test_achievable(self, files, capsys):
         assert main(["achieve", "-i", files["square"], "--target", "0.5,0.5"]) == 0
@@ -237,6 +360,17 @@ class TestSkeletonCommand:
         assert main(["skeleton", "-i", files["square"]]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows == ["0.0,0.0", "0.0,1.0", "1.0,0.0", "1.0,1.0"]
+
+
+    def test_size_guard_exit_2(self, tmp_path, capsys):
+        # 2^20 subset sums in n = 17 pass the 2^24-coordinate guard
+        path = tmp_path / "wide.json"
+        atoms = case_rng(0, "test.cli.skeleton").normal(size=(20, 17))
+        path.write_text(json.dumps({"dim": 17, "atoms": atoms.tolist()}))
+        assert main(["skeleton", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: skeletons capped at 16777216 coordinates, got 2^20 x 17\n"
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ from lorenz_hulls import (
     DimensionGuard,
     DiscretizationParams,
     PiecewiseDensityMeasure,
+    SizeGuard,
     VectorMeasure,
     discretize,
     hausdorff_convex,
@@ -90,8 +91,23 @@ class TestPartition:
         with pytest.raises(DeltaOutOfRange):
             partition_sphere(2, 2.5)
 
-    def test_cells_enumeration_matches_count(self):
-        part = partition_sphere(2, 0.9)
+    def test_delta_too_small_for_exact_buckets(self):
+        # 2n/delta above 2**53, or infinite, raises before any bucket exists
+        for n, delta in ((1, 1e-310), (2, 5e-324), (2, 4.0 / 2 ** 53 / 1.5), (6, 1e-15)):
+            with pytest.raises(DeltaOutOfRange):
+                partition_sphere(n, delta)
+        assert partition_sphere(2, 4.0 / 2 ** 53).resolution == 2 ** 53
+
+    def test_cell_count_at_a_huge_resolution(self):
+        # each quarter of the plane's 1-norm circle is cut into r arcs
+        part = partition_sphere(2, 1e-13)
+        assert part.resolution == 4 * 10 ** 13
+        assert part.cell_count == 4 * part.resolution
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("delta", [2.0, 1.3, 0.9, 0.6])
+    def test_cells_enumeration_matches_count(self, n, delta):
+        part = partition_sphere(n, delta)
         listed = list(part.cells())
         assert len(listed) == part.cell_count
         assert len({key for key, _ in listed}) == len(listed)
@@ -172,6 +188,14 @@ class TestDiscretize:
                 out = discretize(m, partition_sphere(n, delta), 2).atoms
                 want = unique_discretize(m, partition_sphere(n, delta), 2)
                 assert out.shape == want.shape and out.tobytes() == want.tobytes(), (n, delta)
+
+    def test_size_guard_before_replicating(self):
+        # 2 cells x 10**15 reps x n = 2 would be 32 PB of atoms
+        m = VectorMeasure(2, [[1.0, 0.5], [-0.2, 1.0]])
+        with pytest.raises(SizeGuard, match="2 cells x 1000000000000000 reps x 2"):
+            discretize(m, partition_sphere(2, 0.5), 10 ** 15)
+        with pytest.raises(SizeGuard):
+            discretize(VectorMeasure(2, [[1.0, 0.0]]), partition_sphere(2, 0.5), 2 ** 23 + 1)
 
     def test_zero_measure(self):
         out = discretize(VectorMeasure(2, []), partition_sphere(2, 0.5), 3)

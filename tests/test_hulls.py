@@ -178,6 +178,12 @@ class TestSkeleton:
         with pytest.raises(TooManyAtoms):
             skeleton_points(VectorMeasure(1, np.ones((21, 1))))
 
+    def test_size_guard_before_allocating(self):
+        # 2^20 sums of 17 coordinates pass 2^24 coordinates (136 MiB)
+        atoms = case_rng(5, "test.skeleton.size").normal(size=(20, 17))
+        with pytest.raises(SizeGuard, match=r"2\^20 x 17"):
+            skeleton_points(VectorMeasure(17, atoms))
+
     def test_central_symmetry_exact_on_dyadic(self):
         rng = case_rng(2, "test.skeleton")
         atoms = rng.integers(-8, 9, (6, 2)) / 4.0
