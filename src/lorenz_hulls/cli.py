@@ -200,12 +200,23 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # command table
 
+def _count(text: str) -> int:
+    """``--dirs`` value: a nonnegative integer, else argparse's usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid nonnegative int value: {text!r}")
+    return value
+
+
 # option -> (flags, add_argument keywords); each command row sets the default
 _OPTIONS = {
     "out": (("--out", "-o"), {"help": "output file (default stdout)"}),
     "tol": (("--tol",), {"type": float}),
     "seed": (("--seed",), {"type": int}),
-    "dirs": (("--dirs",), {"type": int}),
+    "dirs": (("--dirs",), {"type": _count}),
     "mode": (("--mode",), {"choices": ("exact2d", "sampled")}),
     "delta": (("--delta",), {"type": float, "required": True}),
     "reps": (("--reps",), {"type": int}),

@@ -24,7 +24,7 @@ from .errors import (
     SizeGuard,
     TooManyAtoms,
 )
-from .measures import VectorMeasure, _frozen_rows, _same_dimension
+from .measures import VectorMeasure, _frozen_rows, _same_dimension, _Value
 from .sampling import DIRECTION_COORDINATE_LIMIT, case_rng, sign_vectors, unit_directions
 
 SKELETON_ATOM_LIMIT = 20
@@ -60,8 +60,8 @@ def within_tolerance(lhs, rhs, atol: float = 1e-9, rtol: float = 1e-9) -> bool:
     return bool(np.all(gap <= atol + rtol * np.maximum(np.abs(lhs), np.abs(rhs))))
 
 
-@dataclass(frozen=True)
-class Zonotope:
+@dataclass(frozen=True, eq=False)
+class Zonotope(_Value):
     """Generator representation of a Lorenz hull."""
 
     dimension: int
@@ -76,23 +76,11 @@ class Zonotope:
         return self.generators.shape[0]
 
     def total(self) -> np.ndarray:
-        if self.generator_count == 0:
-            return np.zeros(self.dimension)
         return self.generators.sum(axis=0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Zonotope):
-            return NotImplemented
-        return self.dimension == other.dimension and np.array_equal(
-            self.generators, other.generators
-        )
 
-    def __hash__(self):
-        return hash((self.dimension, self.generators.tobytes()))
-
-
-@dataclass(frozen=True)
-class SkeletonPointSet:
+@dataclass(frozen=True, eq=False)
+class SkeletonPointSet(_Value):
     """All subset sums of a measure's atoms, duplicates collapsed.  The
     points and the total are validated and frozen like generator rows."""
 
@@ -247,8 +235,7 @@ def _merge_sorted_2d(g: np.ndarray, ang: np.ndarray):
 
 
 def _merged_generators_2d(generators: np.ndarray):
-    """``(merged, offset)``: the sorted generators with equal-angle runs summed.
-    No package caller; ``perfbench/tests/test_tracer.py`` pins the binding."""
+    """``(merged, offset)``: the sorted generators with equal-angle runs summed."""
     g, ang, offset = _sorted_generators_2d(generators)
     return _merge_sorted_2d(g, ang), offset
 
@@ -262,7 +249,8 @@ def zonogon_vertices(z: Zonotope) -> np.ndarray:
     """
     if z.dimension != 2:
         raise Exact2dOnPlaneOnly("vertex enumeration is planar only")
-    return ZonogonSupport(z.generators).vertices
+    merged, offset = _merged_generators_2d(z.generators)
+    return _walk_2d(offset, merged)
 
 
 def area_2d(z: Zonotope) -> float:
@@ -307,14 +295,10 @@ class ZonogonSupport:
     """Planar normal form of a 2-D zonotope, for repeated support queries.
 
     The nonzero generators are flipped into the upper half-plane and sorted
-    by angle once; the angle only sorts and merges.  Two counterclockwise
-    walks share that order:
-
-    - ``vertices``, the polygon: runs of generators whose angles differ by
-      at most 1e-12 are merged, so collinear edges give one vertex pair;
-    - the query walk, over every nonzero generator unmerged, so that the
-      support agrees with sum_i max(0, <q, g_i>) to within rounding even on
-      chains of nearly parallel generators that the merge joins.
+    by angle once.  Queries read the counterclockwise walk over every
+    nonzero generator unmerged, so that the support agrees with
+    sum_i max(0, <q, g_i>) to within rounding even on chains of nearly
+    parallel generators that :func:`zonogon_vertices` merges into one edge.
 
     Queries search slope keys: ``slope_keys[k] = -g_k1 / g_k2`` over the
     same M sorted generators (-inf on the x axis), made nondecreasing where
@@ -330,8 +314,7 @@ class ZonogonSupport:
     """
 
     def __init__(self, generators) -> None:
-        g, angles, offset = _sorted_generators_2d(generators)
-        self.vertices = _walk_2d(offset, _merge_sorted_2d(g, angles))
+        g, _, offset = _sorted_generators_2d(generators)
         keys = np.full(g.shape[0], -np.inf)
         with np.errstate(over="ignore"):
             np.divide(-g[:, 0], g[:, 1], out=keys, where=g[:, 1] > 0.0)

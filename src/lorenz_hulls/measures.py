@@ -8,7 +8,7 @@ wrapped numpy arrays are marked read-only so values can be shared freely.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -60,6 +60,27 @@ def _same_dimension(what: str, a: int, b: int) -> None:
         raise DimensionMismatch(f"{what} {a} and {b}")
 
 
+@dataclass(frozen=True, eq=False)
+class _Value:
+    """Base of the validated-array value types.  Two values are equal, and
+    hash alike, when they have one type and equal fields; arrays compare bit
+    for bit after ``+ 0.0`` folds -0.0 into +0.0 (they hold no NaN)."""
+
+    def _key(self) -> tuple:
+        return tuple(
+            (v.shape, (v + 0.0).tobytes()) if isinstance(v, np.ndarray) else v
+            for v in (getattr(self, f.name) for f in fields(self))
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def _check_labels(labels: Optional[Sequence[str]], count: int):
     if labels is None:
         return None
@@ -75,8 +96,8 @@ def _check_labels(labels: Optional[Sequence[str]], count: int):
     return labels
 
 
-@dataclass(frozen=True)
-class VectorMeasure:
+@dataclass(frozen=True, eq=False)
+class VectorMeasure(_Value):
     """A finite signed vector measure with finitely many atoms.
 
     ``atoms`` has shape ``(m, dimension)``; row ``i`` is the measure's value
@@ -101,23 +122,11 @@ class VectorMeasure:
 
     def total(self) -> np.ndarray:
         """Value on the whole ground set: the sum of all atoms."""
-        return self.atoms.sum(axis=0) if self.atom_count else np.zeros(self.dimension)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorMeasure):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.labels == other.labels
-            and np.array_equal(self.atoms, other.atoms)
-        )
-
-    def __hash__(self):
-        return hash((self.dimension, self.atoms.tobytes(), self.labels))
+        return self.atoms.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class ComplexVectorMeasure:
+@dataclass(frozen=True, eq=False)
+class ComplexVectorMeasure(_Value):
     """A finite complex vector measure.
 
     Atoms are stored interleaved as real pairs, shape ``(m, 2 * dimension)``
@@ -136,19 +145,9 @@ class ComplexVectorMeasure:
     def atom_count(self) -> int:
         return self.atoms.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexVectorMeasure):
-            return NotImplemented
-        return self.dimension == other.dimension and np.array_equal(
-            self.atoms, other.atoms
-        )
 
-    def __hash__(self):
-        return hash((self.dimension, self.atoms.tobytes()))
-
-
-@dataclass(frozen=True)
-class PiecewiseDensityMeasure:
+@dataclass(frozen=True, eq=False)
+class PiecewiseDensityMeasure(_Value):
     """A non-atomic measure given by a piecewise-constant vector density.
 
     The density is ``directions[i]`` on the i-th of consecutive real

@@ -33,9 +33,11 @@ def unit_directions(rng: np.random.Generator, count: int, dimension: int) -> np.
     Gaussian samples normalized to unit 2-norm; rows that collapse below
     1e-12 are replaced by the first basis vector (probability ~0 event,
     handled so the output shape is always ``(count, dimension)``).  Raises
-    ``SizeGuard`` before allocating when count x dimension exceeds
-    ``DIRECTION_COORDINATE_LIMIT``.
+    ``ValueError`` on a negative count, and ``SizeGuard`` before allocating
+    when count x dimension exceeds ``DIRECTION_COORDINATE_LIMIT``.
     """
+    if count < 0:
+        raise ValueError(f"direction count must be nonnegative, got {count}")
     if count * dimension > DIRECTION_COORDINATE_LIMIT:
         raise SizeGuard(
             f"direction sets capped at {DIRECTION_COORDINATE_LIMIT} coordinates, "

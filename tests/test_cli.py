@@ -165,6 +165,24 @@ class TestOptionSurface:
         assert captured.out == ""
         assert f"unrecognized arguments: {option} {value}" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["hull", "-i", "square"],
+        ["hull", "-i", "d3"],
+        ["include", "square", "double", "--mode", "exact2d"],
+        ["include", "square", "double", "--mode", "sampled"],
+        ["hausdorff", "square", "double"],
+    ])
+    def test_negative_dirs_exit_2(self, files, capsys, argv):
+        # --dirs 0 stays allowed; a negative count is a usage error even
+        # where the planar exact routes draw no direction
+        argv = [files.get(arg, arg) for arg in argv]
+        assert main(argv + ["--dirs", "0"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--dirs", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --dirs: invalid nonnegative int value: '-1'" in captured.err
+
     def test_discretize_d_prefix_is_delta(self, files, capsys):
         assert main(["discretize", "-i", files["square"], "--d", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out)["delta"] == 0.5

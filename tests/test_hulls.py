@@ -92,6 +92,13 @@ class TestDirectionGuard:
             unit_directions(rng, 2, DIRECTION_COORDINATE_LIMIT // 2)
         assert rng.shape == (2, DIRECTION_COORDINATE_LIMIT // 2)
 
+    def test_negative_count_is_refused_before_drawing(self):
+        rng = self.Recorder()
+        with pytest.raises(ValueError, match="direction count must be nonnegative, got -1"):
+            unit_directions(rng, -1, 3)
+        assert not hasattr(rng, "shape")
+        assert unit_directions(case_rng(0, "zero"), 0, 3).shape == (0, 3)
+
 
 class TestHull:
     def test_zero_atoms_dropped(self):

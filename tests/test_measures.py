@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lorenz_hulls import (
     NonFiniteValue,
     ParseError,
     PiecewiseDensityMeasure,
+    SkeletonPointSet,
     VectorMeasure,
     ZeroAtom,
     Zonotope,
@@ -279,3 +281,74 @@ class TestSerialization:
         m = VectorMeasure(3, np.array(atoms).reshape(len(atoms), 3))
         back = measure_from_json_dict(json.loads(json.dumps(measure_to_json_dict(m))))
         assert back == m
+
+
+# ---------------------------------------------------------------------------
+# value semantics of the validated-array types
+
+ULP = float(np.nextafter(1.5, 2.0))
+
+# type -> (build(zero, x), values differing from build(0.0, 1.5) in one field);
+# ``zero`` fills every zero coordinate and ``x`` is the first coordinate
+VALUE_TYPES = {
+    "VectorMeasure": (
+        lambda z, x: VectorMeasure(2, [[x, z], [z, -2.0]], labels=["a", "b"]),
+        [VectorMeasure(2, [[1.5, 0.0], [0.0, -2.0]], labels=["a", "c"]),
+         VectorMeasure(2, [[1.5, 0.0], [0.0, -2.0]]),
+         VectorMeasure(1, [[1.5], [0.0], [0.0], [-2.0]], labels=["a", "b", "c", "d"])],
+    ),
+    "ComplexVectorMeasure": (
+        lambda z, x: ComplexVectorMeasure(1, [[x, z], [z, -2.0]]),
+        [ComplexVectorMeasure(2, [[1.5, 0.0, 0.0, -2.0]])],
+    ),
+    "PiecewiseDensityMeasure": (
+        lambda z, x: PiecewiseDensityMeasure(2, [0.5, 1.0], [[x, z], [z, -2.0]]),
+        [PiecewiseDensityMeasure(2, [0.5, 2.0], [[1.5, 0.0], [0.0, -2.0]]),
+         PiecewiseDensityMeasure(1, [0.5, 1.0, 1.0, 1.0], [[1.5], [0.0], [0.0], [-2.0]])],
+    ),
+    "Zonotope": (
+        lambda z, x: Zonotope(2, [[x, z], [z, -2.0]]),
+        [Zonotope(1, [[1.5], [0.0], [0.0], [-2.0]])],
+    ),
+    "SkeletonPointSet": (
+        lambda z, x: SkeletonPointSet(2, [[z, z], [x, -2.0]], [x, -2.0]),
+        [SkeletonPointSet(2, [[0.0, 0.0], [1.5, -2.0]], [1.5, -1.0]),
+         SkeletonPointSet(1, [[0.0], [0.0], [1.5], [-2.0]], [1.5])],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+class TestValueSemantics:
+    def test_equal_values_hash_alike(self, name):
+        build, _ = VALUE_TYPES[name]
+        a, b = build(0.0, 1.5), build(0.0, 1.5)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_sign_of_zero_is_ignored(self, name):
+        build, _ = VALUE_TYPES[name]
+        a, b = build(0.0, 1.5), build(-0.0, 1.5)
+        assert pickle.dumps(a) != pickle.dumps(b)  # b holds -0.0
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_one_differing_field_is_unequal(self, name):
+        build, others = VALUE_TYPES[name]
+        a = build(0.0, 1.5)
+        for other in others + [build(0.0, ULP)]:
+            assert a != other and not a == other
+        # values of the other types never compare equal
+        for other_name, (other_build, _) in VALUE_TYPES.items():
+            if other_name != name:
+                assert a != other_build(0.0, 1.5)
+        assert a != (a.dimension,)
+
+    def test_pickle_round_trip(self, name):
+        a = VALUE_TYPES[name][0](-0.0, 1.5)
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a
+        assert hash(back) == hash(a)

@@ -2,11 +2,16 @@
 
 import concurrent.futures
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lorenz_hulls
 from lorenz_hulls import errors
 from lorenz_hulls.errors import LorenzError, NotInHull
 from lorenz_hulls.suites import SUITES, Suite, SuiteReport, render_reports, run_suites
@@ -97,3 +102,24 @@ def test_worker_processes_match_one_process():
     assert two == one
     assert one.endswith("failures=0\n")
     assert multiprocessing.active_children() == []
+
+
+SPAWNED_VERIFY = """
+import multiprocessing, sys
+from lorenz_hulls.suites import render_reports, run_suites
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    sys.stdout.write(render_reports(run_suites(["all"], 7, "small", workers=2)))
+"""
+
+
+def test_spawned_workers_match_one_process():
+    # workers that re-import the package, as where the default start method
+    # is not fork, give the report of one process
+    src = str(Path(lorenz_hulls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    spawned = subprocess.run([sys.executable, "-c", SPAWNED_VERIFY], env=env,
+                             capture_output=True, text=True, timeout=300)
+    assert spawned.returncode == 0, spawned.stderr
+    assert spawned.stdout == render_reports(run_suites(["all"], 7, "small", workers=1))
