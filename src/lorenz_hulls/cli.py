@@ -200,15 +200,20 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # command table
 
-def _count(text: str) -> int:
-    """``--dirs`` value: a nonnegative integer, else argparse's usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"invalid nonnegative int value: {text!r}")
-    return value
+def _int_option(low: int, what: str):
+    """Option type: an integer of at least ``low``, else argparse's usage
+    error naming it ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"invalid {what} int value: {text!r}")
+        return value
+
+    return parse
 
 
 # option -> (flags, add_argument keywords); each command row sets the default
@@ -216,14 +221,14 @@ _OPTIONS = {
     "out": (("--out", "-o"), {"help": "output file (default stdout)"}),
     "tol": (("--tol",), {"type": float}),
     "seed": (("--seed",), {"type": int}),
-    "dirs": (("--dirs",), {"type": _count}),
+    "dirs": (("--dirs",), {"type": _int_option(0, "nonnegative")}),
     "mode": (("--mode",), {"choices": ("exact2d", "sampled")}),
     "delta": (("--delta",), {"type": float, "required": True}),
     "reps": (("--reps",), {"type": int}),
     "target": (("--target",), {"required": True, "help": "comma-separated coordinates"}),
     "suite": (("--suite",), {}),
     "scale": (("--scale",), {"choices": ("small", "full")}),
-    "workers": (("--workers",), {"type": int,
+    "workers": (("--workers",), {"type": _int_option(1, "positive"),
                                  "help": "worker processes (default LORENZ_THREADS or 1)"}),
 }
 

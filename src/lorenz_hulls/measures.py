@@ -80,6 +80,13 @@ class _Value:
     def __hash__(self):
         return hash(self._key())
 
+    def __setstate__(self, state: dict) -> None:
+        # pickle and deepcopy rebuild the arrays writable; freeze them again
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        vars(self).update(state)
+
 
 def _check_labels(labels: Optional[Sequence[str]], count: int):
     if labels is None:

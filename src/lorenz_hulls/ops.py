@@ -4,6 +4,7 @@ hull-preserving transforms, skeleton products, Lorenz curves and Gini.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -227,6 +228,19 @@ def _axis_reach(x: np.ndarray, w: np.ndarray, up: float, down: float) -> np.ndar
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, else all of them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# direction-atom pairs from which product_reach_many splits its rows
+# across threads: twice the planar m = 1 000 call on 512 directions
+_THREAD_GATE = 16 * _BLOCK
+
+
 def product_reach_many(
     factor_atoms: np.ndarray, other_support: ZonogonSupport, directions: np.ndarray
 ) -> np.ndarray:
@@ -246,6 +260,14 @@ def product_reach_many(
     Cost O(dirs * m_a * log m_b) after O(m_a log m_a) sorting, with no
     ``arctan2``.  Every direction's value depends on that direction alone:
     its row sums are plain numpy reductions, whatever the batch.
+
+    From ``_THREAD_GATE`` direction-atom pairs on, the direction rows are
+    cut into one share per CPU the process may run on (``taskset`` limits
+    them); the caller computes one share and threads started for this call
+    the others, in blocks of ``_BLOCK // threads`` pairs, so memory stays
+    flat.  ``searchsorted`` and ``take`` release the GIL, and a share's
+    exception reaches the caller.  Since each row is computed alone, the
+    result has the same bytes at any thread count.
     """
     atoms = np.asarray(factor_atoms, dtype=np.float64).reshape(-1, 2)
     D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
@@ -266,15 +288,35 @@ def product_reach_many(
     rho = rho[order]
     ax, ay = moving[order, 0], moving[order, 1]
     split = int(np.count_nonzero(ax > 0.0))
-    step = max(1, _BLOCK // max(rho.shape[0], 1))
+    m = rho.shape[0]
+    threads = min(_cpu_count(), D.shape[0]) if D.shape[0] * m >= _THREAD_GATE else 1
+    step = max(1, _BLOCK // threads // max(m, 1))
     # u_1 a_1 < 0 on the a_1 < 0 columns when u_1 > 0, and the other way round
-    for flipped, rows in ((slice(split, None), u1 > 0.0), (slice(split), u1 < 0.0)):
-        rows = np.flatnonzero(rows & ~axis)
-        for i in range(0, rows.shape[0], step):
-            r = rows[i : i + step]
-            with np.errstate(over="ignore"):
-                x, y = other_support.extreme_vertices(slope[r, None] * rho, flipped)
-            out[r] += u1[r] * (x * ax).sum(axis=1) + u2[r] * (y * ay).sum(axis=1)
+    shares = [
+        (flipped, np.array_split(np.flatnonzero(rows & ~axis), threads))
+        for flipped, rows in ((slice(split, None), u1 > 0.0), (slice(split), u1 < 0.0))
+    ]
+
+    def run_share(k: int) -> None:
+        for flipped, parts in shares:
+            rows = parts[k]
+            for i in range(0, rows.shape[0], step):
+                r = rows[i : i + step]
+                with np.errstate(over="ignore"):
+                    x, y = other_support.extreme_vertices(slope[r, None] * rho, flipped)
+                out[r] += u1[r] * (x * ax).sum(axis=1) + u2[r] * (y * ay).sum(axis=1)
+
+    if threads == 1:
+        run_share(0)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the block joins every thread, also when the caller's share fails
+    with ThreadPoolExecutor(threads - 1) as pool:
+        futures = [pool.submit(run_share, k) for k in range(1, threads)]
+        run_share(0)
+    for future in futures:
+        future.result()
     return out
 
 

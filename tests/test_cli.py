@@ -183,6 +183,14 @@ class TestOptionSurface:
         assert captured.out == ""
         assert "argument --dirs: invalid nonnegative int value: '-1'" in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_workers_below_one_exit_2(self, capsys, value):
+        # checked before any suite runs
+        assert main(["verify", "--suite", "gini", "--workers", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --workers: invalid positive int value: '{value}'" in captured.err
+
     def test_discretize_d_prefix_is_delta(self, files, capsys):
         assert main(["discretize", "-i", files["square"], "--d", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out)["delta"] == 0.5

@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 
@@ -348,7 +349,10 @@ class TestValueSemantics:
         assert a != (a.dimension,)
 
     def test_pickle_round_trip(self, name):
+        # a copy is equal, hashes alike and keeps its arrays read-only
         a = VALUE_TYPES[name][0](-0.0, 1.5)
-        back = pickle.loads(pickle.dumps(a))
-        assert back == a
-        assert hash(back) == hash(a)
+        for back in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert back == a
+            assert hash(back) == hash(a)
+            arrays = [v for v in vars(back).values() if isinstance(v, np.ndarray)]
+            assert arrays and not any(v.flags.writeable for v in arrays)

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,7 @@ from lorenz_hulls import (
     within_tolerance,
     zonogon_vertices,
 )
+from lorenz_hulls import ops
 from lorenz_hulls.hulls import ZonogonSupport
 from lorenz_hulls.sampling import case_rng, unit_directions
 
@@ -276,6 +281,93 @@ class TestProductReach:
             perp = np.column_stack([-p[:, 1], p[:, 0]])
             dirs = np.vstack([np.eye(2), -np.eye(2), 3.0 * np.eye(2), np.zeros((1, 2)), perp, -perp])
             assert self.product_gap(a, b, dirs) <= 1e-12
+
+    @staticmethod
+    def threaded_inputs():
+        """(name, atoms, other factor, directions): seeded inputs over the
+        thread gate, then degenerate ones, run with the gate at 0."""
+        rng = case_rng(22, "test.product_reach.threads")
+        angles = (np.arange(512) + 0.5) * (2.0 * np.pi / 512)
+        grid = np.column_stack([np.cos(angles), np.sin(angles)])
+        big = rng.normal(size=(2100, 2))  # 2100 * 512 pairs, just over the gate
+        yield "seeded", big, rng.normal(size=(300, 2)), grid, False
+        a = np.vstack([rng.normal(size=(40, 2)), [[0.0, 1.5], [-0.0, -0.5], [0.0, 0.0], [-0.0, -0.0]]])
+        b = np.vstack([rng.normal(size=(25, 2)), [[0.0, -1.0], [-0.0, 1.0], [0.0, 0.0]]])
+        dirs = np.vstack([unit_directions(rng, 30, 2), np.eye(2), -np.eye(2),
+                          [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 1.0], [1.0, -0.0]]])
+        yield "degenerate", a, b, dirs[rng.permutation(dirs.shape[0])], True
+        yield "only a_1 = 0 atoms", a[-4:], b, dirs, True
+        yield "empty factor", np.zeros((0, 2)), b, dirs, True
+        yield "empty other factor", a, np.zeros((0, 2)), dirs, True
+        yield "fewer directions than threads", a, b, dirs[:2], True
+        yield "one direction", a, b, dirs[0], True
+
+    def test_cpu_count_follows_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert ops._cpu_count() == len(os.sched_getaffinity(0))
+        assert ops._cpu_count() >= 1
+
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_threads_give_the_same_bytes(self, monkeypatch, threads):
+        # the shares write disjoint rows of one array; a short switch
+        # interval makes a lost update between them likely to show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, a, b, dirs, gated in self.threaded_inputs():
+                support = ZonogonSupport(b)
+                monkeypatch.setattr(ops, "_cpu_count", lambda: 1)
+                serial = product_reach_many(a, support, dirs)
+                monkeypatch.setattr(ops, "_cpu_count", lambda: threads)
+                if gated:
+                    monkeypatch.setattr(ops, "_THREAD_GATE", 0)
+                assert product_reach_many(a, support, dirs).tobytes() == serial.tobytes(), name
+                monkeypatch.undo()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def count_thread_starts(monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return starts
+
+    def test_gate_keeps_small_calls_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(ops, "_cpu_count", lambda: 3)
+        starts = self.count_thread_starts(monkeypatch)
+        rng = case_rng(23, "test.product_reach.gate")
+        b = ZonogonSupport(rng.normal(size=(50, 2)))
+        dirs = unit_directions(rng, 512, 2)
+        below = ops._THREAD_GATE // 512 - 1
+        product_reach_many(rng.normal(size=(below, 2)), b, dirs)
+        assert starts == []
+        product_reach_many(rng.normal(size=(below + 2, 2)), b, dirs)
+        assert len(starts) == 2
+
+    def test_share_error_reaches_caller(self, monkeypatch):
+        class FailsOffMainThread(ZonogonSupport):
+            def extreme_vertices(self, slopes, flipped):
+                if threading.current_thread() is not threading.main_thread():
+                    raise ArithmeticError("share failed")
+                return super().extreme_vertices(slopes, flipped)
+
+        monkeypatch.setattr(ops, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(ops, "_THREAD_GATE", 0)
+        rng = case_rng(24, "test.product_reach.error")
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="share failed"):
+            product_reach_many(rng.normal(size=(30, 2)), FailsOffMainThread(rng.normal(size=(20, 2))),
+                               unit_directions(rng, 40, 2))
+        assert threading.active_count() == before
+        product_reach_many(rng.normal(size=(30, 2)), ZonogonSupport(rng.normal(size=(20, 2))),
+                           unit_directions(rng, 40, 2))
+        assert threading.active_count() == before
 
 
 class TestLorenzCurve:
