@@ -220,7 +220,7 @@ def _int_option(low: int, what: str):
 _OPTIONS = {
     "out": (("--out", "-o"), {"help": "output file (default stdout)"}),
     "tol": (("--tol",), {"type": float}),
-    "seed": (("--seed",), {"type": int}),
+    "seed": (("--seed",), {"type": _int_option(0, "nonnegative")}),
     "dirs": (("--dirs",), {"type": _int_option(0, "nonnegative")}),
     "mode": (("--mode",), {"choices": ("exact2d", "sampled")}),
     "delta": (("--delta",), {"type": float, "required": True}),

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -27,20 +26,14 @@ class SpherePartition:
     Each sign orthant face of the cross-polytope boundary is a simplex; it
     is subdivided by bucketing the first n-1 barycentric coordinates on a
     grid of ``resolution`` bins.  A cell key is the sign pattern plus the
-    bucket tuple.  Any two points of one cell are within ``diameter_bound``
-    of each other in 1-norm, and within ``delta`` of the cell
-    representative.
+    bucket tuple.  Any two points of one cell are within
+    min(delta, 2 (n - 1) / resolution) of each other in 1-norm (0 for
+    n = 1), and within ``delta`` of the cell representative.
     """
 
     dimension: int
     delta: float
     resolution: int
-
-    @property
-    def diameter_bound(self) -> float:
-        if self.dimension == 1:
-            return 0.0
-        return min(self.delta, 2.0 * (self.dimension - 1) / self.resolution)
 
     @property
     def cell_count(self) -> int:
@@ -78,28 +71,6 @@ class SpherePartition:
         y = np.hstack([head, tail])
         return np.asarray(signs, dtype=np.float64) * (y / y.sum(axis=1, keepdims=True))
 
-    def cells(self) -> Iterator[tuple[CellKey, np.ndarray]]:
-        """Materialize every (key, representative) pair."""
-        for signs in np.ndindex(*(2,) * self.dimension):
-            sign_tuple = tuple(1 if s else -1 for s in signs)
-            for buckets in _feasible_buckets(self.dimension - 1, self.resolution):
-                rep = self.representative_rows([sign_tuple], [buckets])[0]
-                yield (sign_tuple, buckets), rep
-
-
-def _feasible_buckets(d: int, r: int) -> Iterator[tuple[int, ...]]:
-    if d == 0:
-        yield ()
-        return
-    stack = [((), 0)]
-    while stack:
-        prefix, total = stack.pop()
-        if len(prefix) == d:
-            yield prefix
-            continue
-        for k in range(min(r - 1, r - total), -1, -1):
-            stack.append((prefix + (k,), total + k))
-
 
 def partition_sphere(n: int, delta: float) -> SpherePartition:
     """Partition with per-face grid resolution ``ceil(2 n / delta)``, which
@@ -122,34 +93,29 @@ class DiscretizationParams:
 
     delta: cell diameter of the sphere partition;
     reps: atom replication count N per nonempty cell;
-    bound_constant: cube half-width M containing every relevant skeleton;
     epsilon: the target approximation error.
     """
 
     delta: float
     reps: int
-    bound_constant: float
     epsilon: float
-
-    def satisfies_skeleton_constraint(self, n: int) -> bool:
-        """delta < epsilon / (4 n M), the skeleton-product stability regime."""
-        return self.delta < self.epsilon / (4.0 * n * self.bound_constant)
 
     def satisfies_reps_constraint(self, n: int, mass1: float, mass2: float) -> bool:
         """N^2 > 2 n mass1 mass2 / epsilon, the product replication regime."""
         return self.reps ** 2 > 2.0 * n * mass1 * mass2 / self.epsilon
 
 
-def product_params(
-    n: int, mass1: float, mass2: float, epsilon: float, bound_constant: float = 1.0
-) -> DiscretizationParams:
+def product_params(n: int, mass1: float, mass2: float, epsilon: float) -> DiscretizationParams:
     """Smallest convenient parameters meeting the product constraints."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    for name, mass in (("mass1", mass1), ("mass2", mass2)):
+        if not mass >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {mass}")
     masses = max(mass1 * mass2, np.finfo(float).tiny)
     delta = min(2.0, epsilon / (8.0 * masses))
     reps = int(np.floor(np.sqrt(2.0 * n * mass1 * mass2 / epsilon))) + 1
-    return DiscretizationParams(delta, reps, bound_constant, epsilon)
+    return DiscretizationParams(delta, reps, epsilon)
 
 
 def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeasure:
@@ -202,23 +168,9 @@ def product_error_bound(
 
 def skeleton_bound(n: int, bound_constant: float, delta: float) -> float:
     """Skeleton-product stability bound 4 n M delta."""
-    if n < 1 or bound_constant < 0 or delta < 0:
-        raise ValueError("skeleton bound needs n >= 1 and nonnegative M, delta")
+    if n < 1:
+        raise ValueError(f"skeleton bound needs n >= 1, got {n}")
+    for name, value in (("bound_constant", bound_constant), ("delta", delta)):
+        if not value >= 0:
+            raise ValueError(f"skeleton bound needs a nonnegative {name}, got {value}")
     return 4.0 * n * bound_constant * delta
-
-
-def slice_density(pd, slices_per_unit: int = 16) -> VectorMeasure:
-    """Uniformly slice a piecewise density into a fine discrete measure.
-
-    Each piece of length L becomes ceil(L * slices_per_unit) equal atoms
-    (L / count) * direction; the slicing is exact because the density is
-    constant on each piece.
-    """
-    if slices_per_unit < 1:
-        raise ValueError("slices_per_unit must be a positive integer")
-    rows = []
-    for length, direction in zip(pd.lengths, pd.directions):
-        count = max(1, int(np.ceil(length * slices_per_unit)))
-        rows.extend([(length / count) * direction] * count)
-    atoms = np.array(rows) if rows else np.zeros((0, pd.dimension))
-    return VectorMeasure(pd.dimension, atoms)

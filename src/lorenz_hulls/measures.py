@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -179,9 +179,6 @@ class PiecewiseDensityMeasure(_Value):
     def piece_count(self) -> int:
         return self.lengths.shape[0]
 
-    def total_length(self) -> float:
-        return float(self.lengths.sum())
-
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -236,33 +233,6 @@ def validate_complex(raw) -> ComplexVectorMeasure:
     if isinstance(raw, ComplexVectorMeasure):
         return raw
     return ComplexVectorMeasure(*_parsed_rows(raw, 2, "complex atom"))
-
-
-def complex_measure_from_atoms(dim: int, atoms: Iterable[Sequence[complex]]) -> ComplexVectorMeasure:
-    """Build a complex measure from rows of Python complex numbers."""
-    rows = []
-    for atom in atoms:
-        if len(atom) != dim:
-            raise DimensionMismatch(f"complex atom has arity {len(atom)}, expected {dim}")
-        row = []
-        for z in atom:
-            z = complex(z)
-            row.extend((z.real, z.imag))
-        rows.append(row)
-    return ComplexVectorMeasure(dim, np.array(rows, dtype=np.float64).reshape(len(rows), 2 * dim))
-
-
-def canonicalize(m: VectorMeasure) -> VectorMeasure:
-    """Drop exactly-zero atoms; they never affect hulls or skeletons."""
-    if m.atom_count == 0:
-        return m
-    keep = np.abs(m.atoms).sum(axis=1) != 0.0
-    if keep.all():
-        return m
-    labels = None
-    if m.labels is not None:
-        labels = tuple(l for l, k in zip(m.labels, keep) if k)
-    return VectorMeasure(m.dimension, m.atoms[keep], labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInHull
 from .hulls import contains_point, hull_of
-from .measures import PiecewiseDensityMeasure, VectorMeasure, _same_dimension
+from .measures import PiecewiseDensityMeasure, VectorMeasure
 
 
 @dataclass(frozen=True)
@@ -53,22 +53,6 @@ def density_reach_many(pd: PiecewiseDensityMeasure, directions) -> np.ndarray:
     if pd.piece_count == 0:
         return np.zeros(D.shape[0])
     return np.maximum(D @ pd.directions.T, 0.0) @ pd.lengths
-
-
-def density_reach(pd: PiecewiseDensityMeasure, direction) -> float:
-    return float(density_reach_many(pd, [direction])[0])
-
-
-def density_direct_sum(
-    a: PiecewiseDensityMeasure, b: PiecewiseDensityMeasure
-) -> PiecewiseDensityMeasure:
-    """Concatenate piece lists; ranges add in the Minkowski sense."""
-    _same_dimension("direct sum of densities with dimensions", a.dimension, b.dimension)
-    return PiecewiseDensityMeasure(
-        a.dimension,
-        np.concatenate([a.lengths, b.lengths]),
-        np.vstack([a.directions, b.directions]),
-    )
 
 
 def interval_realization(

@@ -183,6 +183,25 @@ class TestOptionSurface:
         assert captured.out == ""
         assert "argument --dirs: invalid nonnegative int value: '-1'" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["hull", "-i", "square"],
+        ["hull", "-i", "d3"],
+        ["include", "square", "double", "--mode", "exact2d"],
+        ["include", "square", "double", "--mode", "sampled"],
+        ["hausdorff", "square", "double"],
+        ["hausdorff", "d3", "d3"],
+        ["verify", "--suite", "gini"],
+    ])
+    def test_negative_seed_exit_2(self, files, capsys, argv):
+        # a usage error whether or not the route draws directions
+        argv = [files.get(arg, arg) for arg in argv]
+        assert main(argv + ["--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: invalid nonnegative int value: '-1'" in captured.err
+
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_workers_below_one_exit_2(self, capsys, value):
         # checked before any suite runs

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from lorenz_hulls import (
     DeltaOutOfRange,
     DimensionGuard,
     DiscretizationParams,
-    PiecewiseDensityMeasure,
     SizeGuard,
     VectorMeasure,
     discretize,
@@ -15,7 +17,6 @@ from lorenz_hulls import (
     product_error_bound,
     product_params,
     skeleton_bound,
-    slice_density,
     total_variation_mass,
 )
 from lorenz_hulls.sampling import case_rng
@@ -60,8 +61,6 @@ class TestPartition:
         part = partition_sphere(2, 0.5)
         assert part.resolution == 8
         assert part.cell_count == 32
-        # arcs have 1-norm length 2/resolution = 0.25
-        assert part.diameter_bound == pytest.approx(0.25)
 
     def test_representative_near_basis_vector(self):
         part = partition_sphere(3, 0.4)
@@ -107,10 +106,12 @@ class TestPartition:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("delta", [2.0, 1.3, 0.9, 0.6])
     def test_cells_enumeration_matches_count(self, n, delta):
+        # brute force: 2**n sign patterns times the bucket tuples in
+        # range(r)**(n-1) whose sum is at most r
         part = partition_sphere(n, delta)
-        listed = list(part.cells())
-        assert len(listed) == part.cell_count
-        assert len({key for key, _ in listed}) == len(listed)
+        r = part.resolution
+        buckets = sum(1 for b in itertools.product(range(r), repeat=n - 1) if sum(b) <= r)
+        assert part.cell_count == 2 ** n * buckets
 
     def test_representative_rows_match_per_key_formula(self):
         # reference: one key at a time, the bucket midpoints renormalized
@@ -220,11 +221,11 @@ class TestDiscretize:
 
 class TestBounds:
     def test_product_error_bound_arithmetic(self):
-        p = DiscretizationParams(delta=0.01, reps=10, bound_constant=1.0, epsilon=0.1)
+        p = DiscretizationParams(delta=0.01, reps=10, epsilon=0.1)
         assert product_error_bound(p, 1.0, 1.0, 2) == pytest.approx(0.04)
 
     def test_product_error_bound_vanishes(self):
-        p = DiscretizationParams(delta=1e-9, reps=10_000, bound_constant=1.0, epsilon=1.0)
+        p = DiscretizationParams(delta=1e-9, reps=10_000, epsilon=1.0)
         assert product_error_bound(p, 1.0, 1.0, 2) < 1e-7
         assert product_error_bound(p, 0.0, 1.0, 2) == 0.0
 
@@ -243,22 +244,33 @@ class TestBounds:
         assert params.satisfies_reps_constraint(2, 1.5, 1.2)
         assert params.delta < 0.25 / (4.0 * 1.5 * 1.2)
 
-    def test_skeleton_constraint(self):
-        p = DiscretizationParams(delta=0.01, reps=3, bound_constant=1.0, epsilon=0.5)
-        assert p.satisfies_skeleton_constraint(2)
-        assert not DiscretizationParams(0.1, 3, 1.0, 0.5).satisfies_skeleton_constraint(2)
+    @pytest.mark.parametrize("n, bound_constant, delta, name", [
+        (0, 1.0, 0.1, "n"),
+        (2, np.nan, 0.1, "bound_constant"),
+        (2, -1.0, 0.1, "bound_constant"),
+        (2, 1.0, np.nan, "delta"),
+        (2, 1.0, -0.1, "delta"),
+    ])
+    def test_skeleton_bound_rejects_nan_and_negative(self, n, bound_constant, delta, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"\b{name}\b.*, got"):
+                skeleton_bound(n, bound_constant, delta)
 
+    @pytest.mark.parametrize("mass1, mass2, epsilon, name", [
+        (1.0, 1.0, np.nan, "epsilon"),
+        (1.0, 1.0, 0.0, "epsilon"),
+        (1.0, 1.0, -0.5, "epsilon"),
+        (np.nan, 1.0, 0.1, "mass1"),
+        (-1.0, 1.0, 0.1, "mass1"),
+        (1.0, np.nan, 0.1, "mass2"),
+        (1.0, -0.5, 0.1, "mass2"),
+    ])
+    def test_product_params_rejects_nan_and_negative(self, mass1, mass2, epsilon, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                product_params(2, mass1, mass2, epsilon)
 
-class TestSliceDensity:
-    def test_uniform_slicing(self):
-        pd = PiecewiseDensityMeasure(2, [2.0], [[1.0, 0.0]])
-        m = slice_density(pd, slices_per_unit=4)
-        assert m.atom_count == 8
-        assert np.abs(m.atoms - np.array([0.25, 0.0])).max() == 0.0
-        assert total_variation_mass(m) == pytest.approx(2.0)
-
-    def test_fractional_piece(self):
-        pd = PiecewiseDensityMeasure(1, [0.3], [[2.0]])
-        m = slice_density(pd, slices_per_unit=10)
-        assert m.atom_count == 3
-        assert m.total()[0] == pytest.approx(0.6)
+    def test_product_params_accept_zero_mass(self):
+        assert product_params(2, 0.0, 1.0, 0.1) == DiscretizationParams(2.0, 1, 0.1)

@@ -17,10 +17,8 @@ from lorenz_hulls import (
     VectorMeasure,
     ZeroAtom,
     Zonotope,
-    canonicalize,
     complex_coordinate_product,
     complex_embed,
-    complex_measure_from_atoms,
     coordinate_product,
     direct_sum,
     interleaved_product,
@@ -32,6 +30,15 @@ from lorenz_hulls import (
     validate_complex,
 )
 from lorenz_hulls.sampling import case_rng
+
+
+def complex_measure(dim, rows):
+    """ComplexVectorMeasure of rows of Python complex numbers, interleaved
+    as (re, im) pairs."""
+    z = np.array(rows, dtype=complex).reshape(len(rows), dim)
+    interleaved = np.stack([z.real, z.imag], axis=-1).reshape(len(rows), 2 * dim)
+    return ComplexVectorMeasure(dim, interleaved)
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64,
                           min_value=-1e12, max_value=1e12)
@@ -214,44 +221,32 @@ class TestCoordinateProduct:
         )
 
 
-class TestCanonicalize:
-    def test_drops_zero_atoms(self):
-        m = VectorMeasure(2, [[1, 0], [0, 0], [0, 1]], labels=("a", "b", "c"))
-        c = canonicalize(m)
-        assert c.atoms.tolist() == [[1, 0], [0, 1]]
-        assert c.labels == ("a", "c")
-
-    def test_noop_when_clean(self):
-        m = VectorMeasure(2, [[1, 0]])
-        assert canonicalize(m) is m
-
-
 class TestComplex:
     def test_embedding_interleaves(self):
-        c = complex_measure_from_atoms(2, [[3 - 4j, 1j]])
+        c = complex_measure(2, [[3 - 4j, 1j]])
         assert complex_embed(c).atoms.tolist() == [[3, -4, 0, 1]]
 
     def test_embedding_single(self):
-        c = complex_measure_from_atoms(1, [[1 + 2j]])
+        c = complex_measure(1, [[1 + 2j]])
         assert complex_embed(c).atoms.tolist() == [[1, 2]]
         assert complex_embed(c).dimension == 2
 
     def test_zero_atom(self):
-        c = complex_measure_from_atoms(3, [[0j, 0j, 0j]])
+        c = complex_measure(3, [[0j, 0j, 0j]])
         assert complex_embed(c).atoms.tolist() == [[0.0] * 6]
 
     def test_product_matches_complex_multiplication(self):
-        a = complex_measure_from_atoms(1, [[1 + 2j]])
-        b = complex_measure_from_atoms(1, [[3 + 4j]])
+        a = complex_measure(1, [[1 + 2j]])
+        b = complex_measure(1, [[3 + 4j]])
         assert complex_coordinate_product(a, b).atoms.tolist() == [[-5, 10]]
 
     def test_unit_identity(self):
-        a = complex_measure_from_atoms(2, [[2 + 3j, -1j]])
-        one = complex_measure_from_atoms(2, [[1 + 0j, 1 + 0j]])
+        a = complex_measure(2, [[2 + 3j, -1j]])
+        one = complex_measure(2, [[1 + 0j, 1 + 0j]])
         assert complex_coordinate_product(a, one).atoms.tolist() == a.atoms.tolist()
 
     def test_i_squared(self):
-        i = complex_measure_from_atoms(1, [[1j]])
+        i = complex_measure(1, [[1j]])
         assert complex_coordinate_product(i, i).atoms.tolist() == [[-1, 0]]
         assert interleaved_product([0.0, 1.0], [0.0, 1.0]).tolist() == [-1, 0]
 
@@ -272,7 +267,7 @@ class TestSerialization:
         assert back == m
 
     def test_complex_round_trip(self):
-        c = complex_measure_from_atoms(1, [[0.1 + 0.3j]])
+        c = complex_measure(1, [[0.1 + 0.3j]])
         back = measure_from_json_dict(json.loads(json.dumps(measure_to_json_dict(c))))
         assert back == c
 

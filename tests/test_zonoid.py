@@ -4,12 +4,9 @@ import pytest
 from lorenz_hulls import (
     NonFiniteValue,
     NotInHull,
-    PiecewiseDensityMeasure,
     VectorMeasure,
     achieve,
     certificate_to_json_dict,
-    density_direct_sum,
-    density_reach,
     density_reach_many,
     hull_of,
     interval_realization,
@@ -29,7 +26,7 @@ class TestToDensity:
     def test_two_atoms(self):
         pd = to_density(VectorMeasure(2, [[1, 0], [0, 1]]))
         assert pd.piece_count == 2
-        assert pd.total_length() == 2.0
+        assert pd.lengths.tolist() == [1.0, 1.0]
 
     def test_zero_measure(self):
         assert to_density(VectorMeasure(3, [])).piece_count == 0
@@ -48,13 +45,6 @@ class TestToDensity:
                 density_reach_many(to_density(m), dirs),
                 reach_many(hull_of(m), dirs),
             )
-
-    def test_direct_sum_concatenates(self):
-        a = to_density(VectorMeasure(2, [[1, 0]]))
-        b = PiecewiseDensityMeasure(2, [0.5], [[0, 2]])
-        s = density_direct_sum(a, b)
-        assert s.piece_count == 2
-        assert density_reach(s, [1, 1]) == pytest.approx(2.0)
 
 
 class TestAchieve:
