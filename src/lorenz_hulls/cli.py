@@ -229,7 +229,7 @@ _OPTIONS = {
     "suite": (("--suite",), {}),
     "scale": (("--scale",), {"choices": ("small", "full")}),
     "workers": (("--workers",), {"type": _int_option(1, "positive"),
-                                 "help": "worker processes (default LORENZ_THREADS or 1)"}),
+                                 "help": "worker processes (default 1)"}),
 }
 
 # command -> (handler, help, measure files in load order, {option: default});
@@ -252,7 +252,7 @@ _COMMANDS = {
                 {"out": None, "target": None, "tol": 1e-9}),
     "skeleton": (_cmd_skeleton, "subset-sum point CSV", ("input",), {"out": None}),
     "verify": (_cmd_verify, "run seeded property suites", (),
-               {"suite": "all", "seed": 0, "scale": "small", "workers": None, "out": None}),
+               {"suite": "all", "seed": 0, "scale": "small", "workers": 1, "out": None}),
 }
 
 

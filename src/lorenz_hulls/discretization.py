@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 
 from .errors import DeltaOutOfRange, DimensionGuard, DimensionMismatch, SizeGuard
-from .measures import VectorMeasure
+from .measures import VectorMeasure, _rows, _same_dimension
 from .sampling import DIRECTION_COORDINATE_LIMIT
 
 PARTITION_DIMENSION_LIMIT = 6
@@ -49,11 +49,7 @@ class SpherePartition:
 
     def _cell_rows(self, points) -> tuple[np.ndarray, np.ndarray]:
         """The two parts of the cell keys of ``points`` as integer arrays."""
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if x.shape[1] != self.dimension:
-            raise DimensionMismatch(
-                f"points of length {x.shape[1]} against dimension {self.dimension}"
-            )
+        x = _rows(np.atleast_2d(points), self.dimension, "points")
         norms = np.abs(x).sum(axis=1, keepdims=True)
         if (norms == 0).any():
             raise DimensionMismatch("zero vectors have no partition cell")
@@ -110,11 +106,15 @@ def product_params(n: int, mass1: float, mass2: float, epsilon: float) -> Discre
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     for name, mass in (("mass1", mass1), ("mass2", mass2)):
-        if not mass >= 0:
-            raise ValueError(f"{name} must be nonnegative, got {mass}")
+        if not 0 <= mass < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {mass}")
+    reps_squared = 2.0 * n * mass1 * mass2 / epsilon
+    if not reps_squared < np.inf:
+        raise ValueError(f"epsilon must be large enough that 2 n mass1 mass2 / epsilon "
+                         f"is finite, got {epsilon} for masses {mass1} and {mass2}")
     masses = max(mass1 * mass2, np.finfo(float).tiny)
     delta = min(2.0, epsilon / (8.0 * masses))
-    reps = int(np.floor(np.sqrt(2.0 * n * mass1 * mass2 / epsilon))) + 1
+    reps = int(np.floor(np.sqrt(reps_squared))) + 1
     return DiscretizationParams(delta, reps, epsilon)
 
 
@@ -130,11 +130,7 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     output is allocated when its cells x reps x n coordinates exceed
     ``sampling.DIRECTION_COORDINATE_LIMIT``.
     """
-    if m.dimension != part.dimension:
-        raise DimensionMismatch(
-            f"measure dimension {m.dimension} against partition dimension "
-            f"{part.dimension}"
-        )
+    _same_dimension("measure and partition of dimensions", m.dimension, part.dimension)
     if reps < 1:
         raise ValueError("replication count must be a positive integer")
     norms = np.abs(m.atoms).sum(axis=1)

@@ -17,14 +17,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     DimensionTooLarge,
     Exact2dOnPlaneOnly,
-    NonFiniteValue,
     SizeGuard,
     TooManyAtoms,
 )
-from .measures import VectorMeasure, _frozen_rows, _same_dimension, _Value
+from .measures import VectorMeasure, _frozen_rows, _rows, _same_dimension, _Value
 from .sampling import DIRECTION_COORDINATE_LIMIT, case_rng, sign_vectors, unit_directions
 
 SKELETON_ATOM_LIMIT = 20
@@ -145,11 +143,7 @@ def hull_of(m: VectorMeasure) -> Zonotope:
 
 def reach(z: Zonotope, direction) -> float:
     """Support value sup{<d, x> : x in hull} = sum_i max(0, <d, g_i>)."""
-    d = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if d.shape[0] != z.dimension:
-        raise DimensionMismatch(
-            f"direction of length {d.shape[0]} against dimension {z.dimension}"
-        )
+    d = _rows(np.reshape(direction, (1, -1)), z.dimension, "direction")[0]
     if z.generator_count == 0:
         return 0.0
     return float(np.maximum(z.generators @ d, 0.0).sum())
@@ -162,11 +156,7 @@ def reach_many(z: Zonotope, directions) -> np.ndarray:
     O((m + k) log m), each row on its own.  Other dimensions evaluate the
     closed form in blocks of ~``_BLOCK`` dot products, O(k m).
     """
-    D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    if D.shape[1] != z.dimension:
-        raise DimensionMismatch(
-            f"directions of length {D.shape[1]} against dimension {z.dimension}"
-        )
+    D = _rows(np.atleast_2d(directions), z.dimension, "directions")
     m = z.generator_count
     if m == 0:
         return np.zeros(D.shape[0])
@@ -213,8 +203,7 @@ def _sorted_generators_2d(generators: np.ndarray):
     (accumulating the flip offset) and sorts them stably by angle.  Returns
     ``(g, angles, offset)`` with ``angles`` nondecreasing in [0, pi).
     """
-    g = np.asarray(generators, dtype=np.float64).reshape(-1, 2)
-    g = g[np.abs(g).sum(axis=1) > 0.0]
+    g = generators[np.abs(generators).sum(axis=1) > 0.0]
     flip = (g[:, 1] < 0) | ((g[:, 1] == 0) & (g[:, 0] < 0))
     offset = g[flip].sum(axis=0) if flip.any() else np.zeros(2)
     g = np.where(flip[:, None], -g, g)
@@ -274,7 +263,7 @@ def area_2d(z: Zonotope) -> float:
 
 def shoelace_area(vertices: np.ndarray) -> float:
     """Polygon area by the shoelace formula (oracle for :func:`area_2d`)."""
-    v = np.asarray(vertices, dtype=np.float64).reshape(-1, 2)
+    v = _rows(vertices, 2, "vertices")
     if v.shape[0] < 3:
         return 0.0
     x, y = v[:, 0], v[:, 1]
@@ -314,7 +303,7 @@ class ZonogonSupport:
     """
 
     def __init__(self, generators) -> None:
-        g, _, offset = _sorted_generators_2d(generators)
+        g, _, offset = _sorted_generators_2d(_rows(generators, 2, "generators"))
         keys = np.full(g.shape[0], -np.inf)
         with np.errstate(over="ignore"):
             np.divide(-g[:, 0], g[:, 1], out=keys, where=g[:, 1] > 0.0)
@@ -330,7 +319,7 @@ class ZonogonSupport:
         q_1 = +-0.0 (slopes +-inf, or NaN for the zero query, which any
         vertex answers with 0) and subnormal q_1 without a special case.
         """
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        q = _rows(np.atleast_2d(queries), 2, "queries")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             j = np.searchsorted(self.slope_keys, q[:, 1] / q[:, 0])
         j[np.signbit(q[:, 0])] += self.slope_keys.shape[0]
@@ -387,6 +376,7 @@ def separating_direction(z: Zonotope, p: np.ndarray):
     the 1-norm distance from ``p`` to the zonotope.  :func:`contains_point`
     solves it only when the dual of its distance LP fails the re-check.
     """
+    p = _rows(np.reshape(p, (1, -1)), z.dimension, "point")[0]
     m, n = z.generator_count, z.dimension
     e = _lp_exponent(z, p)
     c = np.concatenate([-np.ldexp(p, -e), np.ones(m)])
@@ -411,13 +401,7 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     it returns the LP's dual d, re-checked for <d, p> > reach(z, d) + tol
     (failing that, the direction of :func:`separating_direction`).
     """
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if p.shape[0] != z.dimension:
-        raise DimensionMismatch(
-            f"point of length {p.shape[0]} against dimension {z.dimension}"
-        )
-    if not np.isfinite(p).all():
-        raise NonFiniteValue("point contains a NaN or infinite coordinate")
+    p = _rows(np.reshape(point, (1, -1)), z.dimension, "point")[0]
     _check_tol(tol)
     m = z.generator_count
     # 0 and the generator total are always in the hull; keep their canonical
@@ -525,8 +509,9 @@ def hausdorff_convex(
       the cube surface ||u||_inf = 1, at most
       sum_{k < n} C(M, k) C(n, k) 2^(n - k) of them;
     - past ``sampling.DIRECTION_COORDINATE_LIMIT`` coordinates of those
-      (checked before allocating): sampled over sign vectors plus seeded
-      directions, reported as mode "sampled" (a lower bound).
+      (checked before allocating): sampled over the 2^n sign vectors plus
+      ``dirs`` seeded directions (above n = 16 over the seeded directions
+      only), reported as mode "sampled" (a lower bound).
     """
     _same_dimension("Hausdorff across dimensions", z1.dimension, z2.dimension)
     n = z1.dimension

@@ -22,13 +22,35 @@ from .errors import (
 )
 
 
-def _frozen_rows(values, width: int, what: str) -> np.ndarray:
-    """Validated read-only float64 array of rows of length ``width``.
+def _rows(values, width: int, what: str, *, mass: bool = False) -> np.ndarray:
+    """The one array check: ``values`` as a float64 array of rows of length
+    ``width`` with finite coordinates.
 
-    Raises DimensionMismatch when ``width`` is not positive or the rows have
-    another length, and NonFiniteValue on a NaN or infinite coordinate or a
-    total 1-norm mass that overflows.  An empty input becomes the empty
-    ``(0, width)`` array.  An ndarray input is copied, not frozen in place.
+    Raises DimensionMismatch unless the input is 2-D with ``width`` columns,
+    and NonFiniteValue on a NaN or infinite coordinate, or, with ``mass``,
+    on a total 1-norm mass of all rows that overflows.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != width:
+        got = f"length {a.shape[1]}" if a.ndim == 2 else f"shape {a.shape}"
+        raise DimensionMismatch(f"{what} of {got} against dimension {width}")
+    # one max/min pass: NaN fails the bound, and below it the summed 1-norm
+    # mass cannot overflow
+    peak = max(a.max(), -a.min()) if a.size else 0.0
+    if not peak <= np.finfo(np.float64).max / (2 * a.size or 1):
+        if not np.isfinite(a).all():
+            raise NonFiniteValue(f"{what} contains a NaN or infinite coordinate")
+        with np.errstate(over="ignore"):
+            if mass and not np.isfinite(np.abs(a).sum()):
+                raise NonFiniteValue(f"{what} has a total 1-norm mass that overflows")
+    return a
+
+
+def _frozen_rows(values, width: int, what: str) -> np.ndarray:
+    """Validated read-only :func:`_rows` array whose total 1-norm mass is
+    finite.  DimensionMismatch also when ``width`` is not positive.  An
+    empty input becomes the empty ``(0, width)`` array.  An ndarray input is
+    copied, not frozen in place.
     """
     if width < 1:
         raise DimensionMismatch("dimension must be a positive integer")
@@ -37,19 +59,7 @@ def _frozen_rows(values, width: int, what: str) -> np.ndarray:
         a = a.copy()  # freezing below must leave the caller's array writable
     if a.size == 0:
         a = a.reshape(0, width)
-    if a.ndim != 2 or a.shape[1] != width:
-        raise DimensionMismatch(
-            f"{what} of shape {a.shape} does not have width {width}"
-        )
-    # NaN fails the bound, and below it the summed 1-norm mass cannot overflow
-    peak = max(a.max(), -a.min()) if a.size else 0.0
-    if not peak <= np.finfo(np.float64).max / (2 * a.size or 1):
-        if not np.isfinite(a).all():
-            raise NonFiniteValue(f"{what} contains a NaN or infinite coordinate")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.abs(a).sum()):
-                raise NonFiniteValue(f"{what} has a total 1-norm mass that overflows")
-    a = np.ascontiguousarray(a)
+    a = np.ascontiguousarray(_rows(a, width, what, mass=True))
     a.flags.writeable = False
     return a
 

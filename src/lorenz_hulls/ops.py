@@ -31,7 +31,7 @@ from .hulls import (
     within_tolerance,
     zonogon_vertices,
 )
-from .measures import VectorMeasure, _same_dimension, coordinate_product
+from .measures import VectorMeasure, _rows, _same_dimension, coordinate_product
 from .sampling import case_rng, sign_vectors, unit_directions
 
 SKELETON_PRODUCT_ATOM_LIMIT = 20
@@ -269,8 +269,8 @@ def product_reach_many(
     exception reaches the caller.  Since each row is computed alone, the
     result has the same bytes at any thread count.
     """
-    atoms = np.asarray(factor_atoms, dtype=np.float64).reshape(-1, 2)
-    D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    atoms = _rows(factor_atoms, 2, "factor atoms")
+    D = _rows(np.atleast_2d(directions), 2, "directions")
     u1, u2 = D[:, 0], D[:, 1]
     a1 = atoms[:, 0]
     moving = atoms[a1 != 0.0]

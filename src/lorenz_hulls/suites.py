@@ -23,11 +23,9 @@ worker processes that :func:`run_suites` spreads the suites over.
 from __future__ import annotations
 
 import json
-import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -854,15 +852,6 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
 )}
 
 
-def default_workers() -> int:
-    raw = os.environ.get("LORENZ_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def _run_one(name: str, seed: int, scale: str) -> SuiteReport:
     """Run the suite ``name``; module level, so a worker process can call it."""
     return SUITES[name](seed, scale)
@@ -872,7 +861,7 @@ def run_suites(
     names: list[str],
     seed: int = 0,
     scale: str = "small",
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> list[SuiteReport]:
     """Run the named suites, or every suite for the name "all", sharded
     across worker processes, in registry order.
@@ -890,7 +879,6 @@ def run_suites(
                 f"unknown suite {name!r}; pick one of {', '.join(SUITES)} or all"
             )
     ordered = [name for name in SUITES if "all" in names or name in names]
-    workers = workers if workers is not None else default_workers()
     if workers <= 1 or len(ordered) <= 1:
         return [_run_one(name, seed, scale) for name in ordered]
     from concurrent.futures import ProcessPoolExecutor

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInHull
 from .hulls import contains_point, hull_of
-from .measures import PiecewiseDensityMeasure, VectorMeasure
+from .measures import PiecewiseDensityMeasure, VectorMeasure, _rows
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,7 @@ def to_density(m: VectorMeasure) -> PiecewiseDensityMeasure:
 
 def density_reach_many(pd: PiecewiseDensityMeasure, directions) -> np.ndarray:
     """Support integral of the density range: sum_i len_i max(0, <d, f_i>)."""
-    D = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    if D.shape[1] != pd.dimension:
-        raise DimensionMismatch(
-            f"directions of length {D.shape[1]} against dimension {pd.dimension}"
-        )
+    D = _rows(np.atleast_2d(directions), pd.dimension, "directions")
     if pd.piece_count == 0:
         return np.zeros(D.shape[0])
     return np.maximum(D @ pd.directions.T, 0.0) @ pd.lengths
@@ -68,7 +64,7 @@ def interval_realization(
         raise DimensionMismatch(
             f"{lam.shape[0]} coefficients for {m.atom_count} atoms"
         )
-    if lam.size and (lam.min() < -1e-12 or lam.max() > 1.0 + 1e-12):
+    if lam.size and not (lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12):
         raise ValueError("coefficients must lie in [0, 1]")
     lam = np.clip(lam, 0.0, 1.0)
     nonzero = np.abs(m.atoms).sum(axis=1) > 0.0
@@ -79,7 +75,8 @@ def interval_realization(
     point = lam @ m.atoms if m.atom_count else np.zeros(m.dimension)
     residual = 0.0
     if target is not None:
-        residual = float(np.abs(point - np.asarray(target, dtype=np.float64)).sum())
+        target = _rows(np.reshape(target, (1, -1)), m.dimension, "target")[0]
+        residual = float(np.abs(point - target).sum())
     return AchievementCertificate(lam, tuple(intervals), residual)
 
 
@@ -91,11 +88,7 @@ def achieve(m: VectorMeasure, target, tol: float = 1e-9) -> AchievementCertifica
     atoms receive coefficient zero).  Raises :class:`NotInHull` with the
     separating witness when the target is outside.
     """
-    p = np.asarray(target, dtype=np.float64).reshape(-1)
-    if p.shape[0] != m.dimension:
-        raise DimensionMismatch(
-            f"target of length {p.shape[0]} against dimension {m.dimension}"
-        )
+    p = _rows(np.reshape(target, (1, -1)), m.dimension, "target")[0]
     hull = hull_of(m)
     verdict = contains_point(hull, p, tol=tol)
     if not verdict.inside:

@@ -6,7 +6,6 @@ the captured output).  Each criterion runs its row of the
 with stated runtime budgets assert them here.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -66,13 +65,11 @@ def test_criterion_09_complex_consistency():
     _run("9 (complex consistency)", suites.SUITES["complex"])
 
 
-def _verify_all(threads: str) -> bytes:
-    env = dict(os.environ, LORENZ_THREADS=threads)
+def _verify_all(workers: str) -> bytes:
     proc = subprocess.run(
         [sys.executable, "-m", "lorenz_hulls.cli", "verify", "--suite", "all",
-         "--seed", "7"],
+         "--seed", "7", "--workers", workers],
         capture_output=True,
-        env=env,
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()

@@ -393,7 +393,7 @@ class TestAchieveCommand:
         assert main(["achieve", "-i", files["square"], f"--target={target}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: point contains a NaN or infinite coordinate\n"
+        assert captured.err == "error: target contains a NaN or infinite coordinate\n"
 
     def test_bad_tol_exit_2(self, files, capsys):
         assert main(["achieve", "-i", files["square"], "--target=0.5,0.5", "--tol=nan"]) == 2

@@ -265,6 +265,9 @@ class TestBounds:
         (-1.0, 1.0, 0.1, "mass1"),
         (1.0, np.nan, 0.1, "mass2"),
         (1.0, -0.5, 0.1, "mass2"),
+        (np.inf, 1.0, 0.1, "mass1"),
+        (1.0, -np.inf, 0.1, "mass2"),
+        (1e300, 1e300, 1e-300, "epsilon"),
     ])
     def test_product_params_rejects_nan_and_negative(self, mass1, mass2, epsilon, name):
         with warnings.catch_warnings():

@@ -29,6 +29,7 @@ from lorenz_hulls import (
     validate,
     validate_complex,
 )
+import lorenz_hulls as lh
 from lorenz_hulls.sampling import case_rng
 
 
@@ -351,3 +352,49 @@ class TestValueSemantics:
             assert hash(back) == hash(a)
             arrays = [v for v in vars(back).values() if isinstance(v, np.ndarray)]
             assert arrays and not any(v.flags.writeable for v in arrays)
+
+
+# every public entry point that takes a raw array: (name, what, width, call);
+# ``call`` takes a (2, width) array, and single-vector entries read its row 0
+_SQUARE = VectorMeasure(2, [[1.0, 0.0], [0.0, 1.0]])
+_SQUARE_HULL = Zonotope(2, _SQUARE.atoms)
+_ENTRY_POINTS = [
+    ("reach", "direction", 2, lambda a: lh.reach(_SQUARE_HULL, a[0])),
+    ("reach_many", "directions", 2, lambda a: lh.reach_many(_SQUARE_HULL, a)),
+    ("reach_many_3d", "directions", 3,
+     lambda a: lh.reach_many(Zonotope(3, np.eye(3)), a)),
+    ("contains_point", "point", 2, lambda a: lh.contains_point(_SQUARE_HULL, a[0])),
+    ("separating_direction", "point", 2,
+     lambda a: lh.separating_direction(_SQUARE_HULL, a[0])),
+    ("density_reach_many", "directions", 2,
+     lambda a: lh.density_reach_many(lh.to_density(_SQUARE), a)),
+    ("achieve", "target", 2, lambda a: lh.achieve(_SQUARE, a[0])),
+    ("interval_realization", "target", 2,
+     lambda a: lh.interval_realization(_SQUARE, [0.5, 0.5], target=a[0])),
+    ("cell_of", "points", 2, lambda a: lh.partition_sphere(2, 0.5).cell_of(a)),
+    ("ZonogonSupport", "generators", 2, lambda a: lh.ZonogonSupport(a)),
+    ("ZonogonSupport.eval", "queries", 2,
+     lambda a: lh.ZonogonSupport(_SQUARE.atoms).eval(a)),
+    ("shoelace_area", "vertices", 2, lambda a: lh.shoelace_area(a)),
+    ("product_reach_many_atoms", "factor atoms", 2,
+     lambda a: lh.product_reach_many(a, lh.ZonogonSupport(_SQUARE.atoms), np.eye(2))),
+    ("product_reach_many_directions", "directions", 2,
+     lambda a: lh.product_reach_many(_SQUARE.atoms, lh.ZonogonSupport(_SQUARE.atoms), a)),
+    ("Zonotope", "generator array", 2, lambda a: Zonotope(2, a)),
+    ("VectorMeasure", "atom array", 3, lambda a: VectorMeasure(3, a)),
+]
+
+
+@pytest.mark.parametrize(
+    "what, width, call", [row[1:] for row in _ENTRY_POINTS], ids=[row[0] for row in _ENTRY_POINTS]
+)
+def test_array_check_at_every_entry_point(what, width, call):
+    call(np.full((2, width), 0.5))
+    wide = f"^{what} of length {width + 1} against dimension {width}$"
+    with pytest.raises(DimensionMismatch, match=wide):
+        call(np.full((2, width + 1), 0.5))
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.full((2, width), 0.5)
+        rows[0, -1] = bad
+        with pytest.raises(NonFiniteValue, match=f"^{what} contains a NaN or infinite coordinate$"):
+            call(rows)

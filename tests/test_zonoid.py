@@ -139,6 +139,12 @@ class TestIntervalRealization:
         with pytest.raises(ValueError):
             interval_realization(VectorMeasure(2, [[1, 0]]), [1.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        m = VectorMeasure(2, [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match=r"^coefficients must lie in \[0, 1\]$"):
+            interval_realization(m, [bad, 0.5])
+
     def test_json_payload(self):
         cert = interval_realization(VectorMeasure(2, [[1, 0]]), [0.5])
         payload = certificate_to_json_dict(cert)
