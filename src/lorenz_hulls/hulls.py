@@ -144,8 +144,6 @@ def hull_of(m: VectorMeasure) -> Zonotope:
 def reach(z: Zonotope, direction) -> float:
     """Support value sup{<d, x> : x in hull} = sum_i max(0, <d, g_i>)."""
     d = _rows(np.reshape(direction, (1, -1)), z.dimension, "direction")[0]
-    if z.generator_count == 0:
-        return 0.0
     return float(np.maximum(z.generators @ d, 0.0).sum())
 
 
@@ -154,7 +152,8 @@ def reach_many(z: Zonotope, directions) -> np.ndarray:
 
     In the plane the k rows are answered by :class:`ZonogonSupport` in
     O((m + k) log m), each row on its own.  Other dimensions evaluate the
-    closed form in blocks of ~``_BLOCK`` dot products, O(k m).
+    closed form in blocks of ~``_BLOCK`` dot products, O(k m), whose BLAS
+    kernel depends on the batch shape, and so may a row's last bits.
     """
     D = _rows(np.atleast_2d(directions), z.dimension, "directions")
     m = z.generator_count
@@ -218,9 +217,7 @@ def _merge_sorted_2d(g: np.ndarray, ang: np.ndarray):
     if g.shape[0] == 0:
         return np.zeros((0, 2))
     starts = np.concatenate([[0], np.nonzero(np.diff(ang) > 1e-12)[0] + 1])
-    merged = np.add.reduceat(g, starts, axis=0)
-    # merging exactly opposite rounding noise could produce a zero group
-    return merged[np.abs(merged).sum(axis=1) > 0.0]
+    return np.add.reduceat(g, starts, axis=0)
 
 
 def _merged_generators_2d(generators: np.ndarray):
@@ -299,7 +296,7 @@ class ZonogonSupport:
     Construction costs O(m log m) and a batch of k queries O(k log m).
     ``reach_many`` in the plane, and through it the exact planar inclusion
     and Hausdorff distance, and ``product_reach_many`` all evaluate support
-    through this class.
+    through this class, axis queries included, by :meth:`extreme_vertices`.
     """
 
     def __init__(self, generators) -> None:
@@ -321,14 +318,13 @@ class ZonogonSupport:
         """
         q = _rows(np.atleast_2d(queries), 2, "queries")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            j = np.searchsorted(self.slope_keys, q[:, 1] / q[:, 0])
-        j[np.signbit(q[:, 0])] += self.slope_keys.shape[0]
-        return np.take(self._walk_x, j) * q[:, 0] + np.take(self._walk_y, j) * q[:, 1]
+            x, y = self.extreme_vertices(q[:, 1] / q[:, 0], np.signbit(q[:, 0]))
+        return x * q[:, 0] + y * q[:, 1]
 
-    def extreme_vertices(self, slopes: np.ndarray, flipped: slice):
+    def extreme_vertices(self, slopes: np.ndarray, flipped):
         """Coordinates ``(x, y)`` of an extreme vertex for each query q in
-        the (k, m) array of slopes q_2 / q_1, where q_1 > 0 except in the
-        columns ``flipped``, where q_1 < 0.
+        the array of slopes q_2 / q_1, where q_1 has its sign bit clear
+        except at ``flipped``, a slice or mask of the last axis.
 
         The generators before ``searchsorted(slope_keys, q_2 / q_1)`` are
         those with <q, g> > 0 when q_1 > 0, so that vertex is extreme; when
@@ -336,7 +332,7 @@ class ZonogonSupport:
         the one M further on, on the return half of the walk.
         """
         j = np.searchsorted(self.slope_keys, slopes)
-        j[:, flipped] += self.slope_keys.shape[0]
+        j[..., flipped] += self.slope_keys.shape[0]
         return np.take(self._walk_x, j), np.take(self._walk_y, j)
 
 
@@ -376,7 +372,7 @@ def separating_direction(z: Zonotope, p: np.ndarray):
     the 1-norm distance from ``p`` to the zonotope.  :func:`contains_point`
     solves it only when the dual of its distance LP fails the re-check.
     """
-    p = _rows(np.reshape(p, (1, -1)), z.dimension, "point")[0]
+    p = _rows(np.reshape(p, (1, -1)), z.dimension, "point", mass=True)[0]
     m, n = z.generator_count, z.dimension
     e = _lp_exponent(z, p)
     c = np.concatenate([-np.ldexp(p, -e), np.ones(m)])
@@ -401,7 +397,7 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     it returns the LP's dual d, re-checked for <d, p> > reach(z, d) + tol
     (failing that, the direction of :func:`separating_direction`).
     """
-    p = _rows(np.reshape(point, (1, -1)), z.dimension, "point")[0]
+    p = _rows(np.reshape(point, (1, -1)), z.dimension, "point", mass=True)[0]
     _check_tol(tol)
     m = z.generator_count
     # 0 and the generator total are always in the hull; keep their canonical

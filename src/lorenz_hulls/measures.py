@@ -268,8 +268,7 @@ def rn_direction(m: VectorMeasure, i: int) -> np.ndarray:
 def direct_sum(a: VectorMeasure, b: VectorMeasure) -> VectorMeasure:
     """Measure on the disjoint union of ground sets: atom concatenation."""
     _same_dimension("direct sum of dimensions", a.dimension, b.dimension)
-    atoms = np.vstack([a.atoms, b.atoms]) if (a.atom_count or b.atom_count) \
-        else a.atoms
+    atoms = np.vstack([a.atoms, b.atoms])
     labels = None
     if a.labels is not None or b.labels is not None:
         left = a.labels or tuple(str(i) for i in range(a.atom_count))

@@ -53,8 +53,7 @@ def lorenz_product(h1: Zonotope, h2: Zonotope) -> Zonotope:
     prod = (h1.generators[:, None, :] * h2.generators[None, :, :]).reshape(
         -1, h1.dimension
     )
-    if prod.shape[0]:
-        prod = prod[np.abs(prod).sum(axis=1) > 0.0]
+    prod = prod[np.abs(prod).sum(axis=1) > 0.0]
     return Zonotope(h1.dimension, prod)
 
 
@@ -77,8 +76,6 @@ def identity_hull(n: int) -> Zonotope:
 
 def _canonical_polygon(vertices: np.ndarray) -> np.ndarray:
     """Rotate a closed vertex cycle to start at its lexicographic minimum."""
-    if vertices.shape[0] <= 1:
-        return vertices
     start = int(np.lexsort((vertices[:, 1], vertices[:, 0]))[0])
     return np.roll(vertices, -start, axis=0)
 
@@ -215,19 +212,6 @@ def skeleton_product(m1: VectorMeasure, m2: VectorMeasure) -> SkeletonPointSet:
     return skeleton_points(coordinate_product(m1, m2))
 
 
-_AXES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-
-
-def _axis_reach(x: np.ndarray, w: np.ndarray, up: float, down: float) -> np.ndarray:
-    """sum_i h(x * w_i * e) for scalars x, by positive homogeneity from
-    ``up = h(e)`` and ``down = h(-e)``."""
-    pos = np.maximum(w, 0.0).sum()
-    neg = np.maximum(-w, 0.0).sum()
-    return np.maximum(x, 0.0) * (pos * up + neg * down) + np.maximum(-x, 0.0) * (
-        pos * down + neg * up
-    )
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask, else all of them."""
     try:
@@ -248,14 +232,16 @@ def product_reach_many(
 
     For direction u the product support is sum_i h_B(u * a_i) over the
     atoms a_i of the first factor (componentwise scaling), so the product's
-    generators are never materialized.  The atoms with a_1 != 0 are split
-    by the sign of a_1 and each part is sorted once by rho = a_2 / a_1.  The
-    query u * a_i has slope (u_2 / u_1) * rho_i, so one ``searchsorted`` of
-    these sorted slopes into the slope keys of ``other_support`` finds
-    every extreme vertex (``ZonogonSupport.extreme_vertices``), and the sum
-    is u_1 * sum_i a_i1 x_j + u_2 * sum_i a_i2 y_j over those vertices.
-    Atoms with a_1 = 0 and directions on an axis (or with u_2 / u_1 out of
-    range) follow in closed form from h_B(+-e_1) and h_B(+-e_2).
+    generators are never materialized.  The atoms are split by the sign bit
+    of a_1 and each part is sorted once by rho = a_2 / a_1 (+-inf where
+    a_1 = +-0, NaN for the zero atom).  The query u * a_i has slope
+    (u_2 / u_1) * rho_i, which is +-0, +-inf or NaN exactly where its
+    q_2 / q_1 is, and q_1 has its sign bit set where those of u_1 and a_i1
+    differ.  So one ``searchsorted`` of these slopes into the slope keys of
+    ``other_support`` finds every extreme vertex
+    (``ZonogonSupport.extreme_vertices``), axis directions and a zero query
+    included, and the sum is u_1 * sum_i a_i1 x_j + u_2 * sum_i a_i2 y_j
+    over those vertices.
 
     Cost O(dirs * m_a * log m_b) after O(m_a log m_a) sorting, with no
     ``arctan2``.  Every direction's value depends on that direction alone:
@@ -272,29 +258,23 @@ def product_reach_many(
     atoms = _rows(factor_atoms, 2, "factor atoms")
     D = _rows(np.atleast_2d(directions), 2, "directions")
     u1, u2 = D[:, 0], D[:, 1]
-    a1 = atoms[:, 0]
-    moving = atoms[a1 != 0.0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slope = u2 / u1
-        rho = moving[:, 1] / moving[:, 0]
-    h = other_support.eval(_AXES)
-    out = _axis_reach(u2, atoms[a1 == 0.0, 1], h[2], h[3])
-    axis = ~(np.isfinite(slope) & (slope != 0.0))
-    out[axis] = _axis_reach(u1[axis], a1, h[0], h[1]) + _axis_reach(
-        u2[axis], atoms[:, 1], h[2], h[3]
-    )
-    # a_1 > 0 first, then a_1 < 0, each by rho
-    order = np.lexsort((rho, moving[:, 0] < 0.0))
+        rho = atoms[:, 1] / atoms[:, 0]
+    # sign bit of a_1 clear first, then set, each by rho
+    order = np.lexsort((rho, np.signbit(atoms[:, 0])))
     rho = rho[order]
-    ax, ay = moving[order, 0], moving[order, 1]
-    split = int(np.count_nonzero(ax > 0.0))
+    ax, ay = atoms[order, 0], atoms[order, 1]
+    split = int(np.count_nonzero(~np.signbit(ax)))
     m = rho.shape[0]
+    out = np.zeros(D.shape[0])
     threads = min(_cpu_count(), D.shape[0]) if D.shape[0] * m >= _THREAD_GATE else 1
     step = max(1, _BLOCK // threads // max(m, 1))
-    # u_1 a_1 < 0 on the a_1 < 0 columns when u_1 > 0, and the other way round
+    # the flipped columns: those whose a_1 sign bit differs from u_1's
+    negative = np.signbit(u1)
     shares = [
-        (flipped, np.array_split(np.flatnonzero(rows & ~axis), threads))
-        for flipped, rows in ((slice(split, None), u1 > 0.0), (slice(split), u1 < 0.0))
+        (flipped, np.array_split(np.flatnonzero(rows), threads))
+        for flipped, rows in ((slice(split, None), ~negative), (slice(split), negative))
     ]
 
     def run_share(k: int) -> None:
@@ -302,7 +282,7 @@ def product_reach_many(
             rows = parts[k]
             for i in range(0, rows.shape[0], step):
                 r = rows[i : i + step]
-                with np.errstate(over="ignore"):
+                with np.errstate(invalid="ignore", over="ignore"):
                     x, y = other_support.extreme_vertices(slope[r, None] * rho, flipped)
                 out[r] += u1[r] * (x * ax).sum(axis=1) + u2[r] * (y * ay).sum(axis=1)
 
@@ -342,7 +322,7 @@ def _normalized_nonneg_atoms(m: VectorMeasure) -> np.ndarray:
     atoms = m.atoms
     if atoms.size and atoms.min() < 0:
         raise NegativeAtom("Lorenz curve atoms must be componentwise nonnegative")
-    totals = atoms.sum(axis=0) if atoms.size else np.zeros(2)
+    totals = atoms.sum(axis=0)
     if not (totals > 0).all():
         raise ZeroTotal("both coordinate totals must be positive")
     return atoms / totals

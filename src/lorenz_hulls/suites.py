@@ -369,11 +369,11 @@ def _geometry_case(rng, case, seed, full):
         f"digest={_digest(dy.atoms)} skeleton not exactly centrally symmetric"
     )
     lam = rng.uniform(0.0, 1.0, z.generator_count)
-    inside_pt = lam @ z.generators if z.generator_count else np.zeros(2)
+    inside_pt = lam @ z.generators
     verdict = contains_point(z, inside_pt, tol=1e-9)
     residual = (
         float(np.abs(verdict.coefficients @ z.generators - inside_pt).sum())
-        if verdict.inside and z.generator_count
+        if verdict.inside
         else float(np.abs(inside_pt).sum())
     )
     yield verdict.inside and residual <= 1e-9 + 1e-12, (
@@ -756,10 +756,9 @@ def _zonoid_achieve(rng, case, seed, full):
     n = int(rng.integers(2, 5))
     m = VectorMeasure(n, _random_atoms(rng, int(rng.integers(1, 9)), n))
     lam = rng.uniform(0.0, 1.0, m.atom_count)
-    target = lam @ m.atoms if m.atom_count else np.zeros(n)
+    target = lam @ m.atoms
     cert = achieve(m, target, tol=1e-9)
-    residual = float(np.abs(cert.coefficients @ m.atoms - target).sum()) \
-        if m.atom_count else float(np.abs(target).sum())
+    residual = float(np.abs(cert.coefficients @ m.atoms - target).sum())
     lengths = sum(hi - lo for lo, hi in cert.intervals)
     lengths_ok = abs(lengths - cert.coefficients.sum()) <= 1e-9
     yield residual <= 1e-8 and lengths_ok, (

@@ -46,8 +46,6 @@ def to_density(m: VectorMeasure) -> PiecewiseDensityMeasure:
 def density_reach_many(pd: PiecewiseDensityMeasure, directions) -> np.ndarray:
     """Support integral of the density range: sum_i len_i max(0, <d, f_i>)."""
     D = _rows(np.atleast_2d(directions), pd.dimension, "directions")
-    if pd.piece_count == 0:
-        return np.zeros(D.shape[0])
     return np.maximum(D @ pd.directions.T, 0.0) @ pd.lengths
 
 
@@ -72,10 +70,10 @@ def interval_realization(
     for j, t in enumerate(lam[nonzero]):
         if t > 0.0:
             intervals.append((float(j), float(j + t)))
-    point = lam @ m.atoms if m.atom_count else np.zeros(m.dimension)
+    point = lam @ m.atoms
     residual = 0.0
     if target is not None:
-        target = _rows(np.reshape(target, (1, -1)), m.dimension, "target")[0]
+        target = _rows(np.reshape(target, (1, -1)), m.dimension, "target", mass=True)[0]
         residual = float(np.abs(point - target).sum())
     return AchievementCertificate(lam, tuple(intervals), residual)
 
@@ -88,7 +86,7 @@ def achieve(m: VectorMeasure, target, tol: float = 1e-9) -> AchievementCertifica
     atoms receive coefficient zero).  Raises :class:`NotInHull` with the
     separating witness when the target is outside.
     """
-    p = _rows(np.reshape(target, (1, -1)), m.dimension, "target")[0]
+    p = _rows(np.reshape(target, (1, -1)), m.dimension, "target", mass=True)[0]
     hull = hull_of(m)
     verdict = contains_point(hull, p, tol=tol)
     if not verdict.inside:

@@ -395,6 +395,17 @@ class TestAchieveCommand:
         assert captured.out == ""
         assert captured.err == "error: target contains a NaN or infinite coordinate\n"
 
+    def test_overflowing_target_exit_2(self, files, capsys):
+        # the 1-norm of (1e308, 1e308) overflows; that of (1.7e308, 0) does not
+        assert main(["achieve", "-i", files["square"], "--target=1e308,1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: target has a total 1-norm mass that overflows\n"
+        assert main(["achieve", "-i", files["square"], "--target=1.7e308,0"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == "not_in_hull"
+        assert captured.err == ""
+
     def test_bad_tol_exit_2(self, files, capsys):
         assert main(["achieve", "-i", files["square"], "--target=0.5,0.5", "--tol=nan"]) == 2
         assert capsys.readouterr().err == "error: tol must be finite and positive, got nan\n"

@@ -271,15 +271,18 @@ class TestProductReach:
 
     def test_axis_and_perpendicular_directions(self):
         # directions on the axes and exactly perpendicular to product
-        # generators a_i * b_k, with axis and zero atoms on both sides
+        # generators a_i * b_k, with axis and zero atoms on both sides, and
+        # signed zeros in both, which the sign-bit split of a_1 and u_1 sorts
         rng = case_rng(21, "test.product_reach.perp")
+        signed = np.array([[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0], [-0.0, -1.0]])
         for _ in range(5):
-            a = np.vstack([rng.normal(size=(30, 2)), [[0.0, 1.5], [0.0, -0.5], [2.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]])
+            a = np.vstack([rng.normal(size=(30, 2)), [[0.0, 1.5], [0.0, -0.5], [2.0, 0.0], [-1.0, 0.0], [0.0, 0.0]],
+                           [[-0.0, -0.5], [-0.0, 2.0], [-0.0, -0.0]]])
             b = np.vstack([rng.normal(size=(20, 2)), [[0.0, -1.0], [1.0, 0.0], [0.0, 0.0]]])
             a = a[rng.permutation(a.shape[0])]
             p = a[rng.integers(0, a.shape[0], 40)] * b[rng.integers(0, b.shape[0], 40)]
             perp = np.column_stack([-p[:, 1], p[:, 0]])
-            dirs = np.vstack([np.eye(2), -np.eye(2), 3.0 * np.eye(2), np.zeros((1, 2)), perp, -perp])
+            dirs = np.vstack([np.eye(2), -np.eye(2), 3.0 * np.eye(2), np.zeros((1, 2)), signed, perp, -perp])
             assert self.product_gap(a, b, dirs) <= 1e-12
 
     @staticmethod
