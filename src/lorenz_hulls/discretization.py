@@ -109,11 +109,14 @@ def product_params(n: int, mass1: float, mass2: float, epsilon: float) -> Discre
         if not 0 <= mass < np.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {mass}")
     reps_squared = 2.0 * n * mass1 * mass2 / epsilon
+    masses = max(mass1 * mass2, np.finfo(float).tiny)
+    delta = min(2.0, epsilon / (8.0 * masses))
+    if not reps_squared < np.inf:  # the products overflowed: divide first
+        reps_squared = 2.0 * n * (mass1 / epsilon) * mass2
+        delta = min(2.0, (epsilon / mass1) / (8.0 * mass2))
     if not reps_squared < np.inf:
         raise ValueError(f"epsilon must be large enough that 2 n mass1 mass2 / epsilon "
                          f"is finite, got {epsilon} for masses {mass1} and {mass2}")
-    masses = max(mass1 * mass2, np.finfo(float).tiny)
-    delta = min(2.0, epsilon / (8.0 * masses))
     reps = int(np.floor(np.sqrt(reps_squared))) + 1
     return DiscretizationParams(delta, reps, epsilon)
 

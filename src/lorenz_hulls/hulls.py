@@ -32,6 +32,8 @@ HAUSDORFF_DIMENSION_LIMIT = 20
 # float64 elements per temporary block of the dense kernels (512 KB), so a
 # block and its reductions stay in cache
 _BLOCK = 1 << 16
+# arrangement bound times (generators + 1) up to which containment needs no LP
+_CLOSED_FORM_LIMIT = 40_000
 # rows per block of the point-set Hausdorff pass, of which only the first
 # is queried before the Lipschitz bound settles the others
 _LEAD_BLOCK = 64
@@ -116,7 +118,8 @@ class HausdorffResult:
 
 @dataclass(frozen=True)
 class Containment:
-    """Point-membership verdict with a certificate either way."""
+    """Point-membership verdict with a certificate either way: inside,
+    coefficients and their residual; outside, a witness and the distance."""
 
     inside: bool
     coefficients: Optional[np.ndarray]
@@ -376,26 +379,68 @@ def separating_direction(z: Zonotope, p: np.ndarray):
     m, n = z.generator_count, z.dimension
     e = _lp_exponent(z, p)
     c = np.concatenate([-np.ldexp(p, -e), np.ones(m)])
-    if m:
-        a_ub = np.hstack([np.ldexp(z.generators, -e), -np.eye(m)])
-        b_ub = np.zeros(m)
-    else:
-        a_ub = None
-        b_ub = None
+    a_ub = np.hstack([np.ldexp(z.generators, -e), -np.eye(m)])
     bounds = [(-1.0, 1.0)] * n + [(0.0, None)] * m
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds, method="highs")
     if res.status != 0:  # pragma: no cover
         raise RuntimeError(f"separation LP failed: {res.message}")
     return res.x[:n], float(np.ldexp(-res.fun, e))
 
 
-def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
-    """Decide membership of a point in the hull with one distance LP.
+def _least_violation(a: np.ndarray, slack: np.ndarray, live, lo: float, hi: float) -> float:
+    """argmin over [0, 1] of the convex max(-(slack + a t)) over the ``live``
+    rows, in [hi, lo] when lo > hi, bisected on the sign of a in the worst."""
+    a, slack = a[live], slack[live]
+    left, right = max(hi, 0.0), min(lo, 1.0)
+    while right - left > 2.0 ** -52:
+        mid = 0.5 * (left + right)
+        left, right = (mid, right) if a[np.argmax(-(slack + a * mid))] > 0.0 else (left, mid)
+    return 0.5 * (left + right)
 
-    Within ``tol`` of the hull is inside: the verdict returns coefficients
-    t in [0,1]^m and their residual ||t^T G - p||_1 as ``distance``.  Else
-    it returns the LP's dual d, re-checked for <d, p> > reach(z, d) + tol
-    (failing that, the direction of :func:`separating_direction`).
+
+def _peeled_containment(z: Zonotope, p: np.ndarray, tol: float) -> Optional[Containment]:
+    """Containment over the arrangement directions U, on data times 2**-e.
+    <u, p> - reach(u) is concave and linear on each cell, so its maximum on
+    the cube, floored at 0, is the distance, at u = 0 or on U; past ``tol``
+    the argmax is the witness.  Else the generators are peeled last to
+    first: t_j is the midpoint of the t in [0, 1] with <u, q - t g_j> <=
+    reach_{<j}(u) on U (skipping u nearly orthogonal to g_j), or the least
+    violation where rounding or a distance up to ``tol`` empties it; then
+    q -= t_j g_j.  None (for the LP) if t misses p by over ``tol``."""
+    e = _lp_exponent(z, p)
+    g = np.ldexp(z.generators, -e)
+    u = _arrangement_directions(g[np.abs(g).sum(axis=1) > 0.0])
+    a = g @ u.T
+    uq = u @ np.ldexp(p, -e)
+    # row j is the reach of the first j generators
+    prefix = np.vstack([np.zeros(u.shape[0]), np.cumsum(np.maximum(a, 0.0), axis=0)])
+    gap = np.ldexp(uq - prefix[-1], e)
+    if gap.max() > tol:
+        return Containment(False, None, u[np.argmax(gap)], float(gap.max()))
+    live = np.abs(a) > 1e-9 * np.abs(g).sum(axis=1)[:, None] * np.abs(u).sum(axis=1)
+    up, down = live & (a > 0.0), live & (a < 0.0)
+    t = np.zeros(g.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(g.shape[0] - 1, -1, -1):
+            slack = prefix[j] - uq
+            bound = -slack / a[j]
+            lo = bound.max(where=up[j], initial=0.0)
+            hi = bound.min(where=down[j], initial=1.0)
+            t[j] = 0.5 * (lo + hi) if lo <= hi else _least_violation(a[j], slack, live[j], lo, hi)
+            uq -= t[j] * a[j]
+    residual = float(np.abs(t @ z.generators - p).sum())
+    return Containment(True, t, None, residual) if residual <= tol else None
+
+
+def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
+    """Decide membership of a point in the hull.
+
+    Within ``tol`` of the hull is inside, with coefficients t in [0,1]^m
+    and their residual ||t^T G - p||_1 as ``distance``; else the distance
+    and a witness d, <d, p> > reach(z, d) + tol.  Up to ``_CLOSED_FORM_LIMIT``
+    (arrangement bound times m + 1) :func:`_peeled_containment` decides with no
+    LP.  Above it, or if its t miss p by over ``tol``, one distance LP does,
+    its dual d re-checked (failing that, :func:`separating_direction`).
     """
     p = _rows(np.reshape(point, (1, -1)), z.dimension, "point", mass=True)[0]
     _check_tol(tol)
@@ -407,6 +452,9 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     gap_total = np.abs(p - z.total()).sum()
     if gap_total <= tol:
         return Containment(True, np.ones(m), None, float(gap_total))
+    small = _arrangement_size(m, z.dimension) * (m + 1) <= _CLOSED_FORM_LIMIT
+    if small and (verdict := _peeled_containment(z, p, tol)) is not None:
+        return verdict
     dist, lam, witness = _lp_point_distance(z, p)
     if dist <= tol:
         return Containment(True, lam, None, float(np.abs(lam @ z.generators - p).sum()))
@@ -520,8 +568,7 @@ def hausdorff_convex(
     if n <= 2:
         return _hausdorff_2d_exact(z1, z2, gens)
     # facet-vertex count, bounded before any allocation like a direction set
-    bound = sum(comb(len(gens), k) * comb(n, k) << (n - k) for k in range(min(n, len(gens) + 1)))
-    if bound * n <= DIRECTION_COORDINATE_LIMIT:
+    if _arrangement_size(len(gens), n) * n <= DIRECTION_COORDINATE_LIMIT:
         return _hausdorff_arrangement(z1, z2, gens)
     probes = [sign_vectors(n)] if n <= 16 else []
     probes.append(unit_directions(case_rng(seed, "hausdorff.sampled"), dirs, n))
@@ -549,10 +596,16 @@ def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> Hausdor
     return HausdorffResult(float(gap[worst]), "exact", witness_direction=cands[worst])
 
 
-def _hausdorff_arrangement(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> HausdorffResult:
-    # The support gap is linear on each cell of the hyperplane arrangement
-    # <g, u> = 0, so on the cube surface it peaks where n independent ones of
-    # them and of the facets u_j = +-1 hold.  Unit rows keep solves in range.
+def _arrangement_size(m: int, n: int) -> int:
+    """Bound sum_{k < n} C(m, k) C(n, k) 2^(n - k) on the directions of m generators."""
+    return sum(comb(m, k) * comb(n, k) << (n - k) for k in range(min(n, m + 1)))
+
+
+def _arrangement_directions(gens: np.ndarray) -> np.ndarray:
+    """Cube-surface vertices of the arrangement <g, u> = 0 of the nonzero
+    rows ``gens``, where n independent hyperplanes and facets u_j = +-1
+    meet; a function linear on each cell peaks over the surface at one.
+    Unit rows keep the solves in range."""
     m, n = gens.shape
     gens = gens / np.abs(gens).max(axis=1, keepdims=True)
     cands = [sign_vectors(n)]
@@ -562,7 +615,11 @@ def _hausdorff_arrangement(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> Haus
         step = max(1, _BLOCK // ((n * comb(n, k)) << (n - k)))
         while block := list(islice(subsets, step)):
             cands.append(_facet_vertices(gens[np.array(block)]))
-    cands = np.vstack(cands)
+    return np.vstack(cands)
+
+
+def _hausdorff_arrangement(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> HausdorffResult:
+    cands = _arrangement_directions(gens)
     gap = reach_many(z1, cands) - reach_many(z2, cands)
     worst = int(np.argmax(np.abs(gap)))
     # the side with the larger support at the best direction is farthest there

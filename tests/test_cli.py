@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lorenz_hulls import cli
@@ -394,6 +395,26 @@ class TestAchieveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: target contains a NaN or infinite coordinate\n"
+
+    def test_cold_achieve_imports_no_scipy(self, files):
+        # a 3-D, 6-atom measure is below the closed-form guard: no LP, so
+        # the cold process never imports scipy (``-X importtime`` lists
+        # every module imported on stderr)
+        rng = case_rng(3, "test.cli.achieve.cold")
+        atoms = rng.uniform(-1.0, 1.0, (6, 3))
+        path = files["tmp"] / "achieve3.json"
+        path.write_text(json.dumps({"dim": 3, "atoms": atoms.tolist()}))
+        target = rng.uniform(0.2, 0.8, 6) @ atoms
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "lorenz_hulls.cli", "achieve",
+             "-i", str(path), "--target=" + ",".join(repr(float(x)) for x in target)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "numpy" in imported
+        assert not [name for name in imported if name.startswith("scipy")]
+        lam = np.array(json.loads(proc.stdout)["lambda"])
+        assert np.abs(lam @ atoms - target).sum() <= 1e-12
 
     def test_overflowing_target_exit_2(self, files, capsys):
         # the 1-norm of (1e308, 1e308) overflows; that of (1.7e308, 0) does not

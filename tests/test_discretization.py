@@ -275,5 +275,17 @@ class TestBounds:
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 product_params(2, mass1, mass2, epsilon)
 
+    def test_product_params_divide_before_the_product_overflows(self):
+        # 1e200 * 1e200 overflows although 2 n mass1 mass2 / epsilon = 4e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = product_params(2, 1e200, 1e200, 1e300)
+        assert params.delta == (1e300 / 1e200) / (8.0 * 1e200) > 0.0
+        assert params.reps == int(np.floor(np.sqrt(4.0 * (1e200 / 1e300) * 1e200))) + 1
+        # a finite product keeps the left-to-right expressions
+        reps_squared = 2.0 * 2 * 1.5 * 1.2 / 0.25
+        assert product_params(2, 1.5, 1.2, 0.25) == DiscretizationParams(
+            min(2.0, 0.25 / (8.0 * (1.5 * 1.2))), int(np.floor(np.sqrt(reps_squared))) + 1, 0.25)
+
     def test_product_params_accept_zero_mass(self):
         assert product_params(2, 0.0, 1.0, 0.1) == DiscretizationParams(2.0, 1, 0.1)

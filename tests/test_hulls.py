@@ -1,5 +1,3 @@
-from math import comb
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +6,13 @@ from lorenz_hulls import (
     DimensionMismatch,
     Exact2dOnPlaneOnly,
     NonFiniteValue,
+    NotInHull,
     SizeGuard,
     SkeletonPointSet,
     TooManyAtoms,
     VectorMeasure,
     Zonotope,
+    achieve,
     area_2d,
     contains_point,
     hausdorff_convex,
@@ -28,7 +28,9 @@ from lorenz_hulls import (
 )
 from lorenz_hulls.hulls import (
     _BLOCK,
+    _CLOSED_FORM_LIMIT,
     ZonogonSupport,
+    _arrangement_size,
     _lp_point_distance,
     linprog,
     separating_direction,
@@ -51,6 +53,10 @@ def closed_reach(z, directions):
     blocks = [np.maximum(d[i : i + 256] @ z.generators.T, 0.0).sum(axis=1)
               for i in range(0, d.shape[0], 256)]
     return np.concatenate(blocks) if blocks else np.zeros(0)
+
+
+def refuse_lp(*args, **kwargs):
+    raise AssertionError("containment below the guard solved a linear program")
 
 
 def near_parallel_chain(count=200, step=0.9e-12):
@@ -334,6 +340,8 @@ class TestContainsPoint:
         z = Zonotope(2, [])
         assert contains_point(z, [0, 0]).inside
         assert not contains_point(z, [0.5, 0]).inside
+        # 2^21 sign vectors are past the closed-form guard, which counts them
+        assert not contains_point(Zonotope(21, np.zeros((0, 21))), np.eye(21)[0]).inside
 
     def test_inside_distance_is_the_residual(self):
         # at atom scale 1e6 the LP objective reads 0.0 for coefficients that
@@ -351,6 +359,7 @@ class TestContainsPoint:
         assert max(residuals) > 0.0
 
     def test_one_linear_program_per_point(self, monkeypatch):
+        # above the closed-form guard: n = 4 with 32 generators
         calls = []
 
         def counted(*args, **kwargs):
@@ -359,13 +368,93 @@ class TestContainsPoint:
 
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", counted)
         rng = case_rng(19, "test.contains.lp_count")
-        z = Zonotope(4, rng.normal(size=(8, 4)))
-        inside = rng.uniform(0.2, 0.8, 8) @ z.generators
-        for p, verdict in ((inside, True), (z.total() * 0.5 + 10.0, False)):
+        z = Zonotope(4, rng.normal(size=(32, 4)))
+        assert _arrangement_size(32, 4) * (32 + 1) > _CLOSED_FORM_LIMIT
+        inside = rng.uniform(0.2, 0.8, 32) @ z.generators
+        outside = z.total() * 0.5 + np.abs(z.generators).sum()
+        for p, verdict in ((inside, True), (outside, False)):
             calls.clear()
             assert contains_point(z, p).inside is verdict
             # the distance LP alone; an outside witness is its dual
             assert calls == [True]
+
+    def test_no_linear_program_below_the_guard(self, monkeypatch):
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
+        # every verify size (n <= 4, m <= 8) is below the guard
+        assert _arrangement_size(8, 4) * (8 + 1) <= _CLOSED_FORM_LIMIT
+        rng = case_rng(19, "test.contains.lp_count")
+        z = Zonotope(4, rng.normal(size=(8, 4)))
+        inside = rng.uniform(0.2, 0.8, 8) @ z.generators
+        outside = z.total() * 0.5 + np.abs(z.generators).sum()
+        r = contains_point(z, inside)
+        assert r.inside and r.distance <= 1e-13 * np.abs(z.generators).sum()
+        r = contains_point(z, outside)
+        # the witness's margin is the reported distance
+        margin = float(r.witness @ outside) - reach(z, r.witness)
+        assert not r.inside and margin == pytest.approx(r.distance, rel=1e-14)
+        m = VectorMeasure(3, rng.uniform(-1.0, 1.0, (6, 3)))
+        target = rng.uniform(0.2, 0.8, 6) @ m.atoms
+        assert achieve(m, target).residual <= 1e-13 * np.abs(m.atoms).sum()
+        with pytest.raises(NotInHull):
+            achieve(m, m.total() * 0.5 + np.abs(m.atoms).sum())
+
+    def test_peeling_miss_hands_off_to_the_lp(self, monkeypatch):
+        # coefficients that miss the point by over tol go to the LP route
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append("A_eq" in kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", counted)
+        monkeypatch.setattr("lorenz_hulls.hulls._least_violation", lambda *args: 0.0)
+        z = Zonotope(3, case_rng(24, "test.contains.handoff").normal(size=(5, 3)))
+        p = np.full(5, 0.5) @ z.generators
+        r = contains_point(z, p)
+        assert calls == [True]
+        assert r.inside and r.distance <= 1e-9
+
+    def test_closed_form_corpus(self, monkeypatch):
+        # n = 1...6 up to the guard; zero, parallel and duplicate rows;
+        # scales 2^k.  No LP runs; verdicts and distances match the LP route
+        # at generic points; points 0.5 tol and 2 tol beyond a vertex, whose
+        # distance is exact by construction, are judged by it
+        rng = case_rng(23, "test.contains.closed_form")
+        for case in range(96):
+            n = 1 + case % 6
+            below = [k for k in range(1, 41) if _arrangement_size(k, n) * (k + 1) <= _CLOSED_FORM_LIMIT]
+            m = int(rng.integers(1, max(below) + 1))
+            g = rng.normal(size=(m, n))
+            g[rng.random(m) < 0.15] = 0.0
+            if m > 2:
+                g[1] = g[0]
+                g[-1] = g[0] * rng.choice([-2.0, 0.5])
+            f = 2.0 ** (-300, -20, 0, 20, 300)[case % 5]
+            z = Zonotope(n, f * g)
+            mass, tol = f * np.abs(g).sum() + f, 1e-9 * f
+            u = rng.normal(size=n)
+            vertex = z.generators[z.generators @ u > 0.0].sum(axis=0)
+            step = np.where(np.arange(n) == np.argmax(np.abs(u)), np.sign(u), 0.0)
+            center = z.total() / 2.0
+            lift = reach(z, u) + f * rng.uniform(0.01, 1.0) - u @ center
+            generic = [rng.uniform(0.1, 0.9, m) @ z.generators, center + lift / (u @ u) * u]
+            edges = [(s, vertex + s * tol * step) for s in (0.5, 2.0)]
+            lps = [_lp_point_distance(z, p)[0] for p in generic]
+            with monkeypatch.context() as patched:
+                patched.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
+                got = [contains_point(z, p, tol=tol) for p in generic]
+                edge_got = [(s, contains_point(z, p, tol=tol)) for s, p in edges]
+            for p, r, lp in zip(generic, got, lps):
+                assert r.inside is (lp <= tol), case
+                if r.inside:
+                    assert r.coefficients.min() >= 0.0 and r.coefficients.max() <= 1.0, case
+                    assert r.distance <= max(1e-13 * mass, np.abs(p).sum()), case
+                else:
+                    assert float(r.witness @ p) - reach(z, r.witness) > tol, case
+                    assert abs(r.distance - lp) <= 1e-11 * (mass + np.abs(p).sum()), case
+            for s, r in edge_got:
+                assert r.inside is (s < 1.0), case
+                assert abs(r.distance - s * tol) <= 1e-3 * tol, case
 
     def test_dual_witness_corpus(self):
         # zero rows, parallel generators, points on an axis, scales 2^-600,
@@ -398,6 +487,7 @@ class TestContainsPoint:
             assert abs(margin - best) <= 1e-12 * (mass + np.abs(p).sum()), case
 
     def test_dual_failing_recheck_falls_back(self, monkeypatch):
+        # above the closed-form guard: n = 4 with 32 generators
         calls = []
 
         def zero_duals(*args, **kwargs):
@@ -408,14 +498,24 @@ class TestContainsPoint:
             return res
 
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", zero_duals)
-        p = np.array([1.5, 0.0])
-        r = contains_point(SQUARE, p)
+        z = Zonotope(4, case_rng(21, "test.contains.fallback").normal(size=(32, 4)))
+        p = z.total() * 0.5 + np.abs(z.generators).sum()
+        r = contains_point(z, p)
         # a zero direction does not separate, so the separation LP runs
         assert calls == [True, False]
-        assert not r.inside and r.distance == pytest.approx(0.5, abs=1e-9)
-        assert float(r.witness @ p) > reach(SQUARE, r.witness) + 1e-9
         monkeypatch.undo()
-        assert np.array_equal(r.witness, separating_direction(SQUARE, p)[0])
+        witness, best = separating_direction(z, p)
+        assert not r.inside and r.distance == pytest.approx(best, rel=1e-9)
+        assert float(r.witness @ p) > reach(z, r.witness) + 1e-9
+        assert np.array_equal(r.witness, witness)
+
+    def test_witness_below_the_guard_needs_no_recheck(self, monkeypatch):
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
+        p = np.array([1.5, 0.0])
+        r = contains_point(SQUARE, p)
+        # the closed-form witness separates by the distance itself
+        assert not r.inside and r.distance == 0.5
+        assert float(r.witness @ p) - reach(SQUARE, r.witness) == 0.5
 
 
 class TestIncludes:
@@ -647,15 +747,12 @@ class TestHausdorffConvex:
             assert abs(r.distance - dense_reference(z1, z2)) <= 1e-12 * mass
 
     def test_sampled_mode_reported(self):
-        def facet_vertex_bound(m, n):
-            return sum(comb(m, k) * comb(n, k) * 2 ** (n - k) for k in range(min(n - 1, m) + 1))
-
         rng = case_rng(8, "test.hausdorff.sampled")
         # 40 nonzero generators in n = 6 bound the facet vertices at 9.1e7
         # coordinates, past the direction-set guard; 80 in n = 20 at 3.3e23,
         # which only a guard run before any allocation answers at once
         for n, m in ((6, 20), (20, 40)):
-            assert facet_vertex_bound(2 * m, n) * n > DIRECTION_COORDINATE_LIMIT
+            assert _arrangement_size(2 * m, n) * n > DIRECTION_COORDINATE_LIMIT
             z1 = Zonotope(n, rng.uniform(-1, 1, (m, n)))
             z2 = Zonotope(n, rng.uniform(-1, 1, (m, n)))
             r = hausdorff_convex(z1, z2)

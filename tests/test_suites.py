@@ -123,3 +123,15 @@ def test_spawned_workers_match_one_process():
                              capture_output=True, text=True, timeout=300)
     assert spawned.returncode == 0, spawned.stderr
     assert spawned.stdout == render_reports(run_suites(["all"], 7, "small", workers=1))
+
+
+def test_geometry_and_zonoid_suites_solve_no_linear_program(monkeypatch):
+    # their containment and achieve cases (n <= 4, m <= 8) are below the
+    # closed-form guard
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite solved a linear program")
+
+    monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse)
+    reports = run_suites(["geometry", "zonoid"], seed=7, scale="small")
+    assert [(r.suite, r.failures) for r in reports] == [("geometry", []), ("zonoid", [])]
+    assert all(r.cases > 0 for r in reports)
