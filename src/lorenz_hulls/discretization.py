@@ -6,7 +6,7 @@ and expose the quantitative Hausdorff error bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -97,8 +97,16 @@ class DiscretizationParams:
     epsilon: float
 
     def satisfies_reps_constraint(self, n: int, mass1: float, mass2: float) -> bool:
-        """N^2 > 2 n mass1 mass2 / epsilon, the product replication regime."""
-        return self.reps ** 2 > 2.0 * n * mass1 * mass2 / self.epsilon
+        """N^2 > 2 n mass1 mass2 / epsilon, the product replication regime,
+        compared exactly (integer against float)."""
+        return self.reps ** 2 > _reps_squared(n, mass1, mass2, self.epsilon)
+
+
+def _reps_squared(n: int, mass1: float, mass2: float, epsilon: float) -> float:
+    """2 n mass1 mass2 / epsilon left to right, or divide-first where the
+    products overflow; inf if both do."""
+    ratio = 2.0 * n * mass1 * mass2 / epsilon
+    return float(ratio if ratio < np.inf else 2.0 * n * (mass1 / epsilon) * mass2)
 
 
 def product_params(n: int, mass1: float, mass2: float, epsilon: float) -> DiscretizationParams:
@@ -108,16 +116,17 @@ def product_params(n: int, mass1: float, mass2: float, epsilon: float) -> Discre
     for name, mass in (("mass1", mass1), ("mass2", mass2)):
         if not 0 <= mass < np.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {mass}")
-    reps_squared = 2.0 * n * mass1 * mass2 / epsilon
     masses = max(mass1 * mass2, np.finfo(float).tiny)
     delta = min(2.0, epsilon / (8.0 * masses))
-    if not reps_squared < np.inf:  # the products overflowed: divide first
-        reps_squared = 2.0 * n * (mass1 / epsilon) * mass2
-        delta = min(2.0, (epsilon / mass1) / (8.0 * mass2))
+    if not (2.0 * n * mass1 * mass2 / epsilon < np.inf and 8.0 * masses < np.inf):
+        delta = min(2.0, (epsilon / mass1) / (8.0 * mass2))  # a product overflowed
+    reps_squared = _reps_squared(n, mass1, mass2, epsilon)
     if not reps_squared < np.inf:
         raise ValueError(f"epsilon must be large enough that 2 n mass1 mass2 / epsilon "
                          f"is finite, got {epsilon} for masses {mass1} and {mass2}")
     reps = int(np.floor(np.sqrt(reps_squared))) + 1
+    if reps ** 2 <= reps_squared:  # past 2**106 the float root can round down
+        reps = isqrt(int(reps_squared)) + 1
     return DiscretizationParams(delta, reps, epsilon)
 
 

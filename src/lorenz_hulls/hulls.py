@@ -432,15 +432,37 @@ def _peeled_containment(z: Zonotope, p: np.ndarray, tol: float) -> Optional[Cont
     return Containment(True, t, None, residual) if residual <= tol else None
 
 
+def _central_containment(z: Zonotope, p: np.ndarray, tol: float) -> Optional[Containment]:
+    """Inside certificate from the centre, on data times 2**-e: the
+    minimum-norm step t = 1/2 + G solve(G^T G, q - G^T 1/2) has t^T G = q.
+    Containment(True, t, None, residual) when t lies in [0, 1]^m and misses
+    p by at most ``tol``; None (for the LP) otherwise, also for a singular
+    Gram matrix (a flat hull, or m < n).  A proof of inside, never of outside."""
+    e = _lp_exponent(z, p)
+    g = np.ldexp(z.generators, -e)
+    try:
+        # a nearly singular Gram matrix can overflow the step; t then fails the box
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = 0.5 + g @ np.linalg.solve(g.T @ g, np.ldexp(p, -e) - 0.5 * g.sum(axis=0))
+    except np.linalg.LinAlgError:
+        return None
+    if not (t.min() >= 0.0 and t.max() <= 1.0):
+        return None
+    residual = float(np.abs(t @ z.generators - p).sum())
+    return Containment(True, t, None, residual) if residual <= tol else None
+
+
 def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     """Decide membership of a point in the hull.
 
     Within ``tol`` of the hull is inside, with coefficients t in [0,1]^m
     and their residual ||t^T G - p||_1 as ``distance``; else the distance
-    and a witness d, <d, p> > reach(z, d) + tol.  Up to ``_CLOSED_FORM_LIMIT``
-    (arrangement bound times m + 1) :func:`_peeled_containment` decides with no
-    LP.  Above it, or if its t miss p by over ``tol``, one distance LP does,
-    its dual d re-checked (failing that, :func:`separating_direction`).
+    and a witness d, <d, p> > reach(z, d) + tol.  The routes, in order: up
+    to ``_CLOSED_FORM_LIMIT`` (arrangement bound times m + 1)
+    :func:`_peeled_containment` decides with no LP; above it, or if its t
+    miss p by over ``tol``, :func:`_central_containment` may prove inside;
+    else one distance LP decides, its dual d re-checked (failing that,
+    :func:`separating_direction`).
     """
     p = _rows(np.reshape(point, (1, -1)), z.dimension, "point", mass=True)[0]
     _check_tol(tol)
@@ -454,6 +476,8 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
         return Containment(True, np.ones(m), None, float(gap_total))
     small = _arrangement_size(m, z.dimension) * (m + 1) <= _CLOSED_FORM_LIMIT
     if small and (verdict := _peeled_containment(z, p, tol)) is not None:
+        return verdict
+    if (verdict := _central_containment(z, p, tol)) is not None:
         return verdict
     dist, lam, witness = _lp_point_distance(z, p)
     if dist <= tol:

@@ -81,9 +81,10 @@ def interval_realization(
 def achieve(m: VectorMeasure, target, tol: float = 1e-9) -> AchievementCertificate:
     """Coefficients and intervals reproducing a point of the hull.
 
-    Feasibility is decided by :func:`contains_point` (no LP below its guard)
-    on the hull of the nonzero atoms; its coefficient output is accepted
-    (zero atoms receive coefficient zero).  Raises :class:`NotInHull` with
+    Feasibility is decided by :func:`contains_point` on the hull of the
+    nonzero atoms: closed form below its guard, then the central
+    certificate, then one LP; its coefficient output is accepted (zero
+    atoms receive coefficient zero).  Raises :class:`NotInHull` with
     the separating witness when the target is outside.
     """
     p = _rows(np.reshape(target, (1, -1)), m.dimension, "target", mass=True)[0]

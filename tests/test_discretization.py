@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -281,11 +282,54 @@ class TestBounds:
             warnings.simplefilter("error")
             params = product_params(2, 1e200, 1e200, 1e300)
         assert params.delta == (1e300 / 1e200) / (8.0 * 1e200) > 0.0
-        assert params.reps == int(np.floor(np.sqrt(4.0 * (1e200 / 1e300) * 1e200))) + 1
+        # past 2**106 the float root rounds down, so reps is the exact isqrt
+        assert params.reps == isqrt(int(4.0 * (1e200 / 1e300) * 1e200)) + 1
         # a finite product keeps the left-to-right expressions
         reps_squared = 2.0 * 2 * 1.5 * 1.2 / 0.25
         assert product_params(2, 1.5, 1.2, 0.25) == DiscretizationParams(
             min(2.0, 0.25 / (8.0 * (1.5 * 1.2))), int(np.floor(np.sqrt(reps_squared))) + 1, 0.25)
+
+    def test_product_params_delta_divides_first_when_eight_masses_overflow(self):
+        # 2 n mass1 mass2 / epsilon = 1e8 is finite, but 8 mass1 mass2 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = product_params(1, 1e154, 5e153, 1e300)
+        assert params.delta == (1e300 / 1e154) / (8.0 * 5e153) > 0.0
+        assert params.reps == 10001
+
+    @pytest.mark.parametrize("n, mass1, mass2, epsilon", [
+        (2, 1e200, 1e200, 1e300),  # the check's own left-to-right product overflows
+        (2, 1e100, 1e100, 1e-10),  # 4e210 is past 2**106, where the float root rounds down
+    ])
+    def test_large_params_satisfy_their_constraint(self, n, mass1, mass2, epsilon):
+        params = product_params(n, mass1, mass2, epsilon)
+        assert params.satisfies_reps_constraint(n, mass1, mass2)
+        assert not DiscretizationParams(
+            params.delta, params.reps - 1, epsilon).satisfies_reps_constraint(n, mass1, mass2)
+
+    def test_reps_keep_the_float_root_where_it_satisfies(self):
+        # seeded masses and epsilons over 10^-150 ... 10^150: reps is
+        # floor(sqrt(x)) + 1 in floats wherever that satisfies N^2 > x
+        # exactly, and the least such integer otherwise
+        rng = case_rng(3, "test.discretization.reps")
+        kept = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            mass1, mass2, epsilon = map(float, 10.0 ** rng.uniform(-150.0, 150.0, 3))
+            ratio = 2.0 * n * mass1 * mass2 / epsilon
+            if not ratio < np.inf:
+                ratio = 2.0 * n * (mass1 / epsilon) * mass2
+            if not ratio < np.inf:
+                continue
+            params = product_params(n, mass1, mass2, epsilon)
+            assert params.satisfies_reps_constraint(n, mass1, mass2)
+            old = int(np.floor(np.sqrt(ratio))) + 1
+            if old ** 2 > ratio:
+                assert params.reps == old
+                kept += 1
+            else:
+                assert params.reps == isqrt(int(ratio)) + 1
+        assert kept > 1000
 
     def test_product_params_accept_zero_mass(self):
         assert product_params(2, 0.0, 1.0, 0.1) == DiscretizationParams(2.0, 1, 0.1)

@@ -31,6 +31,7 @@ from lorenz_hulls.hulls import (
     _CLOSED_FORM_LIMIT,
     ZonogonSupport,
     _arrangement_size,
+    _central_containment,
     _lp_point_distance,
     linprog,
     separating_direction,
@@ -372,11 +373,12 @@ class TestContainsPoint:
         assert _arrangement_size(32, 4) * (32 + 1) > _CLOSED_FORM_LIMIT
         inside = rng.uniform(0.2, 0.8, 32) @ z.generators
         outside = z.total() * 0.5 + np.abs(z.generators).sum()
-        for p, verdict in ((inside, True), (outside, False)):
+        # the central certificate decides the inside point with no LP; the
+        # outside point takes the distance LP alone, its witness the dual
+        for p, verdict, lps in ((inside, True, []), (outside, False, [True])):
             calls.clear()
             assert contains_point(z, p).inside is verdict
-            # the distance LP alone; an outside witness is its dual
-            assert calls == [True]
+            assert calls == lps
 
     def test_no_linear_program_below_the_guard(self, monkeypatch):
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
@@ -409,7 +411,10 @@ class TestContainsPoint:
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", counted)
         monkeypatch.setattr("lorenz_hulls.hulls._least_violation", lambda *args: 0.0)
         z = Zonotope(3, case_rng(24, "test.contains.handoff").normal(size=(5, 3)))
-        p = np.full(5, 0.5) @ z.generators
+        # a vertex, t in {0, 1}^m, so that the central certificate (which
+        # would take the centre) leaves the point to the LP
+        p = (z.generators @ np.ones(3) > 0.0) @ z.generators
+        assert _central_containment(z, p, 1e-9) is None
         r = contains_point(z, p)
         assert calls == [True]
         assert r.inside and r.distance <= 1e-9
@@ -455,6 +460,63 @@ class TestContainsPoint:
             for s, r in edge_got:
                 assert r.inside is (s < 1.0), case
                 assert abs(r.distance - s * tol) <= 1e-3 * tol, case
+
+    def test_central_certificate_corpus(self, monkeypatch):
+        # n = 4...6 from the guard up to 80 generators; zero, duplicate,
+        # flat and nearly flat rows; scales 2^k; deep, uniform, near-vertex,
+        # vertex and outside points.  A certificate has t in [0, 1]^m within
+        # tol, is never given where the LP says outside, is what
+        # contains_point returns with no LP, and has the same bytes at
+        # every scale
+        rng = case_rng(25, "test.contains.central")
+        certified = 0
+        for case in range(40):
+            n = 4 + case % 3
+            above = [k for k in range(1, 81) if _arrangement_size(k, n) * (k + 1) > _CLOSED_FORM_LIMIT]
+            m = int(rng.integers(min(above), 81))
+            g = rng.normal(size=(m, n))
+            if case % 4 == 1:
+                g[rng.random(m) < 0.2] = 0.0
+            elif case % 4 == 2:
+                g[1::2] = g[0::2][: m // 2]
+            elif case % 8 == 3:
+                g[:, -1] = 0.0
+            elif case % 8 == 7:
+                # 1e-7 thick: the Gram solve loses about 1e-9 to rounding
+                g[:, -1] = g[:, :-1] @ rng.normal(size=n - 1) + 1e-7 * rng.normal(size=m)
+            z = Zonotope(n, g)
+            u = rng.normal(size=n)
+            vertex = (g @ u > 0.0).astype(float)
+            center = z.total() / 2.0
+            lift = reach(z, u) + 0.05 * np.abs(g).sum() - u @ center
+            points = [
+                rng.uniform(0.4, 0.6, m) @ g,
+                rng.uniform(0.0, 1.0, m) @ g,
+                (vertex + (0.5 - vertex) * 1e-3) @ g,
+                vertex @ g,
+                center + lift / (u @ u) * u,
+            ]
+            for i, p in enumerate(points):
+                r = _central_containment(z, p, 1e-9)
+                for k in (-600, -20, 20, 600):
+                    f = 2.0 ** k
+                    scaled = _central_containment(Zonotope(n, f * g), f * p, 1e-9 * f)
+                    assert (scaled is None) is (r is None), (case, i, k)
+                    assert r is None or np.array_equal(scaled.coefficients, r.coefficients)
+                if case % 8 == 3 or i == 4:
+                    # a singular Gram matrix (a flat hull), or a point outside
+                    assert r is None, (case, i)
+                if r is None:
+                    continue
+                certified += 1
+                t = r.coefficients
+                assert t.min() >= 0.0 and t.max() <= 1.0 and r.distance <= 1e-9, (case, i)
+                assert r.distance == float(np.abs(t @ g - p).sum())
+                assert _lp_point_distance(z, p)[0] <= 1e-9, (case, i)
+                with monkeypatch.context() as patched:
+                    patched.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
+                    assert np.array_equal(contains_point(z, p).coefficients, t)
+        assert certified >= 50
 
     def test_dual_witness_corpus(self):
         # zero rows, parallel generators, points on an axis, scales 2^-600,
