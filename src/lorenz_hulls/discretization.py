@@ -103,10 +103,11 @@ class DiscretizationParams:
 
 
 def _reps_squared(n: int, mass1: float, mass2: float, epsilon: float) -> float:
-    """2 n mass1 mass2 / epsilon left to right, or divide-first where the
-    products overflow; inf if both do."""
+    """2 n mass1 mass2 / epsilon in Python floats (numpy scalars warn on
+    overflow), left to right or divide-first where that overflows; inf if both do."""
+    n, mass1, mass2, epsilon = float(n), float(mass1), float(mass2), float(epsilon)
     ratio = 2.0 * n * mass1 * mass2 / epsilon
-    return float(ratio if ratio < np.inf else 2.0 * n * (mass1 / epsilon) * mass2)
+    return ratio if ratio < np.inf else 2.0 * n * (mass1 / epsilon) * mass2
 
 
 def product_params(n: int, mass1: float, mass2: float, epsilon: float) -> DiscretizationParams:
@@ -116,6 +117,7 @@ def product_params(n: int, mass1: float, mass2: float, epsilon: float) -> Discre
     for name, mass in (("mass1", mass1), ("mass2", mass2)):
         if not 0 <= mass < np.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {mass}")
+    n, mass1, mass2, epsilon = float(n), float(mass1), float(mass2), float(epsilon)
     masses = max(mass1 * mass2, np.finfo(float).tiny)
     delta = min(2.0, epsilon / (8.0 * masses))
     if not (2.0 * n * mass1 * mass2 / epsilon < np.inf and 8.0 * masses < np.inf):

@@ -345,7 +345,8 @@ class ZonogonSupport:
 
 def _lp_exponent(z: Zonotope, p: np.ndarray) -> int:
     """Binary exponent e of the largest |coordinate| of ``z`` and ``p``; the
-    LPs run on data times 2**-e (exact), as HiGHS fails near 1e100."""
+    LP and the closed forms run on data times 2**-e (exact), as HiGHS fails
+    near 1e100."""
     peak = max(np.abs(z.generators).max(initial=0.0), np.abs(p).max(initial=0.0))
     return int(np.frexp(peak)[1])
 
@@ -369,22 +370,12 @@ def _lp_point_distance(z: Zonotope, p: np.ndarray):
 
 
 def separating_direction(z: Zonotope, p: np.ndarray):
-    """Best separating direction in the infinity-ball.
-
-    Maximizes <d, p> - reach(z, d) over ||d||_inf <= 1; the optimum equals
-    the 1-norm distance from ``p`` to the zonotope.  :func:`contains_point`
-    solves it only when the dual of its distance LP fails the re-check.
-    """
+    """(d, distance): the clipped duals d of :func:`_lp_point_distance`
+    maximize <d, p> - reach(z, d) over ||d||_inf <= 1, and the optimum is
+    its 1-norm distance from ``p`` to the zonotope."""
     p = _rows(np.reshape(p, (1, -1)), z.dimension, "point", mass=True)[0]
-    m, n = z.generator_count, z.dimension
-    e = _lp_exponent(z, p)
-    c = np.concatenate([-np.ldexp(p, -e), np.ones(m)])
-    a_ub = np.hstack([np.ldexp(z.generators, -e), -np.eye(m)])
-    bounds = [(-1.0, 1.0)] * n + [(0.0, None)] * m
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds, method="highs")
-    if res.status != 0:  # pragma: no cover
-        raise RuntimeError(f"separation LP failed: {res.message}")
-    return res.x[:n], float(np.ldexp(-res.fun, e))
+    dist, _, witness = _lp_point_distance(z, p)
+    return witness, dist
 
 
 def _least_violation(a: np.ndarray, slack: np.ndarray, live, lo: float, hi: float) -> float:
@@ -461,8 +452,8 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     to ``_CLOSED_FORM_LIMIT`` (arrangement bound times m + 1)
     :func:`_peeled_containment` decides with no LP; above it, or if its t
     miss p by over ``tol``, :func:`_central_containment` may prove inside;
-    else one distance LP decides, its dual d re-checked (failing that,
-    :func:`separating_direction`).
+    else one distance LP decides (:func:`_lp_point_distance`): its t if the
+    distance is at most ``tol``, else its clipped dual as the witness.
     """
     p = _rows(np.reshape(point, (1, -1)), z.dimension, "point", mass=True)[0]
     _check_tol(tol)
@@ -482,8 +473,6 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     dist, lam, witness = _lp_point_distance(z, p)
     if dist <= tol:
         return Containment(True, lam, None, float(np.abs(lam @ z.generators - p).sum()))
-    if float(witness @ p) - reach(z, witness) <= tol:
-        witness, _ = separating_direction(z, p)
     return Containment(False, None, witness, dist)
 
 

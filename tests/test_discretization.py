@@ -298,6 +298,19 @@ class TestBounds:
         assert params.reps == 10001
 
     @pytest.mark.parametrize("n, mass1, mass2, epsilon", [
+        (2, 1e200, 1e200, 1e300),  # 2 n mass1 mass2 / epsilon overflows left to right
+        (1, 1e154, 5e153, 1e300),  # only 8 mass1 mass2 overflows
+    ])
+    def test_numpy_scalars_overflow_as_python_floats(self, n, mass1, mass2, epsilon):
+        # numpy scalars warn where Python floats overflow silently
+        want = product_params(n, mass1, mass2, epsilon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = product_params(np.int64(n), *map(np.float64, (mass1, mass2, epsilon)))
+            assert got.satisfies_reps_constraint(np.int64(n), np.float64(mass1), np.float64(mass2))
+        assert got == want and got.delta > 0.0
+
+    @pytest.mark.parametrize("n, mass1, mass2, epsilon", [
         (2, 1e200, 1e200, 1e300),  # the check's own left-to-right product overflows
         (2, 1e100, 1e100, 1e-10),  # 4e210 is past 2**106, where the float root rounds down
     ])

@@ -548,28 +548,55 @@ class TestContainsPoint:
             assert np.abs(r.witness).max() <= 1.0 and margin > 1e-9 * f, case
             assert abs(margin - best) <= 1e-12 * (mass + np.abs(p).sum()), case
 
-    def test_dual_failing_recheck_falls_back(self, monkeypatch):
-        # above the closed-form guard: n = 4 with 32 generators
+    def test_separating_direction_is_the_distance_lp_dual(self, monkeypatch):
+        # n = 4...6 from the guard up to 80 generators; Gaussian, integer
+        # and duplicate rows; points at a vertex +- k tol; scales 2^+-20 and
+        # 2^+-600.  separating_direction solves the one distance LP, and on
+        # every outside verdict its direction is contains_point's witness,
+        # which separates in closed form; all outputs scale exactly
         calls = []
 
-        def zero_duals(*args, **kwargs):
-            res = linprog(*args, **kwargs)
-            calls.append("A_eq" in kwargs)
-            if "A_eq" in kwargs:
-                res.eqlin.marginals[:] = 0.0
-            return res
+        def counted(*args, **kwargs):
+            calls.append(sorted(k for k in ("A_eq", "A_ub") if k in kwargs))
+            return linprog(*args, **kwargs)
 
-        monkeypatch.setattr("lorenz_hulls.hulls.linprog", zero_duals)
-        z = Zonotope(4, case_rng(21, "test.contains.fallback").normal(size=(32, 4)))
-        p = z.total() * 0.5 + np.abs(z.generators).sum()
-        r = contains_point(z, p)
-        # a zero direction does not separate, so the separation LP runs
-        assert calls == [True, False]
-        monkeypatch.undo()
-        witness, best = separating_direction(z, p)
-        assert not r.inside and r.distance == pytest.approx(best, rel=1e-9)
-        assert float(r.witness @ p) > reach(z, r.witness) + 1e-9
-        assert np.array_equal(r.witness, witness)
+        rng = case_rng(26, "test.contains.one_lp")
+        outside = 0
+        for case in range(24):
+            n = 4 + case % 3
+            above = [k for k in range(1, 81) if _arrangement_size(k, n) * (k + 1) > _CLOSED_FORM_LIMIT]
+            m = int(rng.integers(min(above), 81))
+            g = rng.normal(size=(m, n))
+            if case % 3 == 1:
+                g = np.round(4.0 * g)
+            elif case % 3 == 2:
+                g[1::2] = g[0::2][: m // 2]
+            z = Zonotope(n, g)
+            u = rng.normal(size=n)
+            vertex = (g @ u > 0.0).astype(float) @ g
+            step = np.where(np.arange(n) == np.argmax(np.abs(u)), np.sign(u), 0.0)
+            for k in (-2.0, 0.5, 2.0, 4.0, 1e3):
+                p = vertex + k * 1e-9 * step
+                r = contains_point(z, p)
+                for e in (-600, -20, 20, 600):
+                    scaled = contains_point(Zonotope(n, np.ldexp(g, e)), np.ldexp(p, e), np.ldexp(1e-9, e))
+                    assert scaled.inside is r.inside and scaled.distance == np.ldexp(r.distance, e)
+                    for got, want in ((scaled.coefficients, r.coefficients), (scaled.witness, r.witness)):
+                        assert (got is None) is (want is None) and (got is None or np.array_equal(got, want))
+                if r.inside:
+                    continue
+                outside += 1
+                calls.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr("lorenz_hulls.hulls.linprog", counted)
+                    d, dist = separating_direction(z, p)
+                assert calls == [["A_eq"]], (case, k)
+                assert np.array_equal(d, r.witness) and dist == r.distance, (case, k)
+                assert float(d @ p) - reach(z, d) > 1e-9, (case, k)
+                for e in (-600, -20, 20, 600):
+                    d_e, dist_e = separating_direction(Zonotope(n, np.ldexp(g, e)), np.ldexp(p, e))
+                    assert np.array_equal(d_e, d) and dist_e == np.ldexp(dist, e), (case, k, e)
+        assert outside >= 30
 
     def test_witness_below_the_guard_needs_no_recheck(self, monkeypatch):
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
