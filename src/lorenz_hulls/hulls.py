@@ -81,12 +81,13 @@ class Zonotope(_Value):
 
 @dataclass(frozen=True, eq=False)
 class SkeletonPointSet(_Value):
-    """All subset sums of a measure's atoms, duplicates collapsed.  The
-    points and the total are validated and frozen like generator rows."""
+    """All subset sums of a measure's atoms, duplicates collapsed; they and
+    the total are frozen like generator rows.  ``_subset_rows`` is no field."""
 
     dimension: int
     points: np.ndarray
     total: np.ndarray
+    _subset_rows = None
 
     def __post_init__(self) -> None:
         points = _frozen_rows(self.points, self.dimension, "point array")
@@ -174,7 +175,8 @@ def reach_many(z: Zonotope, directions) -> np.ndarray:
 
 def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
     """Enumerate the 2^m subset sums of the measure's atoms; both guards
-    fire before the 2^m x n sums are allocated."""
+    fire before the 2^m x n sums are allocated.  Subset S (atom j in S iff
+    bit j of S is set) sums to point ``_subset_rows[S]`` (read-only int32)."""
     if m.atom_count > SKELETON_ATOM_LIMIT:
         raise TooManyAtoms(
             f"skeleton enumeration capped at {SKELETON_ATOM_LIMIT} atoms, "
@@ -189,9 +191,15 @@ def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
     sums = np.zeros((1 << m.atom_count, m.dimension))
     for j, atom in enumerate(m.atoms):
         np.add(sums[: 1 << j], atom, out=sums[1 << j : 2 << j])
-    sums = sums[np.lexsort(sums.T[::-1])]
+    order = np.lexsort(sums.T[::-1])
+    sums = sums[order]
     fresh = np.concatenate([[True], (sums[1:] != sums[:-1]).any(axis=1)])
-    return SkeletonPointSet(m.dimension, sums[fresh], m.total())
+    rows = np.empty(order.shape[0], dtype=np.int32)
+    rows[order] = np.cumsum(fresh, dtype=np.int32) - 1
+    rows.flags.writeable = False
+    skeleton = SkeletonPointSet(m.dimension, sums[fresh], m.total())
+    object.__setattr__(skeleton, "_subset_rows", rows)
+    return skeleton
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +326,13 @@ class ZonogonSupport:
         further on when q_1 has its sign bit set.  The sign bit settles
         q_1 = +-0.0 (slopes +-inf, or NaN for the zero query, which any
         vertex answers with 0) and subnormal q_1 without a special case.
+        Where q_2 / q_1 over- or underflows, 0 clamps a rounding below it.
         """
         q = _rows(np.atleast_2d(queries), 2, "queries")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x, y = self.extreme_vertices(q[:, 1] / q[:, 0], np.signbit(q[:, 0]))
-        return x * q[:, 0] + y * q[:, 1]
+        h = x * q[:, 0] + y * q[:, 1]
+        return np.where(h < 0.0, 0.0, h)
 
     def extreme_vertices(self, slopes: np.ndarray, flipped):
         """Coordinates ``(x, y)`` of an extreme vertex for each query q in
@@ -661,7 +671,7 @@ def _facet_vertices(rows: np.ndarray) -> np.ndarray:
     return np.take_along_axis(np.hstack([u_r[r, c, :, p], signs[p]]), np.argsort(order)[r], axis=1)
 
 
-def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray):
+def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, rows_of=None, pair=None):
     """max over rows of ``a`` of the 1-norm distance to the points of the
     kd-tree ``tree_b``, and the first row in input order attaining it:
     byte for byte the ``argmax`` of ``tree_b.query(a, p=1)``.
@@ -692,6 +702,10 @@ def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray):
     every sum involved is exact.  A distance at or above ``cut`` is beyond
     the radius of the first search and is queried in full, so every row
     that can attain the maximum carries its exact query value.
+    A ``pair`` d_S, for row x_S = ``a[rows_of[S]]`` and a point y_S of B,
+    is the computed |x_S1 - y_S1| + ... + |x_Sn - y_Sn| >= (1 - u)^n
+    ||x_S - y_S||; the query of x_S is at most (1 + u)^n ||x_S - y_S|| <
+    d_S (1 + (2n + 1) u), so d_S < cut settles x_S as bound_i < cut does.
     """
     rows, n = a.shape
     first = order[::_LEAD_BLOCK]
@@ -710,6 +724,8 @@ def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray):
     # no row settles when ``cut`` is NaN (an overflowing ``best``)
     todo = np.ones(rows, dtype=bool)
     todo[order[bound.reshape(-1)[:rows] < cut]] = False
+    if pair is not None:
+        todo[rows_of[pair < cut]] = False
     todo[first] = False
     rest = np.flatnonzero(todo)
     d_rest = tree_b.query(a[rest], p=1, distance_upper_bound=cut)[0]
@@ -725,17 +741,17 @@ def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray):
 def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffResult:
     """Exact 1-norm Hausdorff distance between finite point sets.
 
-    One kd-tree per set, built once, serves both directed passes of
-    :func:`_directed_points_1norm`: as the target of the other set's queries
-    and, by its leaf order, as the row order of its own set's bounds.  The
-    cost is O(N log N) to build, O(N n) for the bounds, and one query per 64
-    rows plus one per row the Lipschitz bound does not settle (two for a row
-    as far as the farthest first row).  Dense sets, where every row has a
-    close neighbour (skeletons of perturbed measures), settle few rows, but
-    there most queries stop at the search radius; on far, nearly collinear
-    sets, where a full 1-norm query costs O(N), nearly every row settles.
-    The distance and ``witness_point`` are those of a full query of every
-    row, the witness being the first row in input order attaining it.
+    One unbalanced kd-tree per set, built once, serves both directed passes
+    of :func:`_directed_points_1norm`: as the target of the other set's
+    queries and, by its leaf order, as the row order of its own set's
+    bounds.  The cost is O(N log N) to build, O(N n) for the bounds, and one
+    query per 64 rows plus one per row the bounds do not settle (two for a
+    row as far as the farthest first row).  The Lipschitz bound settles far,
+    nearly collinear sets; skeletons of 2^m subsets each pair their rows by
+    subset S (:func:`skeleton_points`), and d_S = ||x_S - y_S||_1 settles
+    nearly all rows of nearby measures.  The distance and ``witness_point``
+    are those of a full query of every row, the witness being the first row
+    in input order attaining it.
     """
     _same_dimension("Hausdorff across dimensions", p1.dimension, p2.dimension)
     if max(p1.point_count, p2.point_count) > POINT_SET_LIMIT:
@@ -746,9 +762,12 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
         return HausdorffResult(0.0, "exact")
     from scipy.spatial import cKDTree
 
-    t1, t2 = cKDTree(p1.points), cKDTree(p2.points)
-    d12, w12 = _directed_points_1norm(p1.points, t2, t1.indices)
-    d21, w21 = _directed_points_1norm(p2.points, t1, t2.indices)
-    if d12 >= d21:
-        return HausdorffResult(d12, "exact", witness_point=w12)
-    return HausdorffResult(d21, "exact", witness_point=w21)
+    t1, t2 = (cKDTree(p.points, balanced_tree=False, compact_nodes=False) for p in (p1, p2))
+    r1, r2 = p1._subset_rows, p2._subset_rows
+    pair = None
+    if r1 is not None and r2 is not None and r1.shape == r2.shape:
+        pair = sum(np.abs(x[r1] - y[r2]) for x, y in zip(p1.points.T, p2.points.T))
+    d12, w12 = _directed_points_1norm(p1.points, t2, t1.indices, r1, pair)
+    d21, w21 = _directed_points_1norm(p2.points, t1, t2.indices, r2, pair)
+    distance, witness = (d12, w12) if d12 >= d21 else (d21, w21)
+    return HausdorffResult(distance, "exact", witness_point=witness)

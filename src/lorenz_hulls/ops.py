@@ -284,7 +284,8 @@ def product_reach_many(
                 r = rows[i : i + step]
                 with np.errstate(invalid="ignore", over="ignore"):
                     x, y = other_support.extreme_vertices(slope[r, None] * rho, flipped)
-                out[r] += u1[r] * (x * ax).sum(axis=1) + u2[r] * (y * ay).sum(axis=1)
+                h = u1[r] * (x * ax).sum(axis=1) + u2[r] * (y * ay).sum(axis=1)
+                out[r] += np.maximum(h, 0.0)  # the hull holds 0, as in ZonogonSupport.eval
 
     if threads == 1:
         run_share(0)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,6 +223,24 @@ class TestSkeleton:
             want = np.unique(sums, axis=0)
             got = skeleton_points(VectorMeasure(n, atoms)).points
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
+
+    def test_subset_rows_are_private(self):
+        # dyadic atoms with a duplicate and a zero: 64 subsets on fewer rows
+        atoms = case_rng(27, "test.skeleton.rows").integers(-2, 3, (6, 2)) / 2.0
+        atoms[1], atoms[2] = atoms[0], 0.0
+        s = skeleton_points(VectorMeasure(2, atoms))
+        rows = s._subset_rows
+        assert rows.dtype == np.int32 and rows.shape == (64,) and not rows.flags.writeable
+        assert s.point_count < 64 and set(rows.tolist()) == set(range(s.point_count))
+        sums = [atoms[[j for j in range(6) if subset >> j & 1]].sum(axis=0) for subset in range(64)]
+        assert np.array_equal(s.points[rows], sums)
+        # the map is no field: the same points built in public are equal
+        public = SkeletonPointSet(2, s.points, s.total)
+        assert public._subset_rows is None
+        assert s == public and hash(s) == hash(public)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and hash(back) == hash(s)
+        assert np.array_equal(back._subset_rows, rows) and not back._subset_rows.flags.writeable
 
 
 class TestZonogon:
@@ -956,6 +976,48 @@ class TestHausdorffPoints:
             assert np.array_equal(r.witness_point, a[rows][np.flatnonzero(
                 np.abs(a[rows]).sum(axis=1) == 2.0)[0]])
 
+    def test_paired_skeletons_match_plain_query(self):
+        # skeletons of measures with equal atom counts pair their rows by
+        # subset; distance and witness are those of a full query of every
+        # row, and of the same points built in public, which carry no pairs
+        paired = 0
+        for label, a, b in _skeleton_pair_corpus():
+            n = a.shape[1]
+            for k in (0, 600, -600):
+                p1 = skeleton_points(VectorMeasure(n, np.ldexp(a, k)))
+                p2 = skeleton_points(VectorMeasure(n, np.ldexp(b, k)))
+                paired += p1._subset_rows.shape == p2._subset_rows.shape
+                r = hausdorff_points(p1, p2)
+                distance, witness = _plain_hausdorff_points(p1.points, p2.points)
+                public = hausdorff_points(*(SkeletonPointSet(n, p.points, p.total) for p in (p1, p2)))
+                for got in (r, public):
+                    assert got.distance == distance, (label, k)
+                    assert got.witness_point.tobytes() == witness.tobytes(), (label, k)
+        assert paired == 3 * 125
+
+    def test_paired_skeletons_query_few_rows(self, monkeypatch):
+        # a pair like the spatial benchmark's largest, 2^14 points a side in
+        # n = 3: the Lipschitz bound alone settles almost no row (32 832 rows
+        # reach a query), the pair sums all but a few hundred (810)
+        import scipy.spatial
+
+        queried = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        rng = case_rng(26, "test.points.paired.count")
+        atoms = rng.uniform(-1.0, 1.0, (14, 3))
+        p1 = skeleton_points(VectorMeasure(3, atoms))
+        p2 = skeleton_points(VectorMeasure(3, atoms + rng.uniform(-0.01, 0.01, atoms.shape)))
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        r = hausdorff_points(p1, p2)
+        assert 0 < sum(queried) < 2000
+        distance, witness = _plain_hausdorff_points(p1.points, p2.points)
+        assert r.distance == distance and r.witness_point.tobytes() == witness.tobytes()
+
     def test_empty_sets(self):
         empty = _points(np.zeros((0, 2)))
         r = hausdorff_points(empty, empty)
@@ -981,6 +1043,29 @@ def _plain_hausdorff_points(a: np.ndarray, b: np.ndarray):
         worst = int(np.argmax(d))
         found.append((float(d[worst]), p[worst]))
     return found[0] if found[0][0] >= found[1][0] else found[1]
+
+
+def _skeleton_pair_corpus():
+    """Seeded (label, a, b) atom arrays whose skeletons are compared: 125 of
+    equal atom counts (perturbed, dyadic with duplicates, with zero-sum
+    subsets, equal, independent) and 25 with a split atom."""
+    rng = case_rng(25, "test.points.paired")
+    for n in range(1, 6):
+        for m in (0, 1, 3, 6, 10):
+            a = rng.uniform(-1.0, 1.0, (m, n))
+            yield f"perturbed n={n} m={m}", a, a + rng.uniform(-0.01, 0.01, a.shape)
+            dyadic = rng.integers(-2, 3, (m, n)) / 4.0
+            dyadic[: m // 2] = dyadic[0] if m else dyadic[: m // 2]
+            yield f"dyadic n={n} m={m}", dyadic, dyadic + rng.integers(-1, 2, (m, n)) / 4.0
+            # a, -a and zero atoms: many subsets sum to 0
+            half = rng.uniform(-1.0, 1.0, (m // 2, n))
+            zero_sum = np.vstack([half, -half, np.zeros((m % 2, n))])
+            yield f"zero sums n={n} m={m}", zero_sum, zero_sum + rng.uniform(-0.01, 0.01, zero_sum.shape)
+            yield f"equal n={n} m={m}", a, a.copy()
+            yield f"independent n={n} m={m}", a, rng.uniform(-1.0, 1.0, (m, n))
+            if m:
+                split = np.vstack([a[1:], 0.25 * a[:1], 0.75 * a[:1]])
+                yield f"split n={n} m={m}", a, split
 
 
 def _point_set_corpus():
@@ -1087,6 +1172,25 @@ class TestZonogonSupport:
         keys = ZonogonSupport(gens).slope_keys
         assert keys[0] == -np.inf and keys.shape == (6,)
         assert (np.diff(keys) >= 0.0).all()
+
+    def test_support_is_never_negative(self):
+        # slopes q_2 / q_1 that overflow or underflow: the vertex found may
+        # miss the extreme one, but by less than the closed form's rounding,
+        # and the support of a hull holding 0 is never negative
+        rng = case_rng(24, "test.support.sign")
+        scales = [5e-324, 1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300]
+        q = np.array([(s * x, t * y) for x in scales for y in scales
+                      for s in (1.0, -1.0) for t in (1.0, -1.0)])
+        for case in range(300):
+            m = int(rng.integers(1, 8))
+            g = rng.normal(size=(m, 2)) * 10.0 ** rng.integers(-3, 4, (m, 1))
+            if case % 3 == 1:
+                g[:, 1] = 0.0  # on the x axis: slope keys of -inf
+            got = ZonogonSupport(g).eval(q)
+            closed = closed_reach(Zonotope(2, g), q)
+            assert (got >= 0.0).all(), case
+            ulp = np.spacing(np.abs(g).sum() * np.abs(q).sum(axis=1))
+            assert (np.abs(got - closed) <= 2 * (m + 1) * ulp).all(), case
 
     def test_zero_query(self):
         table = ZonogonSupport(np.array([[1.0, 2.0]]))

@@ -115,6 +115,8 @@ class TestValidate:
             (lambda g: Zonotope(2, g), "generators"),
             (lambda g: PiecewiseDensityMeasure(2, g[:, 0].copy(), g), "directions"),
             (lambda g: PiecewiseDensityMeasure(2, g[:, 0], g.copy()), "lengths"),
+            (lambda g: SkeletonPointSet(2, g, g[0]), "points"),
+            (lambda g: SkeletonPointSet(2, g.copy(), g[0]), "total"),
         )
         for build, field in builds:
             g = np.ones((2, 2))

@@ -245,6 +245,25 @@ class TestProductReach:
         got = product_reach_many(a, ZonogonSupport(b), dirs)
         return np.abs(got - closed).max() / np.abs(prod).sum()
 
+    def test_never_negative(self):
+        # directions whose slopes overflow or underflow, times atom ratios:
+        # each term h_B(u * a_i) is clamped at 0, as ZonogonSupport.eval is
+        rng = case_rng(28, "test.product_reach.sign")
+        scales = [5e-324, 1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300]
+        dirs = np.array([(s * x, t * y) for x in scales for y in scales
+                         for s in (1.0, -1.0) for t in (1.0, -1.0)])
+        for case in range(100):
+            a = rng.normal(size=(int(rng.integers(1, 4)), 2))
+            b = rng.normal(size=(int(rng.integers(1, 4)), 2)) * 10.0 ** rng.integers(-3, 4)
+            if case % 3 == 1:
+                b[:, 1] = 0.0
+            prod = (a[:, None, :] * b[None, :, :]).reshape(-1, 2)
+            got = product_reach_many(a, ZonogonSupport(b), dirs)
+            closed = np.maximum(dirs @ prod.T, 0.0).sum(axis=1)
+            ulp = np.spacing(np.abs(prod).sum() * np.abs(dirs).sum(axis=1))
+            assert (got >= 0.0).all(), case
+            assert (np.abs(got - closed) <= 2 * (prod.shape[0] + 1) * ulp).all(), case
+
     def test_scales_exactly(self):
         # slopes do not see 2^k, so the value scales by exactly 2^(2k)
         rng = case_rng(19, "test.product_reach.scale")
