@@ -34,6 +34,7 @@ HAUSDORFF_DIMENSION_LIMIT = 20
 _BLOCK = 1 << 16
 # arrangement bound times (generators + 1) up to which containment needs no LP
 _CLOSED_FORM_LIMIT = 40_000
+_ASCENT_PIVOTS = 2  # steps of _ascent_distance per row of [I; G], a fixed cap
 # rows per block of the point-set Hausdorff pass, of which only the first
 # is queried before the Lipschitz bound settles the others
 _LEAD_BLOCK = 64
@@ -120,7 +121,8 @@ class HausdorffResult:
 @dataclass(frozen=True)
 class Containment:
     """Point-membership verdict with a certificate either way: inside,
-    coefficients and their residual; outside, a witness and the distance."""
+    coefficients and their residual; outside, a witness d and the distance,
+    the closed-form margin <d, p> - reach(z, d) unless the LP decided."""
 
     inside: bool
     coefficients: Optional[np.ndarray]
@@ -362,7 +364,8 @@ def _lp_exponent(z: Zonotope, p: np.ndarray) -> int:
 
 
 def _lp_point_distance(z: Zonotope, p: np.ndarray):
-    """1-norm distance from ``p`` to the zonotope, coefficients and duals.
+    """1-norm distance from ``p`` to the zonotope, coefficients and duals,
+    where :func:`_ascent_distance` does not certify.
 
     Solves  min sum(s+ + s-)  s.t.  G^T t + s+ - s- = p,  t in [0,1]^m.
     Its equality duals, clipped to [-1, 1], maximize <y, p> - reach(z, y).
@@ -379,11 +382,79 @@ def _lp_point_distance(z: Zonotope, p: np.ndarray):
     return float(np.ldexp(res.fun, e)), np.clip(res.x[:m], 0.0, 1.0), dual
 
 
+def _ascent_distance(z: Zonotope, p: np.ndarray):
+    """Maximize phi(d) = <d, p> - reach(z, d), the 1-norm distance, over
+    ||d||_inf <= 1 by a piecewise-linear simplex walk (Fourer 1985) on data
+    times 2**-e, from the corner sign(p - sum g / 2).  A vertex d solves its
+    n active rows B of [I; G], facets d_i = s_i and hyperplanes <g_j, d> = 0;
+    other g_j take t_j = 1 above, 0 below, and y B = p - sum t_j g_j.  A row
+    with y_j outside [0, 1], or y_i s_i < 0, leaves (largest gain first, the
+    smallest index once phi stalls: Bland 1977); the step ends at a facet or
+    where phi's slope, less |<g_j, v>| per hyperplane crossed, turns <= 0.
+    lo = phi(d) and hi = ||t^T G - p||_1, t_j = y_j clipped to [0, 1] on the
+    active hyperplanes, bound the distance (weak duality); each sums at most
+    m + n + 1 terms no larger than mass + ||p||_1 (|d_i| <= 1), so rounds by
+    E = (m + n + 2) u (mass + ||p||_1) at most, u = 2**-53.  *Certified*:
+    hi - lo <= 2E, with lo within 3E of the distance; returns (d, t, lo, hi),
+    lo and hi times 2**e.  None (for the LP) if no row can leave first, or
+    after ``_ASCENT_PIVOTS * (m + n)`` steps."""
+    e = _lp_exponent(z, p)
+    g, q = np.ldexp(z.generators, -e), np.ldexp(p, -e)
+    m, n = g.shape
+    rows, facet = np.vstack([np.eye(n), g]), np.arange(n + m) < n
+    # |<row, x>| up to this times ||x||_inf is rounding: the row is on x's hyperplane
+    noise = 2.0**-40 * np.abs(rows).sum(axis=1)
+    rhs = np.concatenate([np.where(q >= 0.5 * g.sum(axis=0), 1.0, -1.0), np.zeros(m)])
+    act, t, best = np.arange(n), np.zeros(n + m), -np.inf
+    slack = 2 * (m + n + 2) * 2.0**-53 * (np.abs(g).sum() + np.abs(q).sum())
+    with np.errstate(all="ignore"):
+        for _ in range(_ASCENT_PIVOTS * (m + n)):
+            try:
+                inv = np.linalg.inv(rows[act])
+            except np.linalg.LinAlgError:
+                return None
+            d = np.clip(inv @ rhs[act], -1.0, 1.0)
+            a = rows @ d
+            a[np.abs(a) <= noise] = 0.0
+            # t_j = 1 above the hyperplane, 0 below; through d, t_j keeps its side
+            t = np.where(a != 0.0, a > 0.0, t > 0.5) * 1.0
+            t[act] = 0.0
+            y = (q - t[n:] @ g) @ inv
+            t[act] = np.clip(y, 0.0, 1.0)
+            lo, hi = d @ q - np.maximum(g @ d, 0.0).sum(), np.abs(t[n:] @ g - q).sum()
+            if hi - lo <= slack:
+                return d, t[n:], float(np.ldexp(lo, e)), float(np.ldexp(hi, e))
+            gain = np.where(act >= n, np.maximum(y - 1.0, -y), -rhs[act] * y)
+            if not (rise := gain > 2.0**-40).any():
+                return None
+            k = np.argmax(gain) if lo > best else np.flatnonzero(rise)[np.argmin(act[rise])]
+            best = max(best, lo)
+            sigma = -rhs[act[k]] if act[k] < n else (1.0 if y[k] > 1.0 else -1.0)
+            t[act[k]] = sigma > 0.0
+            b = sigma * (rows @ inv[:, k])
+            b[np.abs(b) <= noise * np.abs(inv[:, k]).max()] = 0.0
+            cross = np.where(facet, b != 0.0, np.where(t > 0.5, b < 0.0, b > 0.0))
+            cross[np.delete(act, k)] = False
+            idx = np.flatnonzero(cross)
+            a, b = a[idx], b[idx]
+            tau = np.where(facet[idx], (np.sign(b) - a) / b, np.maximum(-a / b, 0.0))
+            order = np.lexsort((idx, tau))
+            drop = np.where(facet[idx], np.inf, np.abs(b))[order]
+            j = int(np.argmax(np.cumsum(drop) >= gain[k]))
+            t[idx[order[:j]]] = 1.0 - t[idx[order[:j]]]
+            act[k] = idx[order[j]]
+            rhs[act[k]] = np.sign(b[order[j]]) if act[k] < n else 0.0
+    return None
+
+
 def separating_direction(z: Zonotope, p: np.ndarray):
-    """(d, distance): the clipped duals d of :func:`_lp_point_distance`
-    maximize <d, p> - reach(z, d) over ||d||_inf <= 1, and the optimum is
-    its 1-norm distance from ``p`` to the zonotope."""
+    """(d, distance): d maximizes <d, p> - reach(z, d) over ||d||_inf <= 1,
+    and the optimum is the 1-norm distance from ``p`` to the zonotope.  The
+    certified :func:`_ascent_distance` gives d and its closed-form margin;
+    else the clipped duals and objective of :func:`_lp_point_distance`."""
     p = _rows(np.reshape(p, (1, -1)), z.dimension, "point", mass=True)[0]
+    if (ascent := _ascent_distance(z, p)) is not None:
+        return ascent[0], ascent[2]
     dist, _, witness = _lp_point_distance(z, p)
     return witness, dist
 
@@ -459,11 +530,11 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     Within ``tol`` of the hull is inside, with coefficients t in [0,1]^m
     and their residual ||t^T G - p||_1 as ``distance``; else the distance
     and a witness d, <d, p> > reach(z, d) + tol.  The routes, in order: up
-    to ``_CLOSED_FORM_LIMIT`` (arrangement bound times m + 1)
-    :func:`_peeled_containment` decides with no LP; above it, or if its t
-    miss p by over ``tol``, :func:`_central_containment` may prove inside;
-    else one distance LP decides (:func:`_lp_point_distance`): its t if the
-    distance is at most ``tol``, else its clipped dual as the witness.
+    to ``_CLOSED_FORM_LIMIT`` (arrangement bound times m + 1) the closed
+    form :func:`_peeled_containment`; :func:`_central_containment`, which
+    proves inside only; above the limit :func:`_ascent_distance`, outside by
+    a certified margin over ``tol`` or inside by a residual up to it; else
+    the distance LP :func:`_lp_point_distance`, its t or its clipped dual.
     """
     p = _rows(np.reshape(point, (1, -1)), z.dimension, "point", mass=True)[0]
     _check_tol(tol)
@@ -480,6 +551,12 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
         return verdict
     if (verdict := _central_containment(z, p, tol)) is not None:
         return verdict
+    if not small and (ascent := _ascent_distance(z, p)) is not None:
+        d, t, lo, hi = ascent
+        if lo > tol:
+            return Containment(False, None, d, lo)
+        if hi <= tol:
+            return Containment(True, t, None, hi)
     dist, lam, witness = _lp_point_distance(z, p)
     if dist <= tol:
         return Containment(True, lam, None, float(np.abs(lam @ z.generators - p).sum()))

@@ -29,11 +29,13 @@ from lorenz_hulls import (
     zonogon_vertices,
 )
 from lorenz_hulls.hulls import (
+    _ASCENT_PIVOTS,
     _BLOCK,
     _CLOSED_FORM_LIMIT,
     ZonogonSupport,
     _arrangement_size,
     _central_containment,
+    _lp_exponent,
     _lp_point_distance,
     linprog,
     separating_direction,
@@ -59,7 +61,13 @@ def closed_reach(z, directions):
 
 
 def refuse_lp(*args, **kwargs):
-    raise AssertionError("containment below the guard solved a linear program")
+    raise AssertionError("a linear program ran where none may")
+
+
+def highs_error(z, p):
+    """HiGHS's error on a distance: its feasibility tolerance is 1e-7 per
+    row of the LP, which runs on data times 2**-e (``_lp_exponent``)."""
+    return np.ldexp(1e-6, _lp_exponent(z, p))
 
 
 def near_parallel_chain(count=200, step=0.9e-12):
@@ -393,12 +401,18 @@ class TestContainsPoint:
         assert _arrangement_size(32, 4) * (32 + 1) > _CLOSED_FORM_LIMIT
         inside = rng.uniform(0.2, 0.8, 32) @ z.generators
         outside = z.total() * 0.5 + np.abs(z.generators).sum()
-        # the central certificate decides the inside point with no LP; the
-        # outside point takes the distance LP alone, its witness the dual
-        for p, verdict, lps in ((inside, True, []), (outside, False, [True])):
-            calls.clear()
-            assert contains_point(z, p).inside is verdict
-            assert calls == lps
+        # a vertex, t in {0, 1}^m: the central certificate cannot prove it
+        vertex = (z.generators @ rng.normal(size=4) > 0.0) @ z.generators
+        assert _central_containment(z, vertex, 1e-9) is None
+        # the central certificate decides the inside point and the ascent
+        # the outside point and the vertex, with no LP; a walk that ends
+        # uncertified (here: capped at 0 steps) hands each to one LP
+        for cap, lps in ((_ASCENT_PIVOTS, []), (0, [True])):
+            monkeypatch.setattr("lorenz_hulls.hulls._ASCENT_PIVOTS", cap)
+            for p, verdict, want in ((inside, True, []), (outside, False, lps), (vertex, True, lps)):
+                calls.clear()
+                assert contains_point(z, p).inside is verdict
+                assert calls == want
 
     def test_no_linear_program_below_the_guard(self, monkeypatch):
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
@@ -568,18 +582,13 @@ class TestContainsPoint:
             assert np.abs(r.witness).max() <= 1.0 and margin > 1e-9 * f, case
             assert abs(margin - best) <= 1e-12 * (mass + np.abs(p).sum()), case
 
-    def test_separating_direction_is_the_distance_lp_dual(self, monkeypatch):
+    def test_separating_direction_is_the_certified_optimum(self, monkeypatch):
         # n = 4...6 from the guard up to 80 generators; Gaussian, integer
         # and duplicate rows; points at a vertex +- k tol; scales 2^+-20 and
-        # 2^+-600.  separating_direction solves the one distance LP, and on
-        # every outside verdict its direction is contains_point's witness,
-        # which separates in closed form; all outputs scale exactly
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(sorted(k for k in ("A_eq", "A_ub") if k in kwargs))
-            return linprog(*args, **kwargs)
-
+        # 2^+-600.  On every outside verdict separating_direction solves no
+        # LP, its direction is contains_point's witness, whose closed-form
+        # margin is the distance, and that is the LP optimum within HiGHS's
+        # error; all outputs scale exactly
         rng = case_rng(26, "test.contains.one_lp")
         outside = 0
         for case in range(24):
@@ -606,17 +615,98 @@ class TestContainsPoint:
                 if r.inside:
                     continue
                 outside += 1
-                calls.clear()
                 with monkeypatch.context() as patched:
-                    patched.setattr("lorenz_hulls.hulls.linprog", counted)
+                    patched.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
                     d, dist = separating_direction(z, p)
-                assert calls == [["A_eq"]], (case, k)
                 assert np.array_equal(d, r.witness) and dist == r.distance, (case, k)
-                assert float(d @ p) - reach(z, d) > 1e-9, (case, k)
+                assert float(d @ p) - reach(z, d) == dist > 1e-9, (case, k)
+                assert abs(dist - _lp_point_distance(z, p)[0]) <= highs_error(z, p), (case, k)
                 for e in (-600, -20, 20, 600):
                     d_e, dist_e = separating_direction(Zonotope(n, np.ldexp(g, e)), np.ldexp(p, e))
                     assert np.array_equal(d_e, d) and dist_e == np.ldexp(dist, e), (case, k, e)
         assert outside >= 30
+
+    def test_outside_verdicts_within_the_lp_tolerance(self, monkeypatch):
+        # points k tol beyond a vertex, along the axis of the largest
+        # coordinate of its direction u, are exactly k tol away; HiGHS read
+        # most of them at 10 tol as inside.  The ascent reads every one
+        # outside with no LP, at k tol within rounding, its distance the
+        # witness's closed-form margin
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
+        rng = case_rng(27, "test.contains.outside_tol")
+        tol = 1e-9
+        for case in range(24):
+            n, m = 4 + case % 3, int(rng.integers(32, 81))
+            g = rng.normal(size=(m, n))
+            g *= rng.uniform(50.0, 100.0) / np.abs(g).sum()
+            z = Zonotope(n, g)
+            u = rng.normal(size=n)
+            vertex = (g @ u > 0.0) @ g
+            step = np.where(np.arange(n) == np.argmax(np.abs(u)), np.sign(u), 0.0)
+            for k in (2.0, 10.0, 100.0):
+                p = vertex + k * tol * step
+                r = contains_point(z, p, tol=tol)
+                assert not r.inside, (case, k)
+                assert r.distance == float(r.witness @ p) - reach(z, r.witness), (case, k)
+                rounding = 8 * (m + n) * 2.0**-53 * (np.abs(g).sum() + np.abs(p).sum())
+                assert abs(r.distance - k * tol) <= rounding, (case, k)
+
+    def test_degenerate_outside_witnesses_separate(self):
+        # duplicate, antiparallel, zero, integer and flat rows, n = 3...6,
+        # from the guard up to 80 generators, scales 2^-600 ... 2^600: every
+        # outside witness separates in closed form, by the reported
+        # distance, which is the LP optimum within HiGHS's error
+        rng = case_rng(28, "test.contains.degenerate")
+        for case in range(40):
+            n = 3 + case % 4
+            above = [k for k in range(1, 81) if _arrangement_size(k, n) * (k + 1) > _CLOSED_FORM_LIMIT]
+            m = int(rng.integers(min(above), 81))
+            g = rng.normal(size=(m, n))
+            kind = case % 5
+            if kind == 0:
+                g[1::2] = g[0::2][: m // 2]
+            elif kind == 1:
+                g[1::2] = g[0::2][: m // 2] * rng.choice([-2.0, -1.0, -0.5])
+            elif kind == 2:
+                g[rng.random(m) < 0.3] = 0.0
+            elif kind == 3:
+                g = np.round(2.0 * g)
+            else:
+                g[:, -1] = 0.0
+            f = 2.0 ** (-600, -20, 0, 20, 600)[case // 8]
+            z = Zonotope(n, f * g)
+            u = rng.normal(size=n)
+            center = g.sum(axis=0) / 2.0
+            lift = reach(Zonotope(n, g), u) + np.abs(g).sum() * 10.0 ** rng.uniform(-6.0, 0.0) - u @ center
+            vertex = (g @ u > 0.0) @ g
+            step = np.where(np.arange(n) == np.argmax(np.abs(u)), np.sign(u), 0.0)
+            for p in (f * (center + lift / (u @ u) * u), f * (vertex + 10.0 * step)):
+                r = contains_point(z, p, tol=1e-9 * f)
+                assert not r.inside, case
+                margin = float(r.witness @ p) - reach(z, r.witness)
+                assert np.abs(r.witness).max() <= 1.0 and r.distance == margin > 1e-9 * f, case
+                assert abs(r.distance - _lp_point_distance(z, p)[0]) <= highs_error(z, p), case
+
+    def test_uncapped_and_capped_ascent_agree(self, monkeypatch):
+        # with the walk capped at 0 steps every point the central
+        # certificate leaves goes to the LP, which gives the same verdicts
+        rng = case_rng(29, "test.contains.cap")
+        for case in range(6):
+            n, m = 4 + case % 3, int(rng.integers(40, 81))
+            z = Zonotope(n, rng.normal(size=(m, n)))
+            u = rng.normal(size=n)
+            vertex = (z.generators @ u > 0.0) @ z.generators
+            step = np.where(np.arange(n) == np.argmax(np.abs(u)), np.sign(u), 0.0)
+            center = z.total() / 2.0
+            points = [vertex + 1e-3 * (center - vertex), vertex, vertex + 1e-3 * step, vertex + step]
+            points.append(rng.uniform(0.0, 1.0, m) @ z.generators)
+            walked = [contains_point(z, p) for p in points]
+            with monkeypatch.context() as patched:
+                patched.setattr("lorenz_hulls.hulls._ASCENT_PIVOTS", 0)
+                capped = [contains_point(z, p) for p in points]
+            assert [r.inside for r in walked] == [r.inside for r in capped] == [True, True, False, False, True]
+            for p, a, b in zip(points, walked, capped):
+                assert abs(a.distance - b.distance) <= highs_error(z, p), case
 
     def test_witness_below_the_guard_needs_no_recheck(self, monkeypatch):
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
