@@ -32,8 +32,6 @@ HAUSDORFF_DIMENSION_LIMIT = 20
 # float64 elements per temporary block of the dense kernels (512 KB), so a
 # block and its reductions stay in cache
 _BLOCK = 1 << 16
-# arrangement bound times (generators + 1) up to which containment needs no LP
-_CLOSED_FORM_LIMIT = 40_000
 _ASCENT_PIVOTS = 2  # steps of _ascent_distance per row of [I; G], a fixed cap
 # rows per block of the point-set Hausdorff pass, of which only the first
 # is queried before the Lipschitz bound settles the others
@@ -459,56 +457,11 @@ def separating_direction(z: Zonotope, p: np.ndarray):
     return witness, dist
 
 
-def _least_violation(a: np.ndarray, slack: np.ndarray, live, lo: float, hi: float) -> float:
-    """argmin over [0, 1] of the convex max(-(slack + a t)) over the ``live``
-    rows, in [hi, lo] when lo > hi, bisected on the sign of a in the worst."""
-    a, slack = a[live], slack[live]
-    left, right = max(hi, 0.0), min(lo, 1.0)
-    while right - left > 2.0 ** -52:
-        mid = 0.5 * (left + right)
-        left, right = (mid, right) if a[np.argmax(-(slack + a * mid))] > 0.0 else (left, mid)
-    return 0.5 * (left + right)
-
-
-def _peeled_containment(z: Zonotope, p: np.ndarray, tol: float) -> Optional[Containment]:
-    """Containment over the arrangement directions U, on data times 2**-e.
-    <u, p> - reach(u) is concave and linear on each cell, so its maximum on
-    the cube, floored at 0, is the distance, at u = 0 or on U; past ``tol``
-    the argmax is the witness.  Else the generators are peeled last to
-    first: t_j is the midpoint of the t in [0, 1] with <u, q - t g_j> <=
-    reach_{<j}(u) on U (skipping u nearly orthogonal to g_j), or the least
-    violation where rounding or a distance up to ``tol`` empties it; then
-    q -= t_j g_j.  None (for the LP) if t misses p by over ``tol``."""
-    e = _lp_exponent(z, p)
-    g = np.ldexp(z.generators, -e)
-    u = _arrangement_directions(g[np.abs(g).sum(axis=1) > 0.0])
-    a = g @ u.T
-    uq = u @ np.ldexp(p, -e)
-    # row j is the reach of the first j generators
-    prefix = np.vstack([np.zeros(u.shape[0]), np.cumsum(np.maximum(a, 0.0), axis=0)])
-    gap = np.ldexp(uq - prefix[-1], e)
-    if gap.max() > tol:
-        return Containment(False, None, u[np.argmax(gap)], float(gap.max()))
-    live = np.abs(a) > 1e-9 * np.abs(g).sum(axis=1)[:, None] * np.abs(u).sum(axis=1)
-    up, down = live & (a > 0.0), live & (a < 0.0)
-    t = np.zeros(g.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(g.shape[0] - 1, -1, -1):
-            slack = prefix[j] - uq
-            bound = -slack / a[j]
-            lo = bound.max(where=up[j], initial=0.0)
-            hi = bound.min(where=down[j], initial=1.0)
-            t[j] = 0.5 * (lo + hi) if lo <= hi else _least_violation(a[j], slack, live[j], lo, hi)
-            uq -= t[j] * a[j]
-    residual = float(np.abs(t @ z.generators - p).sum())
-    return Containment(True, t, None, residual) if residual <= tol else None
-
-
 def _central_containment(z: Zonotope, p: np.ndarray, tol: float) -> Optional[Containment]:
     """Inside certificate from the centre, on data times 2**-e: the
     minimum-norm step t = 1/2 + G solve(G^T G, q - G^T 1/2) has t^T G = q.
     Containment(True, t, None, residual) when t lies in [0, 1]^m and misses
-    p by at most ``tol``; None (for the LP) otherwise, also for a singular
+    p by at most ``tol``; None (for the ascent) otherwise, also for a singular
     Gram matrix (a flat hull, or m < n).  A proof of inside, never of outside."""
     e = _lp_exponent(z, p)
     g = np.ldexp(z.generators, -e)
@@ -529,12 +482,12 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
 
     Within ``tol`` of the hull is inside, with coefficients t in [0,1]^m
     and their residual ||t^T G - p||_1 as ``distance``; else the distance
-    and a witness d, <d, p> > reach(z, d) + tol.  The routes, in order: up
-    to ``_CLOSED_FORM_LIMIT`` (arrangement bound times m + 1) the closed
-    form :func:`_peeled_containment`; :func:`_central_containment`, which
-    proves inside only; above the limit :func:`_ascent_distance`, outside by
-    a certified margin over ``tol`` or inside by a residual up to it; else
-    the distance LP :func:`_lp_point_distance`, its t or its clipped dual.
+    and a witness d, <d, p> > reach(z, d) + tol.  The routes, the same at
+    every size, in order: :func:`_central_containment`, which proves inside
+    only; :func:`_ascent_distance`, outside by a certified margin over
+    ``tol`` or inside by a residual up to it; else the distance LP
+    :func:`_lp_point_distance`, its t or its clipped dual.  So an outside
+    witness is the direction of :func:`separating_direction`.
     """
     p = _rows(np.reshape(point, (1, -1)), z.dimension, "point", mass=True)[0]
     _check_tol(tol)
@@ -546,12 +499,9 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     gap_total = np.abs(p - z.total()).sum()
     if gap_total <= tol:
         return Containment(True, np.ones(m), None, float(gap_total))
-    small = _arrangement_size(m, z.dimension) * (m + 1) <= _CLOSED_FORM_LIMIT
-    if small and (verdict := _peeled_containment(z, p, tol)) is not None:
-        return verdict
     if (verdict := _central_containment(z, p, tol)) is not None:
         return verdict
-    if not small and (ascent := _ascent_distance(z, p)) is not None:
+    if (ascent := _ascent_distance(z, p)) is not None:
         d, t, lo, hi = ascent
         if lo > tol:
             return Containment(False, None, d, lo)
@@ -705,6 +655,7 @@ def _arrangement_directions(gens: np.ndarray) -> np.ndarray:
     """Cube-surface vertices of the arrangement <g, u> = 0 of the nonzero
     rows ``gens``, where n independent hyperplanes and facets u_j = +-1
     meet; a function linear on each cell peaks over the surface at one.
+    The exact n >= 3 route of :func:`hausdorff_convex` alone reads them.
     Unit rows keep the solves in range."""
     m, n = gens.shape
     gens = gens / np.abs(gens).max(axis=1, keepdims=True)

@@ -82,10 +82,10 @@ def achieve(m: VectorMeasure, target, tol: float = 1e-9) -> AchievementCertifica
     """Coefficients and intervals reproducing a point of the hull.
 
     Feasibility is decided by :func:`contains_point` on the hull of the
-    nonzero atoms (closed form below its guard, then the central
-    certificate, the ascent, one LP), whose coefficients are accepted
-    (zero atoms receive coefficient zero).  Raises :class:`NotInHull` with
-    the separating witness when the target is outside.
+    nonzero atoms (the central certificate, then the ascent, then one LP,
+    at every size), whose coefficients are accepted (zero atoms receive
+    coefficient zero).  Raises :class:`NotInHull` with the separating
+    witness when the target is outside.
     """
     p = _rows(np.reshape(target, (1, -1)), m.dimension, "target", mass=True)[0]
     hull = hull_of(m)

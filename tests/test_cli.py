@@ -397,8 +397,8 @@ class TestAchieveCommand:
         assert captured.err == "error: target contains a NaN or infinite coordinate\n"
 
     def test_cold_achieve_imports_no_scipy(self, files):
-        # a 3-D, 6-atom measure is below the closed-form guard: no LP, so
-        # the cold process never imports scipy (``-X importtime`` lists
+        # a 3-D, 6-atom measure is decided with no LP, so the cold
+        # process never imports scipy (``-X importtime`` lists
         # every module imported on stderr)
         rng = case_rng(3, "test.cli.achieve.cold")
         atoms = rng.uniform(-1.0, 1.0, (6, 3))

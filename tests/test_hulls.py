@@ -31,7 +31,6 @@ from lorenz_hulls import (
 from lorenz_hulls.hulls import (
     _ASCENT_PIVOTS,
     _BLOCK,
-    _CLOSED_FORM_LIMIT,
     ZonogonSupport,
     _arrangement_size,
     _central_containment,
@@ -62,6 +61,13 @@ def closed_reach(z, directions):
 
 def refuse_lp(*args, **kwargs):
     raise AssertionError("a linear program ran where none may")
+
+
+# generator counts per dimension n that keep the corpora's seeded draws:
+# the largest m <= 40 whose _arrangement_size(m, n) times m + 1 is at most
+# 40 000, and the smallest m past that
+SMALL_M = {1: 40, 2: 40, 3: 22, 4: 11, 5: 7, 6: 5}
+LARGE_M = {3: 23, 4: 12, 5: 8, 6: 6}
 
 
 def highs_error(z, p):
@@ -369,7 +375,7 @@ class TestContainsPoint:
         z = Zonotope(2, [])
         assert contains_point(z, [0, 0]).inside
         assert not contains_point(z, [0.5, 0]).inside
-        # 2^21 sign vectors are past the closed-form guard, which counts them
+        # n = 21: no step enumerates the 2^21 sign vectors
         assert not contains_point(Zonotope(21, np.zeros((0, 21))), np.eye(21)[0]).inside
 
     def test_inside_distance_is_the_residual(self):
@@ -388,7 +394,7 @@ class TestContainsPoint:
         assert max(residuals) > 0.0
 
     def test_one_linear_program_per_point(self, monkeypatch):
-        # above the closed-form guard: n = 4 with 32 generators
+        # n = 4 with 32 generators
         calls = []
 
         def counted(*args, **kwargs):
@@ -398,7 +404,6 @@ class TestContainsPoint:
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", counted)
         rng = case_rng(19, "test.contains.lp_count")
         z = Zonotope(4, rng.normal(size=(32, 4)))
-        assert _arrangement_size(32, 4) * (32 + 1) > _CLOSED_FORM_LIMIT
         inside = rng.uniform(0.2, 0.8, 32) @ z.generators
         outside = z.total() * 0.5 + np.abs(z.generators).sum()
         # a vertex, t in {0, 1}^m: the central certificate cannot prove it
@@ -414,10 +419,9 @@ class TestContainsPoint:
                 assert contains_point(z, p).inside is verdict
                 assert calls == want
 
-    def test_no_linear_program_below_the_guard(self, monkeypatch):
+    def test_no_linear_program_at_verify_sizes(self, monkeypatch):
+        # every verify size is n <= 4, m <= 8
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
-        # every verify size (n <= 4, m <= 8) is below the guard
-        assert _arrangement_size(8, 4) * (8 + 1) <= _CLOSED_FORM_LIMIT
         rng = case_rng(19, "test.contains.lp_count")
         z = Zonotope(4, rng.normal(size=(8, 4)))
         inside = rng.uniform(0.2, 0.8, 8) @ z.generators
@@ -434,8 +438,8 @@ class TestContainsPoint:
         with pytest.raises(NotInHull):
             achieve(m, m.total() * 0.5 + np.abs(m.atoms).sum())
 
-    def test_peeling_miss_hands_off_to_the_lp(self, monkeypatch):
-        # coefficients that miss the point by over tol go to the LP route
+    def test_ascent_miss_hands_off_to_the_lp(self, monkeypatch):
+        # a walk that ends uncertified (capped at 0 steps) goes to the LP
         calls = []
 
         def counted(*args, **kwargs):
@@ -443,10 +447,10 @@ class TestContainsPoint:
             return linprog(*args, **kwargs)
 
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", counted)
-        monkeypatch.setattr("lorenz_hulls.hulls._least_violation", lambda *args: 0.0)
+        monkeypatch.setattr("lorenz_hulls.hulls._ASCENT_PIVOTS", 0)
         z = Zonotope(3, case_rng(24, "test.contains.handoff").normal(size=(5, 3)))
         # a vertex, t in {0, 1}^m, so that the central certificate (which
-        # would take the centre) leaves the point to the LP
+        # would take the centre) leaves the point to the capped walk
         p = (z.generators @ np.ones(3) > 0.0) @ z.generators
         assert _central_containment(z, p, 1e-9) is None
         r = contains_point(z, p)
@@ -454,15 +458,14 @@ class TestContainsPoint:
         assert r.inside and r.distance <= 1e-9
 
     def test_closed_form_corpus(self, monkeypatch):
-        # n = 1...6 up to the guard; zero, parallel and duplicate rows;
+        # n = 1...6 with up to SMALL_M[n] rows; zero, parallel and duplicate rows;
         # scales 2^k.  No LP runs; verdicts and distances match the LP route
         # at generic points; points 0.5 tol and 2 tol beyond a vertex, whose
         # distance is exact by construction, are judged by it
         rng = case_rng(23, "test.contains.closed_form")
         for case in range(96):
             n = 1 + case % 6
-            below = [k for k in range(1, 41) if _arrangement_size(k, n) * (k + 1) <= _CLOSED_FORM_LIMIT]
-            m = int(rng.integers(1, max(below) + 1))
+            m = int(rng.integers(1, SMALL_M[n] + 1))
             g = rng.normal(size=(m, n))
             g[rng.random(m) < 0.15] = 0.0
             if m > 2:
@@ -496,7 +499,7 @@ class TestContainsPoint:
                 assert abs(r.distance - s * tol) <= 1e-3 * tol, case
 
     def test_central_certificate_corpus(self, monkeypatch):
-        # n = 4...6 from the guard up to 80 generators; zero, duplicate,
+        # n = 4...6 from LARGE_M[n] up to 80 generators; zero, duplicate,
         # flat and nearly flat rows; scales 2^k; deep, uniform, near-vertex,
         # vertex and outside points.  A certificate has t in [0, 1]^m within
         # tol, is never given where the LP says outside, is what
@@ -506,8 +509,7 @@ class TestContainsPoint:
         certified = 0
         for case in range(40):
             n = 4 + case % 3
-            above = [k for k in range(1, 81) if _arrangement_size(k, n) * (k + 1) > _CLOSED_FORM_LIMIT]
-            m = int(rng.integers(min(above), 81))
+            m = int(rng.integers(LARGE_M[n], 81))
             g = rng.normal(size=(m, n))
             if case % 4 == 1:
                 g[rng.random(m) < 0.2] = 0.0
@@ -583,7 +585,7 @@ class TestContainsPoint:
             assert abs(margin - best) <= 1e-12 * (mass + np.abs(p).sum()), case
 
     def test_separating_direction_is_the_certified_optimum(self, monkeypatch):
-        # n = 4...6 from the guard up to 80 generators; Gaussian, integer
+        # n = 4...6 from LARGE_M[n] up to 80 generators; Gaussian, integer
         # and duplicate rows; points at a vertex +- k tol; scales 2^+-20 and
         # 2^+-600.  On every outside verdict separating_direction solves no
         # LP, its direction is contains_point's witness, whose closed-form
@@ -593,8 +595,7 @@ class TestContainsPoint:
         outside = 0
         for case in range(24):
             n = 4 + case % 3
-            above = [k for k in range(1, 81) if _arrangement_size(k, n) * (k + 1) > _CLOSED_FORM_LIMIT]
-            m = int(rng.integers(min(above), 81))
+            m = int(rng.integers(LARGE_M[n], 81))
             g = rng.normal(size=(m, n))
             if case % 3 == 1:
                 g = np.round(4.0 * g)
@@ -653,14 +654,13 @@ class TestContainsPoint:
 
     def test_degenerate_outside_witnesses_separate(self):
         # duplicate, antiparallel, zero, integer and flat rows, n = 3...6,
-        # from the guard up to 80 generators, scales 2^-600 ... 2^600: every
+        # from LARGE_M[n] up to 80 generators, scales 2^-600 ... 2^600: every
         # outside witness separates in closed form, by the reported
         # distance, which is the LP optimum within HiGHS's error
         rng = case_rng(28, "test.contains.degenerate")
         for case in range(40):
             n = 3 + case % 4
-            above = [k for k in range(1, 81) if _arrangement_size(k, n) * (k + 1) > _CLOSED_FORM_LIMIT]
-            m = int(rng.integers(min(above), 81))
+            m = int(rng.integers(LARGE_M[n], 81))
             g = rng.normal(size=(m, n))
             kind = case % 5
             if kind == 0:
@@ -708,13 +708,67 @@ class TestContainsPoint:
             for p, a, b in zip(points, walked, capped):
                 assert abs(a.distance - b.distance) <= highs_error(z, p), case
 
-    def test_witness_below_the_guard_needs_no_recheck(self, monkeypatch):
+    def test_small_witness_needs_no_recheck(self, monkeypatch):
         monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
         p = np.array([1.5, 0.0])
         r = contains_point(SQUARE, p)
-        # the closed-form witness separates by the distance itself
+        # the ascent's witness separates by the distance itself
         assert not r.inside and r.distance == 0.5
         assert float(r.witness @ p) - reach(SQUARE, r.witness) == 0.5
+
+    def test_witness_is_the_separating_direction(self):
+        # n = 2...4, m = 1...8, points beyond a random support plane: one
+        # route at every size, so the outside witness is, byte for byte,
+        # the direction of separating_direction, at its distance
+        rng = case_rng(30, "test.contains.one_witness")
+        for case in range(60):
+            n, m = 2 + case % 3, int(rng.integers(1, 9))
+            z = Zonotope(n, rng.normal(size=(m, n)))
+            u = rng.normal(size=n)
+            center = z.total() / 2.0
+            lift = reach(z, u) + np.abs(z.generators).sum() * rng.uniform(0.01, 1.0) - u @ center
+            p = center + lift / (u @ u) * u
+            r = contains_point(z, p)
+            d, dist = separating_direction(z, p)
+            assert not r.inside, case
+            assert r.witness.tobytes() == d.tobytes() and r.distance == dist, case
+
+    def test_scaled_tolerance_corpus(self, monkeypatch):
+        # n = 2...4, m = 1...11; Gaussian, integer, parallel, antiparallel
+        # and flat rows; scales 2^k with tol 1e-9 2^k.  With no LP, inside
+        # points and vertices read inside by t in [0, 1]^m within tol, and
+        # points beyond a support plane read outside by a witness whose
+        # closed-form margin is the distance, within its rounding
+        monkeypatch.setattr("lorenz_hulls.hulls.linprog", refuse_lp)
+        rng = case_rng(31, "test.contains.scaled_tol")
+        for case in range(150):
+            n, m, kind = 2 + case % 3, int(rng.integers(1, 12)), case % 5
+            g = rng.normal(size=(m, n))
+            if kind == 1:
+                g = np.round(2.0 * g)
+            elif kind in (2, 3):
+                g[1::2] = g[0::2][: m // 2] * rng.uniform(0.5, 2.0) * (-1.0) ** kind
+            elif kind == 4:
+                g[:, -1] = 0.0
+            u = rng.normal(size=n)
+            center = g.sum(axis=0) / 2.0
+            lift = reach(Zonotope(n, g), u) + np.abs(g).sum() * rng.uniform(0.01, 1.0) - u @ center
+            inside = [rng.uniform(0.0, 1.0, m) @ g, (g @ u > 0.0) @ g]
+            outside = center + lift / (u @ u) * u
+            for k in (-600, -20, 0, 20, 600):
+                f, tol = 2.0**k, 1e-9 * 2.0**k
+                z = Zonotope(n, f * g)
+                for p in inside:
+                    r = contains_point(z, f * p, tol=tol)
+                    t = r.coefficients
+                    assert r.inside and t.min() >= 0.0 and t.max() <= 1.0, (case, k)
+                    assert np.abs(t @ z.generators - f * p).sum() <= tol, (case, k)
+                p = f * outside
+                r = contains_point(z, p, tol=tol)
+                margin = float(r.witness @ p) - closed_reach(z, r.witness)[0]
+                rounding = 8 * (m + n) * 2.0**-53 * (np.abs(z.generators).sum() + np.abs(p).sum())
+                assert not r.inside and np.abs(r.witness).max() <= 1.0, (case, k)
+                assert margin > tol and abs(margin - r.distance) <= rounding, (case, k)
 
 
 class TestIncludes:

@@ -126,8 +126,8 @@ def test_spawned_workers_match_one_process():
 
 
 def test_geometry_and_zonoid_suites_solve_no_linear_program(monkeypatch):
-    # their containment and achieve cases (n <= 4, m <= 8) are below the
-    # closed-form guard
+    # the central certificate or the ascent decides each of their
+    # containment and achieve cases (n <= 4, m <= 8)
     def refuse(*args, **kwargs):
         raise AssertionError("a suite solved a linear program")
 
