@@ -34,8 +34,13 @@ HAUSDORFF_DIMENSION_LIMIT = 20
 _BLOCK = 1 << 16
 _ASCENT_PIVOTS = 2  # steps of _ascent_distance per row of [I; G], a fixed cap
 # rows per block of the point-set Hausdorff pass, of which only the first
-# is queried before the Lipschitz bound settles the others
+# is queried before the Lipschitz bound settles the others; also the first
+# block of the window scan
 _LEAD_BLOCK = 64
+# scanned pairs per point of two paired skeletons: a pair takes 11 ns in n = 3
+# and the kd-tree route 220-830 ns a point (2^14 points, 2 vCPUs), and a first
+# block whose windows average half the other set is refused
+_SCAN_BUDGET = 16
 
 
 def linprog(*args, **kwargs):
@@ -174,9 +179,11 @@ def reach_many(z: Zonotope, directions) -> np.ndarray:
 
 
 def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
-    """Enumerate the 2^m subset sums of the measure's atoms; both guards
-    fire before the 2^m x n sums are allocated.  Subset S (atom j in S iff
-    bit j of S is set) sums to point ``_subset_rows[S]`` (read-only int32)."""
+    """Enumerate the 2^m subset sums of the measure's atoms, lexicographic
+    and without duplicates, so sorted on the first coordinate for the window
+    scan of :func:`hausdorff_points`; both guards fire before the 2^m x n
+    sums are allocated.  Subset S (atom j in S iff bit j of S is set) sums
+    to point ``_subset_rows[S]`` (read-only int32)."""
     if m.atom_count > SKELETON_ATOM_LIMIT:
         raise TooManyAtoms(
             f"skeleton enumeration capped at {SKELETON_ATOM_LIMIT} atoms, "
@@ -191,7 +198,17 @@ def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
     sums = np.zeros((1 << m.atom_count, m.dimension))
     for j, atom in enumerate(m.atoms):
         np.add(sums[: 1 << j], atom, out=sums[1 << j : 2 << j])
-    order = np.lexsort(sums.T[::-1])
+    # one lexsort for at most 2^8 sums, or when the first 2^8 tie on the first
+    # coordinate (dyadic atoms); else one key, and a lexsort in subset order,
+    # whose runs it keeps, where that key ties
+    if sums.shape[0] <= 256 or np.unique(sums[:256, 0]).size < 256:
+        order = np.lexsort(sums.T[::-1])
+    else:
+        order = np.argsort(sums[:, 0])
+        if (tied := np.diff(sums[order, 0]) == 0.0).any():
+            at = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+            sub = np.sort(order[at])
+            order[at] = sub[np.lexsort(sums[sub].T[::-1])]
     sums = sums[order]
     fresh = np.concatenate([[True], (sums[1:] != sums[:-1]).any(axis=1)])
     rows = np.empty(order.shape[0], dtype=np.int32)
@@ -699,15 +716,54 @@ def _facet_vertices(rows: np.ndarray) -> np.ndarray:
     return np.take_along_axis(np.hstack([u_r[r, c, :, p], signs[p]]), np.argsort(order)[r], axis=1)
 
 
-def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, rows_of=None, pair=None):
-    """max over rows of ``a`` of the 1-norm distance to the points of the
-    kd-tree ``tree_b``, and the first row in input order attaining it:
-    byte for byte the ``argmax`` of ``tree_b.query(a, p=1)``.
+def _scanned_points_1norm(a, b, rows_of, pair, budget: int, dist: np.ndarray):
+    """Fill ``dist`` as :func:`_directed_points_1norm` does, by window scans
+    of ``b``, sorted on its first coordinate; return the budget left, or
+    None once a block's pairs would pass it, counted before any of its
+    distances.  u_i, the least ``pair`` d_S over the subsets S of row i, is
+    a computed distance from a_i to some b, so only rows with u_i at or
+    above the largest distance found can attain the maximum: blocks of the
+    largest u_i, doubling from ``_LEAD_BLOCK`` rows.  Row i scans the b with
+    |a_i0 - b_0| <= u_i (ends rounded): a float sum of nonnegative terms is
+    at least each term, and rounding skips no float, so the window holds
+    every b nearer than u_i.  It sums |a_i0 - b_0| + |a_i1 - b_1| + ... in
+    coordinate order, as ``cKDTree(b).query(a_i, p=1)`` does, so the least
+    of u_i and its sums is that query's value."""
+    bound = np.full(a.shape[0], np.inf)
+    np.minimum.at(bound, rows_of, pair)
+    rows, block = np.arange(a.shape[0]), _LEAD_BLOCK
+    while rows.size:
+        if rows.size > block:
+            rows = rows[np.argpartition(bound[rows], -block)[-block:]]
+        lo = np.searchsorted(b[:, 0], a[rows, 0] - bound[rows], "left")
+        width = np.searchsorted(b[:, 0], a[rows, 0] + bound[rows], "right") - lo
+        ends = np.cumsum(width)
+        if ends[-1] > budget:
+            return None
+        budget, block = budget - ends[-1], 2 * block
+        dist[rows] = bound[rows]
+        # whole rows in blocks of about _BLOCK pairs
+        cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK))
+        for r in np.split(np.arange(rows.size), np.unique(cuts[cuts > 0])):
+            w = width[r]
+            start = np.cumsum(w) - w
+            j = np.arange(start[-1] + w[-1]) + np.repeat(lo[r] - start, w)
+            sums = sum(np.abs(column[j] - np.repeat(x, w)) for x, column in zip(a[rows[r]].T, b.T))
+            i, start = rows[r[w > 0]], start[w > 0]  # an empty window leaves u_i
+            dist[i] = np.minimum(dist[i], np.minimum.reduceat(sums, start))
+        rows = np.flatnonzero((dist == -np.inf) & (bound >= dist.max()))
+    return int(budget)
+
+
+def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, rows_of, pair, dist):
+    """Fill ``dist`` with ``tree_b.query(a, p=1)``'s 1-norm distances, byte
+    for byte, at every row of ``a`` that can attain their maximum and is
+    still -inf (a window scan may have set some), and -inf at the others.
 
     ``order`` is a spatially coherent permutation of the rows (the leaf
     order of a kd-tree over ``a``), cut into blocks of ``_LEAD_BLOCK``.
     Only each block's first row r is queried first, and ``best`` is the
-    largest of those distances.  Since the distance to a set is 1-Lipschitz,
+    largest distance known.  Since the distance to a set is 1-Lipschitz,
     d(a_i, B) <= d(a_r, B) + ||a_i - a_r||_1 =: bound_i, and a row with
     bound_i below ``cut`` needs no query.  The other rows are queried in
     input order, first with ``cut`` as the search radius and then, if
@@ -737,8 +793,9 @@ def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, rows_of=Non
     """
     rows, n = a.shape
     first = order[::_LEAD_BLOCK]
-    d_first = tree_b.query(a[first], p=1)[0]
-    best = d_first.max()
+    ask = first[dist[first] == -np.inf]
+    dist[ask] = tree_b.query(a[ask], p=1)[0]
+    d_first, best = dist[first], dist.max()
     cut = best - 4 * (n + 1) * np.spacing(best)
     # bounds in ``order``, one (blocks, _LEAD_BLOCK) pass per coordinate;
     # the last block is padded with its own last row, dropped afterwards
@@ -750,36 +807,30 @@ def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, rows_of=Non
         gap -= gap[:, :1]
         bound += np.abs(gap, out=gap)
     # no row settles when ``cut`` is NaN (an overflowing ``best``)
-    todo = np.ones(rows, dtype=bool)
+    todo = dist == -np.inf
     todo[order[bound.reshape(-1)[:rows] < cut]] = False
     if pair is not None:
         todo[rows_of[pair < cut]] = False
-    todo[first] = False
     rest = np.flatnonzero(todo)
     d_rest = tree_b.query(a[rest], p=1, distance_upper_bound=cut)[0]
     far = np.isinf(d_rest)
     d_rest[far] = tree_b.query(a[rest[far]], p=1)[0]
-    dist = np.full(rows, -np.inf)
-    dist[first] = d_first
     dist[rest] = d_rest
-    worst = int(np.argmax(dist))
-    return float(dist[worst]), a[worst]
 
 
+@np.errstate(over="ignore")  # a distance may overflow to inf
 def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffResult:
     """Exact 1-norm Hausdorff distance between finite point sets.
 
-    One unbalanced kd-tree per set, built once, serves both directed passes
-    of :func:`_directed_points_1norm`: as the target of the other set's
-    queries and, by its leaf order, as the row order of its own set's
-    bounds.  The cost is O(N log N) to build, O(N n) for the bounds, and one
-    query per 64 rows plus one per row the bounds do not settle (two for a
-    row as far as the farthest first row).  The Lipschitz bound settles far,
-    nearly collinear sets; skeletons of 2^m subsets each pair their rows by
-    subset S (:func:`skeleton_points`), and d_S = ||x_S - y_S||_1 settles
-    nearly all rows of nearby measures.  The distance and ``witness_point``
-    are those of a full query of every row, the witness being the first row
-    in input order attaining it.
+    Two skeletons of 2^m subsets pair their rows by subset S
+    (:func:`skeleton_points`), and d_S = ||x_S - y_S||_1 bounds each row's
+    distance to the other set; a directed pass over them scans the other
+    set (:func:`_scanned_points_1norm`) within ``_SCAN_BUDGET`` pairs per
+    point of both.  Other inputs, and a pass the budget stops, take one
+    unbalanced kd-tree per set, O(N log N) to build
+    (:func:`_directed_points_1norm`).  Distance and ``witness_point`` are
+    those of a full kd-tree query of every row, the witness being the first
+    row in input order attaining it.
     """
     _same_dimension("Hausdorff across dimensions", p1.dimension, p2.dimension)
     if max(p1.point_count, p2.point_count) > POINT_SET_LIMIT:
@@ -788,14 +839,23 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
         if p1.point_count or p2.point_count:
             raise SizeGuard("Hausdorff distance against an empty point set")
         return HausdorffResult(0.0, "exact")
-    from scipy.spatial import cKDTree
-
-    t1, t2 = (cKDTree(p.points, balanced_tree=False, compact_nodes=False) for p in (p1, p2))
-    r1, r2 = p1._subset_rows, p2._subset_rows
-    pair = None
+    a, rows_of = (p1.points, p2.points), (p1._subset_rows, p2._subset_rows)
+    r1, r2 = rows_of
+    dist = [np.full(p.point_count, -np.inf) for p in (p1, p2)]
+    pair, scanned = None, 0  # directed passes the window scan finished
     if r1 is not None and r2 is not None and r1.shape == r2.shape:
         pair = sum(np.abs(x[r1] - y[r2]) for x, y in zip(p1.points.T, p2.points.T))
-    d12, w12 = _directed_points_1norm(p1.points, t2, t1.indices, r1, pair)
-    d21, w21 = _directed_points_1norm(p2.points, t1, t2.indices, r2, pair)
-    distance, witness = (d12, w12) if d12 >= d21 else (d21, w21)
-    return HausdorffResult(distance, "exact", witness_point=witness)
+        budget = _SCAN_BUDGET * (p1.point_count + p2.point_count)
+        while scanned < 2 and budget is not None:
+            k = scanned
+            budget = _scanned_points_1norm(a[k], a[1 - k], rows_of[k], pair, budget, dist[k])
+            scanned += budget is not None
+    if scanned < 2:
+        from scipy.spatial import cKDTree
+
+        trees = [cKDTree(p, balanced_tree=False, compact_nodes=False) for p in a]
+        for k in range(scanned, 2):
+            _directed_points_1norm(a[k], trees[1 - k], trees[k].indices, rows_of[k], pair, dist[k])
+    worst = [int(np.argmax(d)) for d in dist]
+    k = 0 if dist[0][worst[0]] >= dist[1][worst[1]] else 1
+    return HausdorffResult(float(dist[k][worst[k]]), "exact", witness_point=a[k][worst[k]])

@@ -1,4 +1,6 @@
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +239,34 @@ class TestSkeleton:
             want = np.unique(sums, axis=0)
             got = skeleton_points(VectorMeasure(n, atoms)).points
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
+
+    def test_one_key_sort_matches_lexsort(self):
+        # points and subset rows are byte for byte those of one np.lexsort
+        # over every coordinate: on tie-free Gaussian atoms (one key), on
+        # dyadic ones (their first 2^8 sums tie: one lexsort), and on
+        # Gaussian atoms whose 9th and later atoms repeat an earlier one or
+        # have x0 = 0, so that the first coordinate ties only past the
+        # first 2^8 sums and is lexsorted where it ties
+        rng = case_rng(28, "test.skeleton.one_key")
+        late_ties = 0
+        for case in range(60):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(0, 13))
+            if case % 3 == 1:
+                atoms = rng.integers(-3, 4, (k, n)) / 4.0
+            else:
+                atoms = rng.normal(size=(k, n))
+            if case % 3 == 2:
+                k = int(rng.integers(9, 13))
+                atoms = rng.normal(size=(k, n))
+                atoms[8] = atoms[int(rng.integers(0, 8))]
+                atoms[9:, 0] = 0.0
+            s = skeleton_points(VectorMeasure(n, atoms))
+            points, rows = _lexsort_skeleton(atoms)
+            assert s.points.tobytes() == points.tobytes(), case
+            assert s._subset_rows.tobytes() == rows.tobytes(), case
+            head, x0 = np.sort(points[rows[:256], 0]), np.sort(points[rows, 0])
+            late_ties += (head[1:] != head[:-1]).all() and (x0[1:] == x0[:-1]).any()
+        assert late_ties == 20
 
     def test_subset_rows_are_private(self):
         # dyadic atoms with a duplicate and a zero: 64 subsets on fewer rows
@@ -1120,10 +1150,26 @@ class TestHausdorffPoints:
             assert np.array_equal(r.witness_point, a[rows][np.flatnonzero(
                 np.abs(a[rows]).sum(axis=1) == 2.0)[0]])
 
-    def test_paired_skeletons_match_plain_query(self):
+    def test_paired_skeletons_match_plain_query(self, monkeypatch):
         # skeletons of measures with equal atom counts pair their rows by
         # subset; distance and witness are those of a full query of every
-        # row, and of the same points built in public, which carry no pairs
+        # row, and of the same points built in public, which carry no pairs.
+        # The corpus reaches each route of a directed pass: the window scan
+        # to the end, a scan the budget stops after some distances (the
+        # kd-tree takes over from them), and the kd-tree alone, refused
+        # before any distance is computed
+        from lorenz_hulls import hulls
+
+        routes = {"scanned": 0, "stopped": 0, "refused": 0}
+        scan = hulls._scanned_points_1norm
+
+        def counting_scan(a, b, rows_of, pair, budget, dist):
+            left = scan(a, b, rows_of, pair, budget, dist)
+            stopped = "stopped" if (dist > -np.inf).any() else "refused"
+            routes["scanned" if left is not None else stopped] += 1
+            return left
+
+        monkeypatch.setattr(hulls, "_scanned_points_1norm", counting_scan)
         paired = 0
         for label, a, b in _skeleton_pair_corpus():
             n = a.shape[1]
@@ -1137,30 +1183,129 @@ class TestHausdorffPoints:
                 for got in (r, public):
                     assert got.distance == distance, (label, k)
                     assert got.witness_point.tobytes() == witness.tobytes(), (label, k)
-        assert paired == 3 * 125
+        assert paired == 3 * 145
+        assert routes["scanned"] > 600, routes
+        assert routes["stopped"] >= 6 and routes["refused"] >= 30, routes
+
+    def test_overflowing_pair_sums(self):
+        # x_S - y_S overflows for the one-atom subset, so u_i = inf and the
+        # window is the whole other set; the distance, to the origin, is
+        # finite.  Between the public sets it overflows to inf
+        for n in (1, 2, 3):
+            atom = np.ones((1, n))
+            atom[0, 0] = 1.5e308
+            flipped = atom.copy()
+            flipped[0, 0] = -1.5e308
+            p1, p2 = skeleton_points(VectorMeasure(n, atom)), skeleton_points(VectorMeasure(n, flipped))
+            r = hausdorff_points(p1, p2)
+            distance, witness = _plain_hausdorff_points(p1.points, p2.points)
+            assert np.isfinite(distance) and r.distance == distance, n
+            assert r.witness_point.tobytes() == witness.tobytes(), n
+            far = hausdorff_points(_points(p1.points[1:]), _points(p2.points[:1]))
+            assert far.distance == np.inf == _plain_hausdorff_points(p1.points[1:], p2.points[:1])[0]
+
+    def test_window_may_miss_the_partner(self):
+        # x = 1 + 2^-52 and its partner y = 2^-53 differ by 1 + 2^-53, which
+        # rounds to u = 1, but the window's rounded end x - u = 2^-52 lies
+        # above y: the window is empty and the distance is u itself
+        for n in (1, 2, 3):
+            x, y = np.zeros((1, n)), np.zeros((1, n))
+            x[0, 0], y[0, 0] = 1.0 + 2.0**-52, 2.0**-53
+            p1, p2 = skeleton_points(VectorMeasure(n, x)), skeleton_points(VectorMeasure(n, y))
+            r = hausdorff_points(p1, p2)
+            distance, witness = _plain_hausdorff_points(p1.points, p2.points)
+            assert r.distance == distance == 1.0 and r.witness_point.tobytes() == witness.tobytes()
+
+    def test_scan_sums_in_query_order(self):
+        # coordinate gaps that mix 2^40, 1 and 2^-40, so that the computed
+        # 1-norm of a pair depends on the order of its sums: every row the
+        # window scan reaches carries the kd-tree's p = 1 query exactly,
+        # with a partner's pair sum as its bound and with no bound (u = inf,
+        # every row), and the reversed order would differ on some rows
+        from scipy.spatial import cKDTree
+
+        from lorenz_hulls.hulls import _scanned_points_1norm
+
+        rng = case_rng(28, "test.points.scan.order")
+        reordered = 0
+        for n in (2, 3, 4, 5):
+            scales = np.ldexp(1.0, rng.choice([-40, 0, 0, 40], (700, n)))
+            a = rng.uniform(-1.0, 1.0, (400, n)) * scales[:400]
+            b = a[rng.permutation(400)[:300]] + rng.uniform(-1.0, 1.0, (300, n)) * scales[400:]
+            b = b[np.argsort(b[:, 0], kind="stable")]
+            query = cKDTree(b).query(a, p=1)[0]
+            partner = rng.integers(0, 300, 400)
+            pair = sum(np.abs(a[:, k] - b[partner, k]) for k in range(n))
+            for bound in (pair, np.full(400, np.inf)):
+                dist = np.full(400, -np.inf)
+                assert _scanned_points_1norm(a, b, np.arange(400), bound, 1 << 62, dist) is not None
+                seen = dist > -np.inf
+                assert dist[seen].tobytes() == query[seen].tobytes(), n
+                assert seen[query == query.max()].all(), n
+            assert seen.all()
+            backwards = [sum(np.abs(x[k] - b[:, k]) for k in reversed(range(n))).min() for x in a]
+            reordered += int((np.array(backwards) != query).sum())
+        assert reordered > 0
 
     def test_paired_skeletons_query_few_rows(self, monkeypatch):
         # a pair like the spatial benchmark's largest, 2^14 points a side in
-        # n = 3: the Lipschitz bound alone settles almost no row (32 832 rows
-        # reach a query), the pair sums all but a few hundred (810)
+        # n = 3: the window scan settles both directed passes with no
+        # kd-tree, scanning 94 627 pairs, under 4 per point of both sets
+        # (the budget allows 16, a full comparison 2^14)
         import scipy.spatial
 
-        queried = []
-
-        class CountingTree(scipy.spatial.cKDTree):
-            def query(self, x, *args, **kwargs):
-                queried.append(len(x))
-                return super().query(x, *args, **kwargs)
+        from lorenz_hulls import hulls
 
         rng = case_rng(26, "test.points.paired.count")
         atoms = rng.uniform(-1.0, 1.0, (14, 3))
         p1 = skeleton_points(VectorMeasure(3, atoms))
         p2 = skeleton_points(VectorMeasure(3, atoms + rng.uniform(-0.01, 0.01, atoms.shape)))
-        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
-        r = hausdorff_points(p1, p2)
-        assert 0 < sum(queried) < 2000
         distance, witness = _plain_hausdorff_points(p1.points, p2.points)
+        built, scanned = [], []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(len(args[0]))
+                super().__init__(*args, **kwargs)
+
+        scan = hulls._scanned_points_1norm
+
+        def counting_scan(a, b, rows_of, pair, budget, dist):
+            left = scan(a, b, rows_of, pair, budget, dist)
+            scanned.append(budget - left)
+            return left
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        monkeypatch.setattr(hulls, "_scanned_points_1norm", counting_scan)
+        r = hausdorff_points(p1, p2)
+        assert not built
+        assert 0 < sum(scanned) < 4 * (p1.point_count + p2.point_count)
         assert r.distance == distance and r.witness_point.tobytes() == witness.tobytes()
+
+    def test_paired_skeletons_import_no_scipy(self):
+        # the spatial benchmark's skeleton job (14 atoms in n = 3 and a
+        # +-0.01 perturbation) in a fresh interpreter: the window scan
+        # answers, and no scipy module is imported (``-X importtime`` lists
+        # every module imported on stderr)
+        code = (
+            "from lorenz_hulls import VectorMeasure, hausdorff_points, skeleton_points\n"
+            "from lorenz_hulls.sampling import case_rng\n"
+            "rng = case_rng(26, 'test.points.paired.count')\n"
+            "atoms = rng.uniform(-1.0, 1.0, (14, 3))\n"
+            "moved = atoms + rng.uniform(-0.01, 0.01, atoms.shape)\n"
+            "print(repr(hausdorff_points(*(skeleton_points(VectorMeasure(3, x)) for x in (atoms, moved))).distance))\n"
+        )
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "numpy" in imported and "lorenz_hulls.hulls" in imported
+        assert not [name for name in imported if name.startswith("scipy")]
+        rng = case_rng(26, "test.points.paired.count")
+        atoms = rng.uniform(-1.0, 1.0, (14, 3))
+        moved = atoms + rng.uniform(-0.01, 0.01, atoms.shape)
+        want = hausdorff_points(*(skeleton_points(VectorMeasure(3, x)) for x in (atoms, moved)))
+        assert float(proc.stdout) == want.distance
 
     def test_empty_sets(self):
         empty = _points(np.zeros((0, 2)))
@@ -1189,10 +1334,25 @@ def _plain_hausdorff_points(a: np.ndarray, b: np.ndarray):
     return found[0] if found[0][0] >= found[1][0] else found[1]
 
 
+def _lexsort_skeleton(atoms: np.ndarray):
+    """Reference skeleton: the 2^m subset sums in subset order, sorted by one
+    np.lexsort over every coordinate, duplicates collapsed; the points and
+    each subset's row."""
+    sums = np.zeros((1 << len(atoms), atoms.shape[1]))
+    for j, atom in enumerate(atoms):
+        sums[1 << j : 2 << j] = sums[: 1 << j] + atom
+    order = np.lexsort(sums.T[::-1])
+    fresh = np.concatenate([[True], (sums[order][1:] != sums[order][:-1]).any(axis=1)])
+    rows = np.empty(len(order), dtype=np.int32)
+    rows[order] = np.cumsum(fresh) - 1
+    return sums[order][fresh], rows
+
+
 def _skeleton_pair_corpus():
-    """Seeded (label, a, b) atom arrays whose skeletons are compared: 125 of
+    """Seeded (label, a, b) atom arrays whose skeletons are compared: 145 of
     equal atom counts (perturbed, dyadic with duplicates, with zero-sum
-    subsets, equal, independent) and 25 with a split atom."""
+    subsets, equal, independent, near, wider, with tied first coordinates)
+    and 25 with a split atom."""
     rng = case_rng(25, "test.points.paired")
     for n in range(1, 6):
         for m in (0, 1, 3, 6, 10):
@@ -1210,6 +1370,21 @@ def _skeleton_pair_corpus():
             if m:
                 split = np.vstack([a[1:], 0.25 * a[:1], 0.75 * a[:1]])
                 yield f"split n={n} m={m}", a, split
+    # 20 more of equal atom counts, each n = 1...5: near pairs (+-0.01,
+    # scanned), wider ones (+-0.1, where some scans stop short), independent
+    # ones (the kd-tree), and dyadic atoms that all share x0 (few distinct
+    # first coordinates, duplicate points)
+    for n in range(1, 6):
+        a = rng.uniform(-1.0, 1.0, (12, n))
+        yield f"near n={n} m=12", a, a + rng.uniform(-0.01, 0.01, a.shape)
+        a = rng.uniform(-1.0, 1.0, (12, n))
+        yield f"wider n={n} m=12", a, a + rng.uniform(-0.1, 0.1, a.shape)
+        yield f"far n={n} m=12", rng.uniform(-1.0, 1.0, (12, n)), rng.uniform(-1.0, 1.0, (12, n))
+        tied = rng.integers(-2, 3, (10, n)) / 4.0
+        tied[:, 0] = 0.25
+        nudge = rng.integers(-1, 2, (10, n)) / 4.0
+        nudge[:, 0] = 0.0
+        yield f"tied x0 n={n} m=10", tied, tied + nudge
 
 
 def _point_set_corpus():
@@ -1238,6 +1413,12 @@ def _point_set_corpus():
     ends += [(rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(4)]
     for u, v in ends:
         yield f"segments {u} {v}", grid * np.asarray(u), grid[::3] * np.asarray(v)
+    # near copies: +-0.01 on the points of a, reordered
+    for n in range(1, 6):
+        for rows in (64, 1000):
+            near = rng.normal(size=(rows, n))
+            moved = near[rng.permutation(rows)] + rng.uniform(-0.01, 0.01, near.shape)
+            yield f"near n={n} rows={rows}", near, moved
 
 
 class TestZonogonSupport:
