@@ -35,12 +35,16 @@ _BLOCK = 1 << 16
 _ASCENT_PIVOTS = 2  # steps of _ascent_distance per row of [I; G], a fixed cap
 # rows per block of the point-set Hausdorff pass, of which only the first
 # is queried before the Lipschitz bound settles the others; also the first
-# block of the window scan
+# block of a paired window scan
 _LEAD_BLOCK = 64
-# scanned pairs per point of two paired skeletons: a pair takes 11 ns in n = 3
-# and the kd-tree route 220-830 ns a point (2^14 points, 2 vCPUs), and a first
-# block whose windows average half the other set is refused
+# scanned pairs per point of both sets, for each directed pass: a pair takes
+# 11 ns in n = 3 and the kd-tree route 220-830 ns a point (2^14 points,
+# 2 vCPUs), and a paired first block whose windows average half the other
+# set is refused.  Unpaired sets get 2^18 more pairs a pass, and scan only
+# while N1 + N2 < 2^15: above it, random clouds in n = 2, 3 scan 4-42 ms
+# slower than the kd-trees, whose scipy import (0.18 s cold) the scan saves
 _SCAN_BUDGET = 16
+_UNPAIRED_SCAN_LIMIT, _UNPAIRED_SCAN = 1 << 15, 1 << 18
 
 
 def linprog(*args, **kwargs):
@@ -720,18 +724,30 @@ def _scanned_points_1norm(a, b, rows_of, pair, budget: int, dist: np.ndarray):
     """Fill ``dist`` as :func:`_directed_points_1norm` does, by window scans
     of ``b``, sorted on its first coordinate; return the budget left, or
     None once a block's pairs would pass it, counted before any of its
-    distances.  u_i, the least ``pair`` d_S over the subsets S of row i, is
-    a computed distance from a_i to some b, so only rows with u_i at or
-    above the largest distance found can attain the maximum: blocks of the
-    largest u_i, doubling from ``_LEAD_BLOCK`` rows.  Row i scans the b with
+    distances.  u_i is a computed distance from a_i to some b: the least
+    ``pair`` d_S over the subsets S of row i, or, with no ``pair``, the
+    least over the 2n points of b next to a_i in b's order on each
+    coordinate (on a segment, a nearest point lies at such a breakpoint).
+    So only rows with u_i at or above the largest distance found can attain
+    the maximum: blocks of the largest u_i, doubling from ``_LEAD_BLOCK``
+    rows, or from 8 with no ``pair``.  Row i scans the b with
     |a_i0 - b_0| <= u_i (ends rounded): a float sum of nonnegative terms is
     at least each term, and rounding skips no float, so the window holds
     every b nearer than u_i.  It sums |a_i0 - b_0| + |a_i1 - b_1| + ... in
     coordinate order, as ``cKDTree(b).query(a_i, p=1)`` does, so the least
     of u_i and its sums is that query's value."""
     bound = np.full(a.shape[0], np.inf)
-    np.minimum.at(bound, rows_of, pair)
-    rows, block = np.arange(a.shape[0]), _LEAD_BLOCK
+    if pair is None:
+        block, last, at = 8, b.shape[0] - 1, np.empty(a.shape[0], dtype=np.intp)
+        for column, x in zip(b.T, a.T):
+            order, lead = np.argsort(column), np.argsort(x)  # sorted needles search faster
+            at[lead] = np.searchsorted(column[order], x[lead])
+            for j in (order[np.maximum(at - 1, 0)], order[np.minimum(at, last)]):
+                np.minimum(bound, sum(np.abs(y - c[j]) for y, c in zip(a.T, b.T)), out=bound)
+    else:
+        block = _LEAD_BLOCK
+        np.minimum.at(bound, rows_of, pair)
+    rows = np.arange(a.shape[0])
     while rows.size:
         if rows.size > block:
             rows = rows[np.argpartition(bound[rows], -block)[-block:]]
@@ -822,15 +838,18 @@ def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, rows_of, pa
 def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffResult:
     """Exact 1-norm Hausdorff distance between finite point sets.
 
-    Two skeletons of 2^m subsets pair their rows by subset S
-    (:func:`skeleton_points`), and d_S = ||x_S - y_S||_1 bounds each row's
-    distance to the other set; a directed pass over them scans the other
-    set (:func:`_scanned_points_1norm`) within ``_SCAN_BUDGET`` pairs per
-    point of both.  Other inputs, and a pass the budget stops, take one
-    unbalanced kd-tree per set, O(N log N) to build
-    (:func:`_directed_points_1norm`).  Distance and ``witness_point`` are
-    those of a full kd-tree query of every row, the witness being the first
-    row in input order attaining it.
+    Each directed pass scans windows of the other set, sorted on its first
+    coordinate (:func:`_scanned_points_1norm`), within ``_SCAN_BUDGET``
+    pairs per point of both sets.  Two skeletons of 2^m subsets pair their
+    rows by subset S (:func:`skeleton_points`), and d_S = ||x_S - y_S||_1
+    bounds each row's distance to the other set.  Other inputs bound it by
+    coordinate breakpoints, get ``_UNPAIRED_SCAN`` more pairs, and scan
+    only while N1 + N2 < ``_UNPAIRED_SCAN_LIMIT``.  A pass the budget stops,
+    or that does not scan, takes one unbalanced kd-tree per set, O(N log N)
+    to build (:func:`_directed_points_1norm`), and only it imports
+    ``scipy.spatial``.  Distance and ``witness_point`` are those of a full
+    kd-tree query of every row, the witness being the first row in input
+    order attaining it.
     """
     _same_dimension("Hausdorff across dimensions", p1.dimension, p2.dimension)
     if max(p1.point_count, p2.point_count) > POINT_SET_LIMIT:
@@ -842,19 +861,21 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
     a, rows_of = (p1.points, p2.points), (p1._subset_rows, p2._subset_rows)
     r1, r2 = rows_of
     dist = [np.full(p.point_count, -np.inf) for p in (p1, p2)]
-    pair, scanned = None, 0  # directed passes the window scan finished
+    # b: each set as the other set's pass scans it, sorted on its first
+    # coordinate (skeletons already are), or None where no pass scans
+    size = p1.point_count + p2.point_count
+    pair, b, budget = None, None, _SCAN_BUDGET * size
     if r1 is not None and r2 is not None and r1.shape == r2.shape:
-        pair = sum(np.abs(x[r1] - y[r2]) for x, y in zip(p1.points.T, p2.points.T))
-        budget = _SCAN_BUDGET * (p1.point_count + p2.point_count)
-        while scanned < 2 and budget is not None:
-            k = scanned
-            budget = _scanned_points_1norm(a[k], a[1 - k], rows_of[k], pair, budget, dist[k])
-            scanned += budget is not None
-    if scanned < 2:
+        pair, b = sum(np.abs(x[r1] - y[r2]) for x, y in zip(p1.points.T, p2.points.T)), a
+    elif size < _UNPAIRED_SCAN_LIMIT:
+        b, budget = [p[np.argsort(p[:, 0])] for p in a], budget + _UNPAIRED_SCAN
+    left = [k for k in (0, 1) if b is None
+            or _scanned_points_1norm(a[k], b[1 - k], rows_of[k], pair, budget, dist[k]) is None]
+    if left:
         from scipy.spatial import cKDTree
 
         trees = [cKDTree(p, balanced_tree=False, compact_nodes=False) for p in a]
-        for k in range(scanned, 2):
+        for k in left:
             _directed_points_1norm(a[k], trees[1 - k], trees[k].indices, rows_of[k], pair, dist[k])
     worst = [int(np.argmax(d)) for d in dist]
     k = 0 if dist[0][worst[0]] >= dist[1][worst[1]] else 1

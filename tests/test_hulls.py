@@ -1154,8 +1154,8 @@ class TestHausdorffPoints:
         # skeletons of measures with equal atom counts pair their rows by
         # subset; distance and witness are those of a full query of every
         # row, and of the same points built in public, which carry no pairs.
-        # The corpus reaches each route of a directed pass: the window scan
-        # to the end, a scan the budget stops after some distances (the
+        # The paired passes reach each route of a directed pass: the window
+        # scan to the end, a scan the budget stops after some distances (the
         # kd-tree takes over from them), and the kd-tree alone, refused
         # before any distance is computed
         from lorenz_hulls import hulls
@@ -1166,7 +1166,7 @@ class TestHausdorffPoints:
         def counting_scan(a, b, rows_of, pair, budget, dist):
             left = scan(a, b, rows_of, pair, budget, dist)
             stopped = "stopped" if (dist > -np.inf).any() else "refused"
-            routes["scanned" if left is not None else stopped] += 1
+            routes["scanned" if left is not None else stopped] += pair is not None
             return left
 
         monkeypatch.setattr(hulls, "_scanned_points_1norm", counting_scan)
@@ -1186,6 +1186,42 @@ class TestHausdorffPoints:
         assert paired == 3 * 145
         assert routes["scanned"] > 600, routes
         assert routes["stopped"] >= 6 and routes["refused"] >= 30, routes
+
+    def test_unpaired_sets_match_plain_query(self, monkeypatch):
+        # sets with no subset pairing (public sets, skeletons of different
+        # atom counts) scan under breakpoint bounds while N1 + N2 < 2^15;
+        # distance and witness are those of a full query of every row, at
+        # scales 1 and 2^+-600.  The corpus reaches each outcome of an
+        # unpaired pass: the scan to the end, a scan the budget stops, and
+        # the kd-tree alone above the size limit
+        from lorenz_hulls import hulls
+
+        routes = {"scanned": 0, "stopped": 0, "refused": 0}
+        scan = hulls._scanned_points_1norm
+        calls = []
+
+        def counting_scan(a, b, rows_of, pair, budget, dist):
+            assert pair is None
+            left = scan(a, b, rows_of, pair, budget, dist)
+            calls.append("scanned" if left is not None else "stopped")
+            assert left is not None or (dist > -np.inf).any()
+            return left
+
+        monkeypatch.setattr(hulls, "_scanned_points_1norm", counting_scan)
+        for label, p1, p2, scales in _unpaired_corpus():
+            for k in scales:
+                q1, q2 = (SkeletonPointSet(p.dimension, np.ldexp(p.points, k), p.total) for p in (p1, p2))
+                if k == 0:  # keep the skeletons' subset rows
+                    q1, q2 = p1, p2
+                calls.clear()
+                r = hausdorff_points(q1, q2)
+                distance, witness = _plain_hausdorff_points(q1.points, q2.points)
+                assert r.distance == distance, (label, k)
+                assert r.witness_point.tobytes() == witness.tobytes(), (label, k)
+                for route in calls:
+                    routes[route] += 1
+                routes["refused"] += 2 - len(calls)
+        assert routes["scanned"] >= 100 and routes["stopped"] >= 10 and routes["refused"] >= 6, routes
 
     def test_overflowing_pair_sums(self):
         # x_S - y_S overflows for the one-atom subset, so u_i = inf and the
@@ -1220,8 +1256,9 @@ class TestHausdorffPoints:
         # coordinate gaps that mix 2^40, 1 and 2^-40, so that the computed
         # 1-norm of a pair depends on the order of its sums: every row the
         # window scan reaches carries the kd-tree's p = 1 query exactly,
-        # with a partner's pair sum as its bound and with no bound (u = inf,
-        # every row), and the reversed order would differ on some rows
+        # with a partner's pair sum as its bound, with no bound (u = inf,
+        # every row) and with breakpoint bounds, and the reversed order would
+        # differ on some rows
         from scipy.spatial import cKDTree
 
         from lorenz_hulls.hulls import _scanned_points_1norm
@@ -1236,9 +1273,10 @@ class TestHausdorffPoints:
             query = cKDTree(b).query(a, p=1)[0]
             partner = rng.integers(0, 300, 400)
             pair = sum(np.abs(a[:, k] - b[partner, k]) for k in range(n))
-            for bound in (pair, np.full(400, np.inf)):
+            for rows_of, bound in ((None, None), (np.arange(400), pair),
+                                   (np.arange(400), np.full(400, np.inf))):
                 dist = np.full(400, -np.inf)
-                assert _scanned_points_1norm(a, b, np.arange(400), bound, 1 << 62, dist) is not None
+                assert _scanned_points_1norm(a, b, rows_of, bound, 1 << 62, dist) is not None
                 seen = dist > -np.inf
                 assert dist[seen].tobytes() == query[seen].tobytes(), n
                 assert seen[query == query.max()].all(), n
@@ -1385,6 +1423,52 @@ def _skeleton_pair_corpus():
         nudge = rng.integers(-1, 2, (10, n)) / 4.0
         nudge[:, 0] = 0.0
         yield f"tied x0 n={n} m=10", tied, tied + nudge
+
+
+def _unpaired_corpus():
+    """Seeded (label, p1, p2, scales) point sets with no subset pairing:
+    segments sampled as in the hausdorff suite, dense n = 1 lines, duplicate
+    points, random clouds (which the budget stops, and above the size limit
+    the kd-tree answers alone), skeletons with a split atom or one atom
+    fewer, and sums that overflow to inf (at scale 1 only)."""
+    rng = case_rng(29, "test.points.unpaired")
+    grid = np.linspace(0.0, 1.0, 10_000)[:, None]
+    for _ in range(3):
+        u, v = rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2)
+        yield f"segments {u} {v}", _points(grid * u), _points(grid * v), (0, 600, -600)
+    u, v = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+    yield "segments n=3", _points(grid[::2] * u), _points(grid[::3] * v), (0, 600, -600)
+    for rows in (500, 4000, 16000):
+        line = rng.uniform(-1.0, 1.0, (rows, 1))
+        yield f"dense line rows={rows}", _points(line), _points(line[::2] + 1e-3), (0, 600, -600)
+        yield (f"line grid rows={rows}", _points(np.round(64.0 * line) / 64.0),
+               _points(rng.uniform(-1.5, 1.5, (rows // 3, 1))), (0, 600, -600))
+    for n in (2, 3, 4):
+        grid_points = np.round(2.0 * rng.normal(size=(3000, n))) / 2.0
+        yield (f"duplicates n={n}", _points(grid_points[rng.integers(0, 3000, 3000)]),
+               _points(grid_points[rng.integers(0, 3000, 1000)]), (0, 600, -600))
+        for rows in (1000, 4000):
+            yield (f"cloud n={n} rows={rows}", _points(rng.normal(size=(rows, n))),
+                   _points(rng.normal(size=(rows, n))), (0, 600, -600))
+        yield (f"cloud n={n} rows=16384", _points(rng.normal(size=(16384, n))),
+               _points(rng.normal(size=(16384, n))), (0,))
+    for n in (1, 2, 3):
+        for m in (4, 8, 11):
+            a = rng.uniform(-1.0, 1.0, (m, n))
+            split = np.vstack([a[1:], 0.25 * a[:1], 0.75 * a[:1] + rng.uniform(-0.01, 0.01, (1, n))])
+            yield (f"split n={n} m={m}", skeleton_points(VectorMeasure(n, a)),
+                   skeleton_points(VectorMeasure(n, split)), (0, 600, -600))
+        a = rng.uniform(-1.0, 1.0, (9, n))
+        yield (f"one atom fewer n={n} m=9", skeleton_points(VectorMeasure(n, a)),
+               skeleton_points(VectorMeasure(n, a[1:] + rng.uniform(-0.01, 0.01, (8, n)))), (0, 600, -600))
+        # one point a set at x0 = +-1.2e308 (a set's 1-norm mass must stay
+        # finite): |x - y| overflows to inf between those two, so between
+        # them alone the bounds and the distance are inf; with the other
+        # points the distance stays finite
+        a, b = rng.uniform(-1.0, 1.0, (200, n)), rng.uniform(-1.0, 1.0, (100, n))
+        a[7, 0], b[0, 0] = 1.2e308, -1.2e308
+        yield f"overflow n={n}", _points(a), _points(b), (0,)
+        yield f"overflow far n={n}", _points(a[7:8]), _points(b[:1]), (0,)
 
 
 def _point_set_corpus():
