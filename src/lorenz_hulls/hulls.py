@@ -37,6 +37,11 @@ _ASCENT_PIVOTS = 2  # steps of _ascent_distance per row of [I; G], a fixed cap
 # is queried before the Lipschitz bound settles the others; also the first
 # block of a paired window scan
 _LEAD_BLOCK = 64
+# the first block of an unpaired window scan: 64 rows of the hausdorff
+# suite's 10 000-point segment passes open windows past the budget, and the
+# unpaired passes of small verify at seeds 0-9 scan in 109 ms at 8 rows,
+# 113-136 ms at 4, 16 and 32 (warm, 2 vCPUs)
+_UNPAIRED_LEAD_BLOCK = 8
 # scanned pairs per point of both sets, for each directed pass: a pair takes
 # 11 ns in n = 3 and the kd-tree route 220-830 ns a point (2^14 points,
 # 2 vCPUs), and a paired first block whose windows average half the other
@@ -730,17 +735,19 @@ def _scanned_points_1norm(a, b, rows_of, pair, budget: int, dist: np.ndarray):
     coordinate (on a segment, a nearest point lies at such a breakpoint).
     So only rows with u_i at or above the largest distance found can attain
     the maximum: blocks of the largest u_i, doubling from ``_LEAD_BLOCK``
-    rows, or from 8 with no ``pair``.  Row i scans the b with
-    |a_i0 - b_0| <= u_i (ends rounded): a float sum of nonnegative terms is
-    at least each term, and rounding skips no float, so the window holds
-    every b nearer than u_i.  It sums |a_i0 - b_0| + |a_i1 - b_1| + ... in
-    coordinate order, as ``cKDTree(b).query(a_i, p=1)`` does, so the least
-    of u_i and its sums is that query's value."""
+    rows, or from ``_UNPAIRED_LEAD_BLOCK`` with no ``pair``.  Row i scans
+    the b with |a_i0 - b_0| <= u_i (ends rounded): a float sum of
+    nonnegative terms is at least each term, and rounding skips no float, so
+    the window holds every b nearer than u_i.  It sums |a_i0 - b_0| +
+    |a_i1 - b_1| + ... in coordinate order, as ``cKDTree(b).query(a_i,
+    p=1)`` does, so the least of u_i and its sums is that query's value."""
     bound = np.full(a.shape[0], np.inf)
     if pair is None:
-        block, last, at = 8, b.shape[0] - 1, np.empty(a.shape[0], dtype=np.intp)
-        for column, x in zip(b.T, a.T):
-            order, lead = np.argsort(column), np.argsort(x)  # sorted needles search faster
+        block, last = _UNPAIRED_LEAD_BLOCK, b.shape[0] - 1
+        at = np.empty(a.shape[0], dtype=np.intp)
+        for k, (column, x) in enumerate(zip(b.T, a.T)):
+            # b is in order on its first coordinate; sorted needles search faster
+            order, lead = np.argsort(column) if k else np.arange(last + 1), np.argsort(x)
             at[lead] = np.searchsorted(column[order], x[lead])
             for j in (order[np.maximum(at - 1, 0)], order[np.minimum(at, last)]):
                 np.minimum(bound, sum(np.abs(y - c[j]) for y, c in zip(a.T, b.T)), out=bound)
@@ -845,11 +852,11 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
     bounds each row's distance to the other set.  Other inputs bound it by
     coordinate breakpoints, get ``_UNPAIRED_SCAN`` more pairs, and scan
     only while N1 + N2 < ``_UNPAIRED_SCAN_LIMIT``.  A pass the budget stops,
-    or that does not scan, takes one unbalanced kd-tree per set, O(N log N)
-    to build (:func:`_directed_points_1norm`), and only it imports
-    ``scipy.spatial``.  Distance and ``witness_point`` are those of a full
-    kd-tree query of every row, the witness being the first row in input
-    order attaining it.
+    or that does not scan, and every pass after it take one unbalanced
+    kd-tree per set, O(N log N) to build (:func:`_directed_points_1norm`),
+    and only they import ``scipy.spatial``.  Distance and ``witness_point``
+    are those of a full kd-tree query of every row, the witness being the
+    first row in input order attaining it.
     """
     _same_dimension("Hausdorff across dimensions", p1.dimension, p2.dimension)
     if max(p1.point_count, p2.point_count) > POINT_SET_LIMIT:
@@ -869,13 +876,17 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
         pair, b = sum(np.abs(x[r1] - y[r2]) for x, y in zip(p1.points.T, p2.points.T)), a
     elif size < _UNPAIRED_SCAN_LIMIT:
         b, budget = [p[np.argsort(p[:, 0])] for p in a], budget + _UNPAIRED_SCAN
-    left = [k for k in (0, 1) if b is None
-            or _scanned_points_1norm(a[k], b[1 - k], rows_of[k], pair, budget, dist[k]) is None]
-    if left:
+    # directed passes the window scan finished; the kd-trees, built for both
+    # sets, take the rest
+    scanned = 0
+    while scanned < 2 and b is not None and _scanned_points_1norm(
+            a[scanned], b[1 - scanned], rows_of[scanned], pair, budget, dist[scanned]) is not None:
+        scanned += 1
+    if scanned < 2:
         from scipy.spatial import cKDTree
 
         trees = [cKDTree(p, balanced_tree=False, compact_nodes=False) for p in a]
-        for k in left:
+        for k in range(scanned, 2):
             _directed_points_1norm(a[k], trees[1 - k], trees[k].indices, rows_of[k], pair, dist[k])
     worst = [int(np.argmax(d)) for d in dist]
     k = 0 if dist[0][worst[0]] >= dist[1][worst[1]] else 1

@@ -1192,8 +1192,9 @@ class TestHausdorffPoints:
         # atom counts) scan under breakpoint bounds while N1 + N2 < 2^15;
         # distance and witness are those of a full query of every row, at
         # scales 1 and 2^+-600.  The corpus reaches each outcome of an
-        # unpaired pass: the scan to the end, a scan the budget stops, and
-        # the kd-tree alone above the size limit
+        # unpaired pass: the scan to the end, a scan the budget stops (which
+        # leaves the next pass to the kd-trees too, unscanned), and the
+        # kd-tree alone above the size limit
         from lorenz_hulls import hulls
 
         routes = {"scanned": 0, "stopped": 0, "refused": 0}
@@ -1218,9 +1219,10 @@ class TestHausdorffPoints:
                 distance, witness = _plain_hausdorff_points(q1.points, q2.points)
                 assert r.distance == distance, (label, k)
                 assert r.witness_point.tobytes() == witness.tobytes(), (label, k)
+                assert "stopped" not in calls[:-1], (label, k)
                 for route in calls:
                     routes[route] += 1
-                routes["refused"] += 2 - len(calls)
+                routes["refused"] += 0 if calls else 2
         assert routes["scanned"] >= 100 and routes["stopped"] >= 10 and routes["refused"] >= 6, routes
 
     def test_overflowing_pair_sums(self):

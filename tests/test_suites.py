@@ -115,34 +115,21 @@ if __name__ == "__main__":
 
 def test_spawned_workers_match_one_process():
     # workers that re-import the package, as where the default start method
-    # is not fork, give the report of one process
+    # is not fork, give the report of one process.  At seed 7 the window
+    # scan answers every point-set pass (paired skeletons, split-atom
+    # skeletons and the hausdorff suite's public segments alike), so no
+    # process imports a scipy module: ``-X importtime``, which spawned
+    # workers inherit, lists every module imported on stderr
     src = str(Path(lorenz_hulls.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    spawned = subprocess.run([sys.executable, "-c", SPAWNED_VERIFY], env=env,
-                             capture_output=True, text=True, timeout=300)
+    spawned = subprocess.run([sys.executable, "-X", "importtime", "-c", SPAWNED_VERIFY],
+                             env=env, capture_output=True, text=True, timeout=300)
     assert spawned.returncode == 0, spawned.stderr
     assert spawned.stdout == render_reports(run_suites(["all"], 7, "small", workers=1))
-
-
-def test_small_verify_imports_no_scipy():
-    # at seed 7 the window scan answers every point-set pass of a small
-    # verify, paired skeletons, split-atom skeletons and the hausdorff
-    # suite's public segments alike, so a fresh interpreter imports no scipy
-    # module (``-X importtime`` lists every module imported on stderr)
-    src = str(Path(lorenz_hulls.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys\n"
-            "from lorenz_hulls.suites import render_reports, run_suites\n"
-            "sys.stdout.write(render_reports(run_suites(['all'], seed=7, scale='small')))\n")
-    fresh = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env,
-                           capture_output=True, text=True, timeout=300)
-    assert fresh.returncode == 0, fresh.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in fresh.stderr.splitlines()]
-    assert "numpy" in imported and "lorenz_hulls.hulls" in imported
+    imported = [line.rsplit("|", 1)[-1].strip() for line in spawned.stderr.splitlines()]
+    assert "lorenz_hulls.hulls" in imported
     assert not [name for name in imported if name.startswith("scipy")]
-    assert fresh.stdout == render_reports(run_suites(["all"], seed=7, scale="small"))
 
 
 def test_geometry_and_zonoid_suites_solve_no_linear_program(monkeypatch):
