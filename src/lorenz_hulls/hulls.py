@@ -33,9 +33,9 @@ HAUSDORFF_DIMENSION_LIMIT = 20
 # block and its reductions stay in cache
 _BLOCK = 1 << 16
 _ASCENT_PIVOTS = 2  # steps of _ascent_distance per row of [I; G], a fixed cap
-# rows per block of the point-set Hausdorff pass, of which only the first
-# is queried before the Lipschitz bound settles the others; also the first
-# block of a paired window scan
+# rows per block of the point-set kd-tree pass, of which only the first is
+# queried before its nearest point bounds the others; also the first block
+# of a paired window scan
 _LEAD_BLOCK = 64
 # the first block of an unpaired window scan: 64 rows of the hausdorff
 # suite's 10 000-point segment passes open windows past the budget, and the
@@ -725,35 +725,35 @@ def _facet_vertices(rows: np.ndarray) -> np.ndarray:
     return np.take_along_axis(np.hstack([u_r[r, c, :, p], signs[p]]), np.argsort(order)[r], axis=1)
 
 
-def _scanned_points_1norm(a, b, rows_of, pair, budget: int, dist: np.ndarray):
+def _breakpoint_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's least computed 1-norm to the 2n points of ``b``, sorted on
+    its first coordinate, next to it in b's order on each coordinate (on a
+    segment, a nearest point lies at such a breakpoint)."""
+    bound = np.full(a.shape[0], np.inf)
+    last = b.shape[0] - 1
+    at = np.empty(a.shape[0], dtype=np.intp)
+    for k, (column, x) in enumerate(zip(b.T, a.T)):
+        # b is in order on its first coordinate; sorted needles search faster
+        order, lead = np.argsort(column) if k else np.arange(last + 1), np.argsort(x)
+        at[lead] = np.searchsorted(column[order], x[lead])
+        for j in (order[np.maximum(at - 1, 0)], order[np.minimum(at, last)]):
+            np.minimum(bound, sum(np.abs(y - c[j]) for y, c in zip(a.T, b.T)), out=bound)
+    return bound
+
+
+def _scanned_points_1norm(a, b, bound, block: int, budget: int, dist: np.ndarray):
     """Fill ``dist`` as :func:`_directed_points_1norm` does, by window scans
     of ``b``, sorted on its first coordinate; return the budget left, or
     None once a block's pairs would pass it, counted before any of its
-    distances.  u_i is a computed distance from a_i to some b: the least
-    ``pair`` d_S over the subsets S of row i, or, with no ``pair``, the
-    least over the 2n points of b next to a_i in b's order on each
-    coordinate (on a segment, a nearest point lies at such a breakpoint).
-    So only rows with u_i at or above the largest distance found can attain
-    the maximum: blocks of the largest u_i, doubling from ``_LEAD_BLOCK``
-    rows, or from ``_UNPAIRED_LEAD_BLOCK`` with no ``pair``.  Row i scans
-    the b with |a_i0 - b_0| <= u_i (ends rounded): a float sum of
-    nonnegative terms is at least each term, and rounding skips no float, so
-    the window holds every b nearer than u_i.  It sums |a_i0 - b_0| +
-    |a_i1 - b_1| + ... in coordinate order, as ``cKDTree(b).query(a_i,
-    p=1)`` does, so the least of u_i and its sums is that query's value."""
-    bound = np.full(a.shape[0], np.inf)
-    if pair is None:
-        block, last = _UNPAIRED_LEAD_BLOCK, b.shape[0] - 1
-        at = np.empty(a.shape[0], dtype=np.intp)
-        for k, (column, x) in enumerate(zip(b.T, a.T)):
-            # b is in order on its first coordinate; sorted needles search faster
-            order, lead = np.argsort(column) if k else np.arange(last + 1), np.argsort(x)
-            at[lead] = np.searchsorted(column[order], x[lead])
-            for j in (order[np.maximum(at - 1, 0)], order[np.minimum(at, last)]):
-                np.minimum(bound, sum(np.abs(y - c[j]) for y, c in zip(a.T, b.T)), out=bound)
-    else:
-        block = _LEAD_BLOCK
-        np.minimum.at(bound, rows_of, pair)
+    distances.  ``bound`` u_i is a computed 1-norm from a_i to some b, or
+    inf, so only rows with u_i at or above the largest distance found can
+    attain the maximum: blocks of the largest u_i, doubling from ``block``
+    rows.  Row i scans the b with |a_i0 - b_0| <= u_i (ends rounded): a
+    float sum of nonnegative terms is at least each term, and rounding
+    skips no float, so the window holds every b nearer than u_i.  It sums
+    |a_i0 - b_0| + |a_i1 - b_1| + ... in coordinate order, as
+    ``cKDTree(b).query(a_i, p=1)`` does, so the least of u_i and its sums
+    is that query's value."""
     rows = np.arange(a.shape[0])
     while rows.size:
         if rows.size > block:
@@ -778,64 +778,24 @@ def _scanned_points_1norm(a, b, rows_of, pair, budget: int, dist: np.ndarray):
     return int(budget)
 
 
-def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, rows_of, pair, dist):
+def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, bound, dist):
     """Fill ``dist`` with ``tree_b.query(a, p=1)``'s 1-norm distances, byte
     for byte, at every row of ``a`` that can attain their maximum and is
     still -inf (a window scan may have set some), and -inf at the others.
-
-    ``order`` is a spatially coherent permutation of the rows (the leaf
-    order of a kd-tree over ``a``), cut into blocks of ``_LEAD_BLOCK``.
-    Only each block's first row r is queried first, and ``best`` is the
-    largest distance known.  Since the distance to a set is 1-Lipschitz,
-    d(a_i, B) <= d(a_r, B) + ||a_i - a_r||_1 =: bound_i, and a row with
-    bound_i below ``cut`` needs no query.  The other rows are queried in
-    input order, first with ``cut`` as the search radius and then, if
-    nothing lies within it, in full.
-
-    ``cut = best - 4(n + 1) ulp(best)`` covers the rounding of the three
-    1-norm sums.  Each subtraction and addition rounds by a factor within
-    1 +- u, u = 2^-53 (subnormal results of both are exact), and all terms
-    are nonnegative, so a computed sum of n terms |x_k - y_k| lies within
-    factors (1 +- u)^n of the exact one.  ``bound_i`` is summed as
-    d_r + |a_i1 - a_r1| + ... + |a_in - a_rn|, so it is at least
-    (1 - u)^(n + 1) (d_r + ||a_i - a_r||).  With b_j the neighbour found for
-    a_r, d_r >= (1 - u)^n ||a_r - b_j||, so ||a_i - b_j|| is at most
-    ||a_r - b_j|| + ||a_i - a_r|| <= bound_i / (1 - u)^(2n + 1).
-    The exact (eps = 0) query of a_i returns the least computed sum over B,
-    at most (1 + u)^n ||a_i - b_j|| < bound_i (1 + (3n + 2) u).  For normal
-    ``best``, ulp(best) > u best and the subtraction is exact, so
-    bound_i < cut makes that query less than
-    best (1 - 4(n + 1) u)(1 + (3n + 2) u) < best; for subnormal ``best``
-    every sum involved is exact.  A distance at or above ``cut`` is beyond
-    the radius of the first search and is queried in full, so every row
-    that can attain the maximum carries its exact query value.
-    A ``pair`` d_S, for row x_S = ``a[rows_of[S]]`` and a point y_S of B,
-    is the computed |x_S1 - y_S1| + ... + |x_Sn - y_Sn| >= (1 - u)^n
-    ||x_S - y_S||; the query of x_S is at most (1 + u)^n ||x_S - y_S|| <
-    d_S (1 + (2n + 1) u), so d_S < cut settles x_S as bound_i < cut does.
-    """
-    rows, n = a.shape
+    ``order`` (the leaf order of a kd-tree over ``a``) is cut into blocks of
+    ``_LEAD_BLOCK``; the first row of each is queried, and its nearest point
+    of B (any point, if none lies at a finite distance) bounds every row of
+    the block by their computed 1-norm.  The rows whose bound is below the
+    largest distance known, ``best``, are settled; the others are queried
+    within radius ``best``, and in full where nothing lies within it."""
     first = order[::_LEAD_BLOCK]
-    ask = first[dist[first] == -np.inf]
-    dist[ask] = tree_b.query(a[ask], p=1)[0]
-    d_first, best = dist[first], dist.max()
-    cut = best - 4 * (n + 1) * np.spacing(best)
-    # bounds in ``order``, one (blocks, _LEAD_BLOCK) pass per coordinate;
-    # the last block is padded with its own last row, dropped afterwards
-    blocks = np.append(order, np.repeat(order[-1], -rows % _LEAD_BLOCK))
-    blocks = blocks.reshape(-1, _LEAD_BLOCK)
-    bound = np.repeat(d_first[:, None], _LEAD_BLOCK, axis=1)
-    for column in a.T:
-        gap = column[blocks]
-        gap -= gap[:, :1]
-        bound += np.abs(gap, out=gap)
-    # no row settles when ``cut`` is NaN (an overflowing ``best``)
-    todo = dist == -np.inf
-    todo[order[bound.reshape(-1)[:rows] < cut]] = False
-    if pair is not None:
-        todo[rows_of[pair < cut]] = False
-    rest = np.flatnonzero(todo)
-    d_rest = tree_b.query(a[rest], p=1, distance_upper_bound=cut)[0]
+    dist[first], near = tree_b.query(a[first], p=1)
+    anchor = np.empty(len(a), dtype=np.intp)
+    anchor[order] = np.repeat(np.minimum(near, tree_b.n - 1), _LEAD_BLOCK)[: len(a)]
+    bound = np.minimum(bound, sum(np.abs(x - y[anchor]) for x, y in zip(a.T, tree_b.data.T)))
+    best = dist.max()
+    rest = np.flatnonzero((dist == -np.inf) & (bound >= best))
+    d_rest = tree_b.query(a[rest], p=1, distance_upper_bound=best)[0]
     far = np.isinf(d_rest)
     d_rest[far] = tree_b.query(a[rest[far]], p=1)[0]
     dist[rest] = d_rest
@@ -845,16 +805,17 @@ def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, rows_of, pa
 def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffResult:
     """Exact 1-norm Hausdorff distance between finite point sets.
 
-    Each directed pass scans windows of the other set, sorted on its first
-    coordinate (:func:`_scanned_points_1norm`), within ``_SCAN_BUDGET``
-    pairs per point of both sets.  Two skeletons of 2^m subsets pair their
-    rows by subset S (:func:`skeleton_points`), and d_S = ||x_S - y_S||_1
-    bounds each row's distance to the other set.  Other inputs bound it by
-    coordinate breakpoints, get ``_UNPAIRED_SCAN`` more pairs, and scan
-    only while N1 + N2 < ``_UNPAIRED_SCAN_LIMIT``.  A pass the budget stops,
-    or that does not scan, and every pass after it take one unbalanced
-    kd-tree per set, O(N log N) to build (:func:`_directed_points_1norm`),
-    and only they import ``scipy.spatial``.  Distance and ``witness_point``
+    A directed pass settles the rows whose bound u_i, a computed 1-norm to
+    some point of the other set, is below the largest distance found.  For
+    two skeletons of 2^m subsets, paired by subset S (:func:`skeleton_points`),
+    u_i is the least d_S = ||x_S - y_S||_1 over the subsets of row i; other
+    sets take :func:`_breakpoint_bounds` in a pass that scans, else inf.
+    Passes scan windows of the other set (:func:`_scanned_points_1norm`)
+    within ``_SCAN_BUDGET`` pairs per point of both sets, unpaired sets
+    ``_UNPAIRED_SCAN`` more and only while N1 + N2 < ``_UNPAIRED_SCAN_LIMIT``.
+    A pass the budget stops, or that does not scan, and every pass after it
+    take one unbalanced kd-tree per set (:func:`_directed_points_1norm`),
+    the only importers of ``scipy.spatial``.  Distance and ``witness_point``
     are those of a full kd-tree query of every row, the witness being the
     first row in input order attaining it.
     """
@@ -865,29 +826,40 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
         if p1.point_count or p2.point_count:
             raise SizeGuard("Hausdorff distance against an empty point set")
         return HausdorffResult(0.0, "exact")
-    a, rows_of = (p1.points, p2.points), (p1._subset_rows, p2._subset_rows)
-    r1, r2 = rows_of
-    dist = [np.full(p.point_count, -np.inf) for p in (p1, p2)]
+    a, (r1, r2) = (p1.points, p2.points), (p1._subset_rows, p2._subset_rows)
+    dist = [np.full(len(x), -np.inf) for x in a]
+    bound = [np.full(len(x), np.inf) for x in a]
     # b: each set as the other set's pass scans it, sorted on its first
     # coordinate (skeletons already are), or None where no pass scans
-    size = p1.point_count + p2.point_count
-    pair, b, budget = None, None, _SCAN_BUDGET * size
-    if r1 is not None and r2 is not None and r1.shape == r2.shape:
-        pair, b = sum(np.abs(x[r1] - y[r2]) for x, y in zip(p1.points.T, p2.points.T)), a
+    size = len(a[0]) + len(a[1])
+    b, budget = None, _SCAN_BUDGET * size
+    paired = r1 is not None and r2 is not None and r1.shape == r2.shape
+    if paired:
+        pair = sum(np.abs(x[r1] - y[r2]) for x, y in zip(a[0].T, a[1].T))
+        for u, rows in zip(bound, (r1, r2)):
+            np.minimum.at(u, rows, pair)
+        b, block = a, _LEAD_BLOCK
     elif size < _UNPAIRED_SCAN_LIMIT:
-        b, budget = [p[np.argsort(p[:, 0])] for p in a], budget + _UNPAIRED_SCAN
+        b, block = [p[np.argsort(p[:, 0])] for p in a], _UNPAIRED_LEAD_BLOCK
+        budget += _UNPAIRED_SCAN
     # directed passes the window scan finished; the kd-trees, built for both
     # sets, take the rest
     scanned = 0
-    while scanned < 2 and b is not None and _scanned_points_1norm(
-            a[scanned], b[1 - scanned], rows_of[scanned], pair, budget, dist[scanned]) is not None:
+    while scanned < 2 and b is not None:
+        if not paired:
+            bound[scanned] = _breakpoint_bounds(a[scanned], b[1 - scanned])
+        if _scanned_points_1norm(a[scanned], b[1 - scanned], bound[scanned], block,
+                                 budget, dist[scanned]) is None:
+            break
         scanned += 1
     if scanned < 2:
         from scipy.spatial import cKDTree
 
+        # scipy's default balanced, compact trees took 8-22 % longer on the
+        # point-set calls of a small verify that build them (BENCH_30.json)
         trees = [cKDTree(p, balanced_tree=False, compact_nodes=False) for p in a]
         for k in range(scanned, 2):
-            _directed_points_1norm(a[k], trees[1 - k], trees[k].indices, rows_of[k], pair, dist[k])
+            _directed_points_1norm(a[k], trees[1 - k], trees[k].indices, bound[k], dist[k])
     worst = [int(np.argmax(d)) for d in dist]
     k = 0 if dist[0][worst[0]] >= dist[1][worst[1]] else 1
     return HausdorffResult(float(dist[k][worst[k]]), "exact", witness_point=a[k][worst[k]])

@@ -1163,10 +1163,11 @@ class TestHausdorffPoints:
         routes = {"scanned": 0, "stopped": 0, "refused": 0}
         scan = hulls._scanned_points_1norm
 
-        def counting_scan(a, b, rows_of, pair, budget, dist):
-            left = scan(a, b, rows_of, pair, budget, dist)
+        def counting_scan(a, b, bound, block, budget, dist):
+            left = scan(a, b, bound, block, budget, dist)
             stopped = "stopped" if (dist > -np.inf).any() else "refused"
-            routes["scanned" if left is not None else stopped] += pair is not None
+            # a paired pass opens with _LEAD_BLOCK rows, an unpaired one with fewer
+            routes["scanned" if left is not None else stopped] += block == hulls._LEAD_BLOCK
             return left
 
         monkeypatch.setattr(hulls, "_scanned_points_1norm", counting_scan)
@@ -1201,9 +1202,9 @@ class TestHausdorffPoints:
         scan = hulls._scanned_points_1norm
         calls = []
 
-        def counting_scan(a, b, rows_of, pair, budget, dist):
-            assert pair is None
-            left = scan(a, b, rows_of, pair, budget, dist)
+        def counting_scan(a, b, bound, block, budget, dist):
+            assert block == hulls._UNPAIRED_LEAD_BLOCK
+            left = scan(a, b, bound, block, budget, dist)
             calls.append("scanned" if left is not None else "stopped")
             assert left is not None or (dist > -np.inf).any()
             return left
@@ -1242,6 +1243,74 @@ class TestHausdorffPoints:
             far = hausdorff_points(_points(p1.points[1:]), _points(p2.points[:1]))
             assert far.distance == np.inf == _plain_hausdorff_points(p1.points[1:], p2.points[:1])[0]
 
+    def test_tree_route_at_extreme_scales(self, monkeypatch):
+        # integer grids at 2^-1070 and 2^-1040 (subnormal: every 1-norm sum
+        # is exact) and at 2^1000, n = 1-4: unpaired sets of 3 000 (20 000
+        # in n = 1) and 20 000 points, and independent skeletons of 12 and 15
+        # atoms; all take the kd-tree route but the skeletons in n = 1, which
+        # the paired scan answers.  Distance and witness bytes equal a full
+        # query of every row, and every row the kd-tree routine leaves at
+        # -inf has a query value below the pass's maximum
+        from lorenz_hulls import hulls
+
+        directed = hulls._directed_points_1norm
+        passes = []
+
+        def checked(a, tree_b, order, bound, dist):
+            directed(a, tree_b, order, bound, dist)
+            seen = dist > -np.inf
+            assert dist[seen].tobytes() == tree_b.query(a[seen], p=1)[0].tobytes()
+            # some point lies nearer than the maximum: found within it as radius
+            near = tree_b.query(a[~seen], p=1, distance_upper_bound=dist.max())[0]
+            assert (near < dist.max()).all()
+            passes.append(int((~seen).sum()))
+
+        monkeypatch.setattr(hulls, "_directed_points_1norm", checked)
+        rng = case_rng(30, "test.points.tree.scales")
+        inputs = 0
+        for n in (1, 2, 3, 4):
+            rows = 20000 if n == 1 else 3000  # the scan answers 3 000 in n = 1
+            clouds = [(rng.integers(-99, 100, (rows, n)), rng.integers(-99, 100, (20000, n)))]
+            atoms = [rng.integers(-8, 9, (2, m, n)) for m in (12, 15)]
+            for k in (-1070, -1040, 1000):
+                sets = [[_points(np.ldexp(x.astype(float), k)) for x in pair] for pair in clouds]
+                sets += [[skeleton_points(VectorMeasure(n, np.ldexp(x.astype(float), k)))
+                          for x in pair] for pair in atoms]
+                for p1, p2 in sets:
+                    before = len(passes)
+                    r = hausdorff_points(p1, p2)
+                    distance, witness = _plain_hausdorff_points(p1.points, p2.points)
+                    assert r.distance == distance, (n, p1.point_count, p2.point_count, k)
+                    assert r.witness_point.tobytes() == witness.tobytes(), (n, p1.point_count, k)
+                    inputs += len(passes) > before
+        assert inputs == 30 and sum(passes) > 0, (inputs, sum(passes))
+
+    def test_tree_route_witness_among_ties(self):
+        # 40 000 rows against one point, past the unpaired scan's size limit,
+        # so the kd-tree route: 1 row in 20 lies exactly 2 away and the rest
+        # nearer.  Most rows at the maximum are no block's first row, and
+        # their anchor bound equals their query value and the largest
+        # distance found, so none may be settled; the witness is the first
+        rng = case_rng(30, "test.points.tree.ties")
+        a = rng.uniform(-0.5, 0.5, (40000, 2))
+        far = np.flatnonzero(rng.random(40000) < 0.05)
+        t = rng.integers(0, 1 << 20, far.size) / 2.0**19
+        a[far] = np.column_stack([t, 2.0 - t]) * rng.choice([-1.0, 1.0], (far.size, 2))
+        r = hausdorff_points(_points(a), _points(np.zeros((1, 2))))
+        assert r.distance == 2.0 and r.witness_point.tobytes() == a[far[0]].tobytes()
+
+    def test_tree_route_with_no_finite_neighbour(self):
+        # every 1-norm between the sets rounds up past the float range, so
+        # the anchors' queries find no point; any point of the other set
+        # then bounds the block, by inf.  The distance is inf, at the first row
+        m = np.finfo(np.float64).max
+        a = np.array([[m / 2, m / 2]])
+        b = -np.ldexp(1.0 + case_rng(30, "test.points.tree.inf").random((40000, 2)), 971)
+        r = hausdorff_points(_points(a), _points(b))
+        distance, witness = _plain_hausdorff_points(a, b)
+        assert r.distance == distance == np.inf
+        assert r.witness_point.tobytes() == witness.tobytes() == a[0].tobytes()
+
     def test_window_may_miss_the_partner(self):
         # x = 1 + 2^-52 and its partner y = 2^-53 differ by 1 + 2^-53, which
         # rounds to u = 1, but the window's rounded end x - u = 2^-52 lies
@@ -1263,7 +1332,12 @@ class TestHausdorffPoints:
         # differ on some rows
         from scipy.spatial import cKDTree
 
-        from lorenz_hulls.hulls import _scanned_points_1norm
+        from lorenz_hulls.hulls import (
+            _LEAD_BLOCK,
+            _UNPAIRED_LEAD_BLOCK,
+            _breakpoint_bounds,
+            _scanned_points_1norm,
+        )
 
         rng = case_rng(28, "test.points.scan.order")
         reordered = 0
@@ -1275,10 +1349,10 @@ class TestHausdorffPoints:
             query = cKDTree(b).query(a, p=1)[0]
             partner = rng.integers(0, 300, 400)
             pair = sum(np.abs(a[:, k] - b[partner, k]) for k in range(n))
-            for rows_of, bound in ((None, None), (np.arange(400), pair),
-                                   (np.arange(400), np.full(400, np.inf))):
+            for bound, block in ((_breakpoint_bounds(a, b), _UNPAIRED_LEAD_BLOCK),
+                                 (pair, _LEAD_BLOCK), (np.full(400, np.inf), _LEAD_BLOCK)):
                 dist = np.full(400, -np.inf)
-                assert _scanned_points_1norm(a, b, rows_of, bound, 1 << 62, dist) is not None
+                assert _scanned_points_1norm(a, b, bound, block, 1 << 62, dist) is not None
                 seen = dist > -np.inf
                 assert dist[seen].tobytes() == query[seen].tobytes(), n
                 assert seen[query == query.max()].all(), n
@@ -1310,8 +1384,8 @@ class TestHausdorffPoints:
 
         scan = hulls._scanned_points_1norm
 
-        def counting_scan(a, b, rows_of, pair, budget, dist):
-            left = scan(a, b, rows_of, pair, budget, dist)
+        def counting_scan(a, b, bound, block, budget, dist):
+            left = scan(a, b, bound, block, budget, dist)
             scanned.append(budget - left)
             return left
 
