@@ -331,13 +331,14 @@ class ZonogonSupport:
     (:meth:`extreme_vertices`).
 
     Construction costs O(m log m) and a batch of k queries O(k log m).
-    ``reach_many`` in the plane, and through it the exact planar inclusion
-    and Hausdorff distance, and ``product_reach_many`` all evaluate support
+    ``reach_many`` in the plane (so the exact planar inclusion), the exact
+    planar Hausdorff distance and ``product_reach_many`` all evaluate support
     through this class, axis queries included, by :meth:`extreme_vertices`.
     """
 
     def __init__(self, generators) -> None:
         g, _, offset = _sorted_generators_2d(_rows(generators, 2, "generators"))
+        self._generators = g  # the exact planar Hausdorff route probes their normals
         keys = np.full(g.shape[0], -np.inf)
         with np.errstate(over="ignore"):
             np.divide(-g[:, 0], g[:, 1], out=keys, where=g[:, 1] > 0.0)
@@ -623,7 +624,7 @@ def hausdorff_convex(
     - n <= 2: exact, by enumerating the boundary breakpoints of the
       piecewise-linear support difference (generator normals scaled to the
       box boundary, plus the corners), evaluated on the unmerged walk of
-      the planar normal form :class:`ZonogonSupport` in O(m log m);
+      each side's planar normal form :class:`ZonogonSupport` in O(m log m);
     - n >= 3: exact in closed form (no LP) at the vertices that the
       hyperplanes <g, u> = 0 of both sides' M nonzero generators cut out of
       the cube surface ||u||_inf = 1, at most
@@ -639,10 +640,10 @@ def hausdorff_convex(
         raise DimensionTooLarge(
             f"Hausdorff computation capped at n <= {HAUSDORFF_DIMENSION_LIMIT}"
         )
+    if n <= 2:
+        return _hausdorff_2d_exact(z1, z2)
     gens = np.vstack([z1.generators, z2.generators])
     gens = gens[np.abs(gens).sum(axis=1) > 0.0]
-    if n <= 2:
-        return _hausdorff_2d_exact(z1, z2, gens)
     # facet-vertex count, bounded before any allocation like a direction set
     if _arrangement_size(len(gens), n) * n <= DIRECTION_COORDINATE_LIMIT:
         return _hausdorff_arrangement(z1, z2, gens)
@@ -659,15 +660,20 @@ def hausdorff_convex(
     )
 
 
-def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> HausdorffResult:
+def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
+    """Probes +-1 in n = 1; in the plane the box corners, then perp/max of
+    the generators each side's :class:`ZonogonSupport` holds, z1's then
+    z2's, in angle order, so ``eval`` meets sorted runs, then negated."""
     if z1.dimension == 1:
         cands = np.array([[1.0], [-1.0]])
+        gap = np.abs(reach_many(z1, cands) - reach_many(z2, cands))
     else:
-        perp = np.column_stack([-gens[:, 1], gens[:, 0]])
+        s1, s2 = ZonogonSupport(z1.generators), ZonogonSupport(z2.generators)
+        g = np.vstack([s1._generators, s2._generators])
+        perp = np.column_stack([-g[:, 1], g[:, 0]])
         perp = perp / np.abs(perp).max(axis=1, keepdims=True)
-        corner = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        cands = np.vstack([corner, perp, -perp])
-    gap = np.abs(reach_many(z1, cands) - reach_many(z2, cands))
+        cands = np.vstack([[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], perp, -perp])
+        gap = np.abs(s1.eval(cands) - s2.eval(cands))
     worst = int(np.argmax(gap))
     return HausdorffResult(float(gap[worst]), "exact", witness_direction=cands[worst])
 
@@ -741,20 +747,20 @@ def _breakpoint_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _scanned_points_1norm(a, b, bound, block: int, budget: int, dist: np.ndarray):
+def _scanned_points_1norm(a, b, bound, block: int, budget: int, dist: np.ndarray, floor):
     """Fill ``dist`` as :func:`_directed_points_1norm` does, by window scans
     of ``b``, sorted on its first coordinate; return the budget left, or
     None once a block's pairs would pass it, counted before any of its
     distances.  ``bound`` u_i is a computed 1-norm from a_i to some b, or
-    inf, so only rows with u_i at or above the largest distance found can
-    attain the maximum: blocks of the largest u_i, doubling from ``block``
-    rows.  Row i scans the b with |a_i0 - b_0| <= u_i (ends rounded): a
-    float sum of nonnegative terms is at least each term, and rounding
-    skips no float, so the window holds every b nearer than u_i.  It sums
-    |a_i0 - b_0| + |a_i1 - b_1| + ... in coordinate order, as
-    ``cKDTree(b).query(a_i, p=1)`` does, so the least of u_i and its sums
-    is that query's value."""
-    rows = np.arange(a.shape[0])
+    inf, so only rows with u_i at or above ``floor`` and the largest
+    distance found can attain the maximum: blocks of the largest u_i,
+    doubling from ``block`` rows.  Row i scans the b with |a_i0 - b_0| <= u_i
+    (ends rounded): a float sum of nonnegative terms is at least each term,
+    and rounding skips no float, so the window holds every b nearer than u_i.
+    It sums |a_i0 - b_0| + |a_i1 - b_1| + ... in coordinate order, as
+    ``cKDTree(b).query(a_i, p=1)`` does, so the least of u_i and its sums is
+    that query's value."""
+    rows = np.flatnonzero(bound >= floor)
     while rows.size:
         if rows.size > block:
             rows = rows[np.argpartition(bound[rows], -block)[-block:]]
@@ -774,26 +780,27 @@ def _scanned_points_1norm(a, b, bound, block: int, budget: int, dist: np.ndarray
             sums = sum(np.abs(column[j] - np.repeat(x, w)) for x, column in zip(a[rows[r]].T, b.T))
             i, start = rows[r[w > 0]], start[w > 0]  # an empty window leaves u_i
             dist[i] = np.minimum(dist[i], np.minimum.reduceat(sums, start))
-        rows = np.flatnonzero((dist == -np.inf) & (bound >= dist.max()))
+        rows = np.flatnonzero((dist == -np.inf) & (bound >= max(dist.max(), floor)))
     return int(budget)
 
 
-def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, bound, dist):
+def _directed_points_1norm(a: np.ndarray, tree_b, order: np.ndarray, bound, dist, floor):
     """Fill ``dist`` with ``tree_b.query(a, p=1)``'s 1-norm distances, byte
-    for byte, at every row of ``a`` that can attain their maximum and is
-    still -inf (a window scan may have set some), and -inf at the others.
-    ``order`` (the leaf order of a kd-tree over ``a``) is cut into blocks of
-    ``_LEAD_BLOCK``; the first row of each is queried, and its nearest point
-    of B (any point, if none lies at a finite distance) bounds every row of
-    the block by their computed 1-norm.  The rows whose bound is below the
-    largest distance known, ``best``, are settled; the others are queried
-    within radius ``best``, and in full where nothing lies within it."""
+    for byte, at every row of ``a`` that can attain their maximum, if that
+    is at least ``floor``, and is still -inf (a window scan may have set
+    some), and -inf at the others.  ``order`` (the leaf order of a kd-tree
+    over ``a``) is cut into blocks of ``_LEAD_BLOCK``; the first row of each
+    is queried, and its nearest point of B (any point, if none lies at a
+    finite distance) bounds every row of the block by their computed 1-norm.
+    The rows whose bound is below ``best``, the larger of ``floor`` and the
+    largest distance known, are settled; the others are queried within
+    radius ``best``, and in full where nothing lies within it."""
     first = order[::_LEAD_BLOCK]
     dist[first], near = tree_b.query(a[first], p=1)
     anchor = np.empty(len(a), dtype=np.intp)
     anchor[order] = np.repeat(np.minimum(near, tree_b.n - 1), _LEAD_BLOCK)[: len(a)]
     bound = np.minimum(bound, sum(np.abs(x - y[anchor]) for x, y in zip(a.T, tree_b.data.T)))
-    best = dist.max()
+    best = max(dist.max(), floor)
     rest = np.flatnonzero((dist == -np.inf) & (bound >= best))
     d_rest = tree_b.query(a[rest], p=1, distance_upper_bound=best)[0]
     far = np.isinf(d_rest)
@@ -815,9 +822,11 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
     ``_UNPAIRED_SCAN`` more and only while N1 + N2 < ``_UNPAIRED_SCAN_LIMIT``.
     A pass the budget stops, or that does not scan, and every pass after it
     take one unbalanced kd-tree per set (:func:`_directed_points_1norm`),
-    the only importers of ``scipy.spatial``.  Distance and ``witness_point``
-    are those of a full kd-tree query of every row, the witness being the
-    first row in input order attaining it.
+    the only importers of ``scipy.spatial``.  Each pass's floor is
+    ``dist[0].max()``, -inf before the first pass and its maximum after: no
+    row below it is the farthest, as ties go to the first pass.  Distance and ``witness_point`` are those of a full kd-tree
+    query of every row, the witness being the first row in input order
+    attaining it.
     """
     _same_dimension("Hausdorff across dimensions", p1.dimension, p2.dimension)
     if max(p1.point_count, p2.point_count) > POINT_SET_LIMIT:
@@ -849,7 +858,7 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
         if not paired:
             bound[scanned] = _breakpoint_bounds(a[scanned], b[1 - scanned])
         if _scanned_points_1norm(a[scanned], b[1 - scanned], bound[scanned], block,
-                                 budget, dist[scanned]) is None:
+                                 budget, dist[scanned], dist[0].max()) is None:
             break
         scanned += 1
     if scanned < 2:
@@ -859,7 +868,8 @@ def hausdorff_points(p1: SkeletonPointSet, p2: SkeletonPointSet) -> HausdorffRes
         # point-set calls of a small verify that build them (BENCH_30.json)
         trees = [cKDTree(p, balanced_tree=False, compact_nodes=False) for p in a]
         for k in range(scanned, 2):
-            _directed_points_1norm(a[k], trees[1 - k], trees[k].indices, bound[k], dist[k])
+            _directed_points_1norm(a[k], trees[1 - k], trees[k].indices, bound[k], dist[k],
+                                   dist[0].max())
     worst = [int(np.argmax(d)) for d in dist]
     k = 0 if dist[0][worst[0]] >= dist[1][worst[1]] else 1
     return HausdorffResult(float(dist[k][worst[k]]), "exact", witness_point=a[k][worst[k]])

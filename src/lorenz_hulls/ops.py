@@ -20,21 +20,20 @@ from .errors import (
 )
 from .hulls import (
     _BLOCK,
+    SKELETON_ATOM_LIMIT,
     SkeletonPointSet,
     Zonotope,
     ZonogonSupport,
     _check_tol,
     _sorted_generators_2d,
     area_2d,
+    hausdorff_convex,
     reach_many,
     skeleton_points,
     within_tolerance,
-    zonogon_vertices,
 )
 from .measures import VectorMeasure, _rows, _same_dimension, coordinate_product
 from .sampling import case_rng, sign_vectors, unit_directions
-
-SKELETON_PRODUCT_ATOM_LIMIT = 20
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +73,6 @@ def identity_hull(n: int) -> Zonotope:
 # hull equality
 
 
-def _canonical_polygon(vertices: np.ndarray) -> np.ndarray:
-    """Rotate a closed vertex cycle to start at its lexicographic minimum."""
-    start = int(np.lexsort((vertices[:, 1], vertices[:, 0]))[0])
-    return np.roll(vertices, -start, axis=0)
-
-
 def hull_equal(
     h1: Zonotope,
     h2: Zonotope,
@@ -91,9 +84,11 @@ def hull_equal(
 ) -> bool:
     """Set equality of two hulls.
 
-    exact2d compares the canonical vertex polygons coordinate-wise within
-    ``tol``; sampled compares reach on all sign vectors plus ``dirs`` seeded
-    directions within ``tol`` (absolute plus relative).
+    exact2d: the exact planar 1-norm Hausdorff distance is at most
+    2 (tol scale + tol), scale the larger of 1 and either hull's largest
+    |vertex coordinate|; the 2 keeps vertex walks within tol scale + tol in
+    each coordinate equal.  sampled compares reach on all sign vectors plus
+    ``dirs`` seeded directions within ``tol`` (absolute plus relative).
     """
     _same_dimension("hull equality across dimensions", h1.dimension, h2.dimension)
     _check_tol(tol)
@@ -101,12 +96,10 @@ def hull_equal(
     if mode == "exact2d":
         if n != 2:
             raise Exact2dOnPlaneOnly("exact2d hull equality needs dimension 2")
-        v1 = _canonical_polygon(zonogon_vertices(h1))
-        v2 = _canonical_polygon(zonogon_vertices(h2))
-        if v1.shape != v2.shape:
-            return False
-        scale = max(1.0, float(np.abs(v1).max()), float(np.abs(v2).max()))
-        return bool(np.abs(v1 - v2).max() <= tol * scale + tol)
+        # a hull's largest |vertex coordinate| is its support at some +-e_j
+        parts = [f(h.generators, 0.0).sum(axis=0) for h in (h1, h2) for f in (np.maximum, np.minimum)]
+        scale = max(1.0, float(np.abs(parts).max()))
+        return hausdorff_convex(h1, h2).distance <= 2 * (tol * scale + tol)
     if mode == "sampled":
         rng = case_rng(seed, "hull_equal.sampled")
         directions = np.vstack([sign_vectors(n), unit_directions(rng, dirs, n)])
@@ -204,9 +197,10 @@ def apply_transform(m: VectorMeasure, steps: HullTransformSpec) -> VectorMeasure
 def skeleton_product(m1: VectorMeasure, m2: VectorMeasure) -> SkeletonPointSet:
     """Skeleton of the coordinate-wise product (all product subset sums)."""
     _same_dimension("skeleton product of dimensions", m1.dimension, m2.dimension)
-    if m1.atom_count * m2.atom_count > SKELETON_PRODUCT_ATOM_LIMIT:
+    # skeleton_points' cap on the m1 m2 product atoms, checked before they are built
+    if m1.atom_count * m2.atom_count > SKELETON_ATOM_LIMIT:
         raise TooManyAtoms(
-            f"skeleton product capped at {SKELETON_PRODUCT_ATOM_LIMIT} product atoms, "
+            f"skeleton product capped at {SKELETON_ATOM_LIMIT} product atoms, "
             f"got {m1.atom_count * m2.atom_count}"
         )
     return skeleton_points(coordinate_product(m1, m2))

@@ -14,9 +14,8 @@ import zlib
 
 import numpy as np
 
-from .errors import DimensionTooLarge, SizeGuard
+from .errors import SizeGuard
 
-SIGN_ENUMERATION_LIMIT = 20
 # coordinates in one direction set (128 MiB of float64)
 DIRECTION_COORDINATE_LIMIT = 1 << 24
 
@@ -54,11 +53,11 @@ def unit_directions(rng: np.random.Generator, count: int, dimension: int) -> np.
 
 
 def sign_vectors(dimension: int) -> np.ndarray:
-    """All vectors in {-1, +1}^n, shape (2^n, n), lexicographic order."""
-    if dimension > SIGN_ENUMERATION_LIMIT:
-        raise DimensionTooLarge(
-            f"sign-vector enumeration capped at n <= {SIGN_ENUMERATION_LIMIT}, "
-            f"got {dimension}"
-        )
+    """All vectors in {-1, +1}^n, shape (2^n, n), lexicographic order; the
+    2^n x n coordinates are capped before allocating, as in :func:`unit_directions`."""
+    # 2^32 x n passes the limit for any n, so a huge n needs no huge integer
+    if (1 << min(dimension, 32)) * dimension > DIRECTION_COORDINATE_LIMIT:
+        raise SizeGuard(f"direction sets capped at {DIRECTION_COORDINATE_LIMIT} coordinates, "
+                        f"got 2^{dimension} x {dimension}")
     grid = np.indices((2,) * dimension).reshape(dimension, -1).T
     return (2.0 * grid - 1.0).astype(np.float64)

@@ -510,12 +510,8 @@ def _well_definedness_case(rng, case, seed, full):
     t2 = _perturb_hull_preserving(rng, m2, int(rng.integers(1, 6)))
     base = lorenz_product(hull_of(m1), hull_of(m2))
     reshaped = lorenz_product(hull_of(t1), hull_of(t2))
-    if n == 2:
-        equal = hull_equal(base, reshaped, "exact2d", tol=1e-9)
-    else:
-        equal = hull_equal(
-            base, reshaped, "sampled", dirs=1000, seed=seed, tol=1e-9
-        )
+    mode = "exact2d" if n == 2 else "sampled"
+    equal = hull_equal(base, reshaped, mode, dirs=1000, seed=seed, tol=1e-9)
     yield equal, (
         f"digest={_digest(m1.atoms, m2.atoms, t1.atoms, t2.atoms)} product "
         "hull changed under hull-preserving transforms (tol 1e-9)"

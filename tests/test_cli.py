@@ -284,6 +284,17 @@ class TestIncludeCommand:
         assert payload["verdict"] == "excluded"
         assert payload["witness"] is not None
 
+    def test_sampled_past_the_sign_vector_guard_exit_2(self, tmp_path, capsys):
+        # in n = 20 the sign vectors alone would be 2^20 x 20 coordinates
+        paths = []
+        for k in (0, 1):
+            paths.append(tmp_path / f"wide{k}.json")
+            paths[-1].write_text(json.dumps({"dim": 20, "atoms": np.eye(20)[k : k + 2].tolist()}))
+        assert main(["include", str(paths[0]), str(paths[1]), "--mode", "sampled"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: direction sets capped at")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tol_exit_2(self, files, capsys, tol):

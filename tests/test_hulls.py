@@ -21,6 +21,7 @@ from lorenz_hulls import (
     contains_point,
     hausdorff_convex,
     hausdorff_points,
+    hull_equal,
     hull_of,
     includes,
     reach,
@@ -41,7 +42,7 @@ from lorenz_hulls.hulls import (
     linprog,
     separating_direction,
 )
-from lorenz_hulls.sampling import DIRECTION_COORDINATE_LIMIT, case_rng, unit_directions
+from lorenz_hulls.sampling import DIRECTION_COORDINATE_LIMIT, case_rng, sign_vectors, unit_directions
 
 SQUARE = Zonotope(2, [[1, 0], [0, 1]])
 # a 3-D pair whose support gap peaks (at 3) only where two of the planes
@@ -123,6 +124,31 @@ class TestDirectionGuard:
             unit_directions(rng, -1, 3)
         assert not hasattr(rng, "shape")
         assert unit_directions(case_rng(0, "zero"), 0, 3).shape == (0, 3)
+
+    def test_sign_vectors_guard_is_checked_before_allocating(self, monkeypatch):
+        # 2^19 x 19 coordinates pass and 2^20 x 20 do not, nor does any
+        # larger n, which costs no huge integer to check
+        for n in range(1, 11):
+            want = [[-1.0 + 2.0 * ((s >> (n - 1 - j)) & 1) for j in range(n)] for s in range(1 << n)]
+            assert sign_vectors(n).tolist() == want
+        assert (1 << 19) * 19 <= DIRECTION_COORDINATE_LIMIT < (1 << 20) * 20
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the size guard")
+
+        monkeypatch.setattr(np, "indices", refuse)
+        for n in (20, 21, 64, 10**8):
+            with pytest.raises(SizeGuard, match=f"got 2\\^{n} x {n}"):
+                sign_vectors(n)
+
+    def test_sampled_relations_past_the_sign_vector_guard(self):
+        # two generators in n = 20: the sign vectors alone would be 2^20 x 20
+        # coordinates, so both sampled relations refuse before any draw
+        z = Zonotope(20, np.eye(20)[:2])
+        with pytest.raises(SizeGuard):
+            includes(z, z, "sampled", dirs=0)
+        with pytest.raises(SizeGuard):
+            hull_equal(z, z, "sampled", dirs=0)
 
 
 class TestHull:
@@ -1029,6 +1055,37 @@ class TestHausdorffConvex:
             assert r.mode == "exact"
             assert abs(r.distance - dense_reference(z1, z2)) <= 1e-12 * mass
 
+    def test_planar_probes_match_input_order(self):
+        # the probes in the generators' input order are the reference: the
+        # planar route takes the same probes from each side's angle-sorted
+        # normal form, so every distance keeps its bytes, and its witness,
+        # a point of the box surface, attains it
+        def input_order(z1, z2):
+            gens = np.vstack([z1.generators, z2.generators])
+            gens = gens[np.abs(gens).sum(axis=1) > 0.0]
+            perp = np.column_stack([-gens[:, 1], gens[:, 0]])
+            perp = perp / np.abs(perp).max(axis=1, keepdims=True)
+            corner = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+            cands = np.vstack([corner, perp, -perp])
+            return np.abs(reach_many(z1, cands) - reach_many(z2, cands)).max()
+
+        rng = case_rng(31, "test.hausdorff.planar.order")
+        empty = np.zeros((0, 2))
+        pairs = [(empty, empty)]
+        for m in range(1, 25):
+            dyadic = rng.integers(-8, 9, (2, m, 2)) / 4.0
+            g = rng.normal(size=(m, 2))
+            shared = np.vstack([g[rng.permutation(m)[: m // 2 + 1]], rng.normal(size=(m // 3, 2))])
+            pairs += [tuple(dyadic), (g, shared), (dyadic[0], empty), (empty, g)]
+        for g1, g2 in pairs:
+            for k in (0, 600, -600):
+                z1, z2 = Zonotope(2, np.ldexp(g1, k)), Zonotope(2, np.ldexp(g2, k))
+                r = hausdorff_convex(z1, z2)
+                assert r.distance.hex() == input_order(z1, z2).hex(), (len(g1), len(g2), k)
+                w = r.witness_direction
+                assert np.abs(w).max() == 1.0
+                assert np.abs(reach_many(z1, w) - reach_many(z2, w))[0] == r.distance
+
     def test_sampled_mode_reported(self):
         rng = case_rng(8, "test.hausdorff.sampled")
         # 40 nonzero generators in n = 6 bound the facet vertices at 9.1e7
@@ -1163,8 +1220,8 @@ class TestHausdorffPoints:
         routes = {"scanned": 0, "stopped": 0, "refused": 0}
         scan = hulls._scanned_points_1norm
 
-        def counting_scan(a, b, bound, block, budget, dist):
-            left = scan(a, b, bound, block, budget, dist)
+        def counting_scan(a, b, bound, block, budget, dist, floor):
+            left = scan(a, b, bound, block, budget, dist, floor)
             stopped = "stopped" if (dist > -np.inf).any() else "refused"
             # a paired pass opens with _LEAD_BLOCK rows, an unpaired one with fewer
             routes["scanned" if left is not None else stopped] += block == hulls._LEAD_BLOCK
@@ -1202,9 +1259,9 @@ class TestHausdorffPoints:
         scan = hulls._scanned_points_1norm
         calls = []
 
-        def counting_scan(a, b, bound, block, budget, dist):
+        def counting_scan(a, b, bound, block, budget, dist, floor):
             assert block == hulls._UNPAIRED_LEAD_BLOCK
-            left = scan(a, b, bound, block, budget, dist)
+            left = scan(a, b, bound, block, budget, dist, floor)
             calls.append("scanned" if left is not None else "stopped")
             assert left is not None or (dist > -np.inf).any()
             return left
@@ -1250,19 +1307,21 @@ class TestHausdorffPoints:
         # atoms; all take the kd-tree route but the skeletons in n = 1, which
         # the paired scan answers.  Distance and witness bytes equal a full
         # query of every row, and every row the kd-tree routine leaves at
-        # -inf has a query value below the pass's maximum
+        # -inf has a query value below the pass's maximum or its floor
         from lorenz_hulls import hulls
 
         directed = hulls._directed_points_1norm
         passes = []
 
-        def checked(a, tree_b, order, bound, dist):
-            directed(a, tree_b, order, bound, dist)
+        def checked(a, tree_b, order, bound, dist, floor):
+            directed(a, tree_b, order, bound, dist, floor)
             seen = dist > -np.inf
             assert dist[seen].tobytes() == tree_b.query(a[seen], p=1)[0].tobytes()
-            # some point lies nearer than the maximum: found within it as radius
-            near = tree_b.query(a[~seen], p=1, distance_upper_bound=dist.max())[0]
-            assert (near < dist.max()).all()
+            # some point lies nearer than the maximum or the floor: found
+            # within it as radius
+            best = max(dist.max(), floor)
+            near = tree_b.query(a[~seen], p=1, distance_upper_bound=best)[0]
+            assert (near < best).all()
             passes.append(int((~seen).sum()))
 
         monkeypatch.setattr(hulls, "_directed_points_1norm", checked)
@@ -1284,6 +1343,68 @@ class TestHausdorffPoints:
                     assert r.witness_point.tobytes() == witness.tobytes(), (n, p1.point_count, k)
                     inputs += len(passes) > before
         assert inputs == 30 and sum(passes) > 0, (inputs, sum(passes))
+
+    def test_second_pass_floored_by_the_first(self, monkeypatch):
+        # the skeletons of 15 atoms in n = 3 and of their first 14, 32 768
+        # and 16 384 points, past the unpaired scan's size limit: the second
+        # set lies in the first, so every distance of the second pass is 0.
+        # The first pass's maximum is its floor and search radius, so every
+        # row it queries finds its nearest point within it, and none is
+        # queried twice
+        import scipy.spatial
+
+        from lorenz_hulls import hulls
+
+        queried = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried[-1].append(np.array(x, ndmin=2))
+                return super().query(x, *args, **kwargs)
+
+        directed = hulls._directed_points_1norm
+
+        def counted(a, tree_b, order, bound, dist, floor):
+            queried.append([])
+            directed(a, tree_b, order, bound, dist, floor)
+            if len(queried) == 2:
+                assert floor > 0.0 and (dist[dist > -np.inf] == 0.0).all()
+
+        atoms = case_rng(31, "test.points.floor").uniform(-1.0, 1.0, (15, 3))
+        p1, p2 = (skeleton_points(VectorMeasure(3, atoms[:m])) for m in (15, 14))
+        distance, witness = _plain_hausdorff_points(p1.points, p2.points)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        monkeypatch.setattr(hulls, "_directed_points_1norm", counted)
+        r = hausdorff_points(p1, p2)
+        assert r.distance == distance and r.witness_point.tobytes() == witness.tobytes()
+        assert len(queried) == 2
+        rows = np.vstack(queried[1])
+        assert 0 < len(rows) == len(np.unique(rows, axis=0)) < p2.point_count
+
+    def test_second_scan_floored_by_the_first(self, monkeypatch):
+        # the same shape within the unpaired scan's budget, 2 048 and 1 024
+        # points: the second scan computes no row whose bound lies below the
+        # first pass's maximum, and finds only zeros
+        from lorenz_hulls import hulls
+
+        scan = hulls._scanned_points_1norm
+        passes = []
+
+        def checked(a, b, bound, block, budget, dist, floor):
+            left = scan(a, b, bound, block, budget, dist, floor)
+            passes.append(floor)
+            if len(passes) == 2:
+                assert floor > 0.0 and (dist[bound < floor] == -np.inf).all()
+                assert (dist[dist > -np.inf] == 0.0).all()
+            return left
+
+        monkeypatch.setattr(hulls, "_scanned_points_1norm", checked)
+        atoms = case_rng(31, "test.points.floor.scan").uniform(-1.0, 1.0, (11, 3))
+        p1, p2 = (skeleton_points(VectorMeasure(3, atoms[:m])) for m in (11, 10))
+        r = hausdorff_points(p1, p2)
+        distance, witness = _plain_hausdorff_points(p1.points, p2.points)
+        assert r.distance == distance and r.witness_point.tobytes() == witness.tobytes()
+        assert len(passes) == 2 and passes[0] == -np.inf
 
     def test_tree_route_witness_among_ties(self):
         # 40 000 rows against one point, past the unpaired scan's size limit,
@@ -1352,7 +1473,7 @@ class TestHausdorffPoints:
             for bound, block in ((_breakpoint_bounds(a, b), _UNPAIRED_LEAD_BLOCK),
                                  (pair, _LEAD_BLOCK), (np.full(400, np.inf), _LEAD_BLOCK)):
                 dist = np.full(400, -np.inf)
-                assert _scanned_points_1norm(a, b, bound, block, 1 << 62, dist) is not None
+                assert _scanned_points_1norm(a, b, bound, block, 1 << 62, dist, -np.inf) is not None
                 seen = dist > -np.inf
                 assert dist[seen].tobytes() == query[seen].tobytes(), n
                 assert seen[query == query.max()].all(), n
@@ -1384,8 +1505,8 @@ class TestHausdorffPoints:
 
         scan = hulls._scanned_points_1norm
 
-        def counting_scan(a, b, bound, block, budget, dist):
-            left = scan(a, b, bound, block, budget, dist)
+        def counting_scan(a, b, bound, block, budget, dist, floor):
+            left = scan(a, b, bound, block, budget, dist, floor)
             scanned.append(budget - left)
             return left
 

@@ -33,7 +33,7 @@ from lorenz_hulls import (
     zonogon_vertices,
 )
 from lorenz_hulls import ops
-from lorenz_hulls.hulls import ZonogonSupport
+from lorenz_hulls.hulls import ZonogonSupport, _hausdorff_arrangement
 from lorenz_hulls.sampling import case_rng, unit_directions
 
 SQUARE = Zonotope(2, [[1, 0], [0, 1]])
@@ -111,6 +111,42 @@ class TestMinkowskiSum:
         assert s.generator_count == 7
 
 
+def _vertex_rule(h1, h2, tol):
+    """The former exact2d rule, a reference: ``(equal, scale)`` from the
+    vertex walks, each rotated to start at its least (x, y), compared
+    coordinate-wise within tol scale + tol."""
+    v1, v2 = (np.roll(v, -int(np.lexsort((v[:, 1], v[:, 0]))[0]), axis=0)
+              for v in (zonogon_vertices(h1), zonogon_vertices(h2)))
+    scale = max(1.0, float(np.abs(v1).max()), float(np.abs(v2).max()))
+    return v1.shape == v2.shape and bool(np.abs(v1 - v2).max() <= tol * scale + tol), scale
+
+
+def _equality_corpus(seed, count):
+    """Seeded planar pairs ``(label, h1, h2)``: up to 8 atoms against a
+    copy with up to 3 atoms split and all permuted, that copy tilted by up
+    to 1e-8 rad, one of its atoms nudged by up to 1e-7, or left alone, and
+    both scaled by 2^k, k in -3 ... 3 or +-600."""
+    rng = case_rng(seed, "test.hull_equal.corpus")
+    for i in range(count):
+        m = int(rng.integers(1, 9))
+        atoms = rng.uniform(-1.0, 1.0, (m, 2))
+        steps = []
+        for _ in range(int(rng.integers(0, 4))):
+            steps.append(SplitAtom(int(rng.integers(0, m)), float(rng.uniform(0.1, 0.9))))
+            m += 1
+        steps.append(Permute(tuple(int(j) for j in rng.permutation(m))))
+        copy = np.array(apply_transform(VectorMeasure(2, atoms), steps).atoms)
+        kind = ("tilt", "nudge", "reshape")[i % 3]
+        size = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -7.0))
+        if kind == "tilt":  # by a tenth of size, in radians
+            c, s = np.cos(size / 10.0), np.sin(size / 10.0)
+            copy = copy @ np.array([[c, s], [-s, c]])
+        elif kind == "nudge":
+            copy[int(rng.integers(0, m))] += size * rng.uniform(-1.0, 1.0, 2)
+        k = int(rng.choice([-3, -2, -1, 0, 1, 2, 3, 600, -600]))
+        yield (i, kind, k), *(hull_of(VectorMeasure(2, np.ldexp(x, k))) for x in (atoms, copy))
+
+
 class TestHullEqual:
     def test_reflexive(self):
         assert hull_equal(SQUARE, SQUARE)
@@ -126,6 +162,25 @@ class TestHullEqual:
 
     def test_axes_differ(self):
         assert not hull_equal(Zonotope(2, [[1, 0]]), Zonotope(2, [[0, 1]]))
+
+    def test_exact2d_is_the_hausdorff_distance(self):
+        # on the seeded corpus, against the former vertex rule and the
+        # distance of the n-D arrangement route: every pair the vertex rule
+        # reads equal, and every pair within tol scale + tol, reads equal,
+        # and no pair beyond twice that does.  The vertex rule misreads
+        # pairs within tol: a nudge parts two atoms that a split made
+        # parallel, or a tilt moves the start of one walk
+        tol, missed, far = 1e-9, 0, 0
+        for label, h1, h2 in _equality_corpus(31, 2000):
+            reference, scale = _vertex_rule(h1, h2, tol)
+            gens = np.vstack([h1.generators, h2.generators])
+            d = _hausdorff_arrangement(h1, h2, gens[np.abs(gens).sum(axis=1) > 0.0]).distance
+            equal = hull_equal(h1, h2, tol=tol)
+            assert equal or not (reference or d <= tol * scale + tol), (label, d, scale)
+            assert not equal or d <= 2 * (tol * scale + tol), (label, d, scale)
+            missed += d <= tol * scale + tol and not reference
+            far += d > 2 * (tol * scale + tol)
+        assert missed >= 100 and far >= 100, (missed, far)
 
     def test_sampled_mode(self):
         z1 = Zonotope(3, [[2, 2, 2]])
