@@ -135,6 +135,8 @@ _SVG_TEMPLATE = """<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">
 
 
 def _cmd_curve(args, measure) -> int:
+    if args.out and Path(args.out).suffix.lower() == ".svg":
+        raise ValueError(f"--out {args.out} names the SVG written next to the CSV")
     curve = lorenz_curve(measure)
     _emit(_csv(curve.points), args.out)
     if args.out:

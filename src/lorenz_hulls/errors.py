@@ -27,10 +27,6 @@ class TooManyAtoms(LorenzError):
     """Atom count exceeds the subset-sum enumeration guard."""
 
 
-class DimensionTooLarge(LorenzError):
-    """Dimension exceeds the sign-vector enumeration guard."""
-
-
 class SizeGuard(LorenzError):
     """A finite-set operation exceeds its size guard."""
 

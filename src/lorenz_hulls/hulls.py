@@ -16,18 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    Exact2dOnPlaneOnly,
-    SizeGuard,
-    TooManyAtoms,
-)
+from .errors import Exact2dOnPlaneOnly, SizeGuard, TooManyAtoms
 from .measures import VectorMeasure, _frozen_rows, _rows, _same_dimension, _Value
-from .sampling import DIRECTION_COORDINATE_LIMIT, case_rng, sign_vectors, unit_directions
+from .sampling import DIRECTION_COORDINATE_LIMIT, _probe_directions, sign_vectors
 
 SKELETON_ATOM_LIMIT = 20
 POINT_SET_LIMIT = 1 << 20
-HAUSDORFF_DIMENSION_LIMIT = 20
 
 # float64 elements per temporary block of the dense kernels (512 KB), so a
 # block and its reductions stay in cache
@@ -557,9 +551,9 @@ def includes(
     halfplanes.  Both reach batches go through the planar normal form, so
     the test costs O((m1 + m2) log(m1 + m2)).  Verdicts are definitive.
 
-    sampled (any n): compares reach on all sign vectors plus ``dirs`` seeded
-    directions.  A violating direction certifies exclusion; otherwise the
-    verdict is only "no_violation_found".
+    sampled (n < 20): compares reach on :func:`sampling._probe_directions`,
+    all sign vectors plus ``dirs`` seeded ones.  A violating direction
+    certifies exclusion; otherwise the verdict is only "no_violation_found".
     """
     _same_dimension("inclusion across dimensions", inner.dimension, outer.dimension)
     _check_tol(tol)
@@ -568,13 +562,8 @@ def includes(
         if n != 2:
             raise Exact2dOnPlaneOnly("exact2d inclusion needs dimension 2")
         directions = _outer_normals_2d(outer)
-        definitive = True
     elif mode == "sampled":
-        rng = case_rng(seed, "includes.sampled")
-        directions = np.vstack(
-            [sign_vectors(n), unit_directions(rng, dirs, n)]
-        )
-        definitive = False
+        directions = _probe_directions(n, seed, "includes.sampled", dirs)
     else:
         raise ValueError(f"unknown inclusion mode {mode!r}")
     gap = reach_many(inner, directions) - reach_many(outer, directions)
@@ -582,7 +571,7 @@ def includes(
     max_violation = float(gap[worst])
     if max_violation > tol:
         return InclusionResult("excluded", directions[worst], max_violation)
-    verdict = "included" if definitive else "no_violation_found"
+    verdict = "included" if mode == "exact2d" else "no_violation_found"
     return InclusionResult(verdict, None, max_violation)
 
 
@@ -630,16 +619,12 @@ def hausdorff_convex(
       the cube surface ||u||_inf = 1, at most
       sum_{k < n} C(M, k) C(n, k) 2^(n - k) of them;
     - past ``sampling.DIRECTION_COORDINATE_LIMIT`` coordinates of those
-      (checked before allocating): sampled over the 2^n sign vectors plus
-      ``dirs`` seeded directions (above n = 16 over the seeded directions
-      only), reported as mode "sampled" (a lower bound).
+      (checked before allocating): sampled over the probes of
+      :func:`sampling._probe_directions` (n < 20), reported as mode
+      "sampled" (a lower bound).
     """
     _same_dimension("Hausdorff across dimensions", z1.dimension, z2.dimension)
     n = z1.dimension
-    if n > HAUSDORFF_DIMENSION_LIMIT:
-        raise DimensionTooLarge(
-            f"Hausdorff computation capped at n <= {HAUSDORFF_DIMENSION_LIMIT}"
-        )
     if n <= 2:
         return _hausdorff_2d_exact(z1, z2)
     gens = np.vstack([z1.generators, z2.generators])
@@ -647,9 +632,7 @@ def hausdorff_convex(
     # facet-vertex count, bounded before any allocation like a direction set
     if _arrangement_size(len(gens), n) * n <= DIRECTION_COORDINATE_LIMIT:
         return _hausdorff_arrangement(z1, z2, gens)
-    probes = [sign_vectors(n)] if n <= 16 else []
-    probes.append(unit_directions(case_rng(seed, "hausdorff.sampled"), dirs, n))
-    directions = np.vstack(probes)
+    directions = _probe_directions(n, seed, "hausdorff.sampled", dirs)
     gap = np.abs(reach_many(z1, directions) - reach_many(z2, directions))
     # scale-free comparison: homogeneity degree one in the direction
     scale = np.abs(directions).max(axis=1)

@@ -33,7 +33,7 @@ from .hulls import (
     within_tolerance,
 )
 from .measures import VectorMeasure, _rows, _same_dimension, coordinate_product
-from .sampling import case_rng, sign_vectors, unit_directions
+from .sampling import _probe_directions
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +87,8 @@ def hull_equal(
     exact2d: the exact planar 1-norm Hausdorff distance is at most
     2 (tol scale + tol), scale the larger of 1 and either hull's largest
     |vertex coordinate|; the 2 keeps vertex walks within tol scale + tol in
-    each coordinate equal.  sampled compares reach on all sign vectors plus
-    ``dirs`` seeded directions within ``tol`` (absolute plus relative).
+    each coordinate equal.  sampled (n < 20) compares reach on the probes of
+    :func:`sampling._probe_directions` within ``tol`` (absolute plus relative).
     """
     _same_dimension("hull equality across dimensions", h1.dimension, h2.dimension)
     _check_tol(tol)
@@ -101,8 +101,7 @@ def hull_equal(
         scale = max(1.0, float(np.abs(parts).max()))
         return hausdorff_convex(h1, h2).distance <= 2 * (tol * scale + tol)
     if mode == "sampled":
-        rng = case_rng(seed, "hull_equal.sampled")
-        directions = np.vstack([sign_vectors(n), unit_directions(rng, dirs, n)])
+        directions = _probe_directions(n, seed, "hull_equal.sampled", dirs)
         r1 = reach_many(h1, directions)
         r2 = reach_many(h2, directions)
         return within_tolerance(r1, r2, atol=tol, rtol=tol)

@@ -61,3 +61,11 @@ def sign_vectors(dimension: int) -> np.ndarray:
                         f"got 2^{dimension} x {dimension}")
     grid = np.indices((2,) * dimension).reshape(dimension, -1).T
     return (2.0 * grid - 1.0).astype(np.float64)
+
+
+def _probe_directions(n: int, seed: int, stream: str, dirs: int) -> np.ndarray:
+    """The probes of every sampled relation: the 2^n sign vectors, then
+    ``dirs`` seeded directions of ``case_rng(seed, stream)``.  The sign
+    vectors' guard is checked first, so from n = 20 on it raises
+    ``SizeGuard`` before any draw."""
+    return np.vstack([sign_vectors(n), unit_directions(case_rng(seed, stream), dirs, n)])

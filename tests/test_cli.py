@@ -57,6 +57,32 @@ class TestHullCommand:
     def test_malformed_json_exit_2(self, files, capsys):
         assert main(["hull", "-i", files["bad"]]) == 2
 
+    def test_unreadable_input_exit_2(self, files, capsys):
+        # a missing file and a directory both fail to open
+        for path in (files["tmp"] / "missing.json", files["tmp"]):
+            assert main(["hull", "-i", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith(f"error: cannot read {path}: ")
+
+    def test_complex_measure_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({"dim": 2, "atoms": [[1, 0, 0, 1]], "complex": True}))
+        assert main(["hull", "-i", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} holds a complex measure where a real one is needed\n"
+
+    def test_out_in_missing_directory_exit_2(self, files, capsys):
+        out = files["tmp"] / "missing" / "hull.csv"
+        assert main(["hull", "-i", files["square"], "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("io error: ")
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("payload", [
         {"dim": 2, "atoms": 5},
         {"dim": 2, "atoms": None},
@@ -339,6 +365,20 @@ class TestHausdorffCommand:
         assert payload["mode"] == "exact"
         assert payload["distance"] == pytest.approx(9e100, rel=1e-12)
 
+    def test_past_the_sign_vector_guard_exit_2(self, tmp_path, capsys):
+        # in n = 20 the sampled distance's sign vectors alone would be
+        # 2^20 x 20 coordinates
+        paths = []
+        for k in (0, 1):
+            paths.append(tmp_path / f"wide{k}.json")
+            atoms = np.eye(20)[2 * k : 2 * k + 2].tolist()
+            paths[-1].write_text(json.dumps({"dim": 20, "atoms": atoms}))
+        assert main(["hausdorff", str(paths[0]), str(paths[1])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: direction sets capped at")
+
 
 class TestGiniAndCurve:
     def test_gini_fixture_formatting(self, files, capsys):
@@ -352,6 +392,17 @@ class TestGiniAndCurve:
         assert rows == ["0.0,0.0", "0.5,0.25", "1.0,1.0"]
         svg = (tmp_path / "curve.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("name", ["curve.svg", "curve.SVG"])
+    def test_out_that_the_svg_would_overwrite_exit_2(self, files, tmp_path, capsys, name):
+        # the SVG next to --out would land on --out itself and replace the CSV
+        before = sorted(tmp_path.iterdir())
+        assert main(["curve", "-i", files["income"], "-o", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: --out {tmp_path / name} names the SVG")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_negative_atom_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "neg.json"

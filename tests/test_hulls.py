@@ -141,14 +141,22 @@ class TestDirectionGuard:
             with pytest.raises(SizeGuard, match=f"got 2\\^{n} x {n}"):
                 sign_vectors(n)
 
-    def test_sampled_relations_past_the_sign_vector_guard(self):
-        # two generators in n = 20: the sign vectors alone would be 2^20 x 20
-        # coordinates, so both sampled relations refuse before any draw
-        z = Zonotope(20, np.eye(20)[:2])
-        with pytest.raises(SizeGuard):
-            includes(z, z, "sampled", dirs=0)
-        with pytest.raises(SizeGuard):
-            hull_equal(z, z, "sampled", dirs=0)
+    def test_sampled_relations_past_the_sign_vector_guard(self, monkeypatch):
+        # two generators a side in n = 20: the sign vectors alone would be
+        # 2^20 x 20 coordinates, so all three sampled relations refuse before
+        # they ask for a generator (Hausdorff takes its sampled route, as the
+        # facet vertices pass the direction-set guard too)
+        calls = []
+        monkeypatch.setattr("lorenz_hulls.sampling.case_rng",
+                            lambda *args: calls.append(args) or self.Recorder())
+        z1, z2 = Zonotope(20, np.eye(20)[:2]), Zonotope(20, np.eye(20)[2:4])
+        assert _arrangement_size(4, 20) * 20 > DIRECTION_COORDINATE_LIMIT
+        for relation in (lambda: includes(z1, z2, "sampled", dirs=0),
+                         lambda: hull_equal(z1, z2, "sampled", dirs=0),
+                         lambda: hausdorff_convex(z1, z2)):
+            with pytest.raises(SizeGuard, match="got 2\\^20 x 20"):
+                relation()
+        assert calls == []
 
 
 class TestHull:
@@ -353,6 +361,11 @@ class TestArea:
 
     def test_segment_has_no_area(self):
         assert area_2d(Zonotope(2, [[2, 3]])) == 0.0
+
+    def test_planar_only(self):
+        for n in (1, 3):
+            with pytest.raises(Exact2dOnPlaneOnly, match="area is planar only"):
+                area_2d(Zonotope(n, np.ones((2, n))))
 
     def test_matches_shoelace_random(self):
         rng = case_rng(4, "test.area")
@@ -876,6 +889,20 @@ class TestIncludes:
         with pytest.raises(Exact2dOnPlaneOnly):
             includes(Zonotope(3, []), Zonotope(3, []), "exact2d")
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown inclusion mode 'exact'"):
+            includes(SQUARE, SQUARE, "exact")
+
+    def test_outer_without_generators(self):
+        # the outer hull is the origin alone, cut out by the +-axes
+        origin = Zonotope(2, [])
+        assert includes(origin, origin).verdict == "included"
+        tiny = includes(Zonotope(2, [[0.0, -1e-10]]), origin)
+        assert tiny.verdict == "included" and tiny.max_violation == 1e-10
+        r = includes(Zonotope(2, [[-1.0, 0.5], [0.0, 2.0]]), origin)
+        assert r.verdict == "excluded"
+        assert r.witness.tolist() == [0.0, 1.0] and r.max_violation == 2.5
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             includes(SQUARE, Zonotope(3, []))
@@ -1090,14 +1117,59 @@ class TestHausdorffConvex:
         rng = case_rng(8, "test.hausdorff.sampled")
         # 40 nonzero generators in n = 6 bound the facet vertices at 9.1e7
         # coordinates, past the direction-set guard; 80 in n = 20 at 3.3e23,
-        # which only a guard run before any allocation answers at once
+        # which only a guard run before any allocation answers at once: there
+        # the sign vectors' own guard refuses
         for n, m in ((6, 20), (20, 40)):
             assert _arrangement_size(2 * m, n) * n > DIRECTION_COORDINATE_LIMIT
             z1 = Zonotope(n, rng.uniform(-1, 1, (m, n)))
             z2 = Zonotope(n, rng.uniform(-1, 1, (m, n)))
+            if n == 20:
+                with pytest.raises(SizeGuard):
+                    hausdorff_convex(z1, z2)
+                continue
             r = hausdorff_convex(z1, z2)
             assert r.mode == "sampled"
             assert r.distance >= 0.0
+
+    def test_sampled_probes_sign_vectors_past_n_16(self):
+        # in n = 17 the sampled distance is the largest scaled gap over the
+        # sign vectors and the seeded directions, at least the seeded
+        # directions' alone; on the unit cube against the origin the sign
+        # vector (1, ..., 1) attains 17, which no seeded direction nears
+        rng = case_rng(32, "test.hausdorff.sampled.n17")
+        cube, origin = Zonotope(17, np.eye(17)), Zonotope(17, [])
+        pairs = [(cube, origin), (Zonotope(17, rng.normal(size=(5, 17))),
+                                  Zonotope(17, rng.normal(size=(4, 17))))]
+        for (z1, z2), seed in zip(pairs, (0, 5)):
+            gens = np.vstack([z1.generators, z2.generators])
+            assert _arrangement_size(len(gens), 17) * 17 > DIRECTION_COORDINATE_LIMIT
+            seeded = unit_directions(case_rng(seed, "hausdorff.sampled"), 64, 17)
+            probes = np.vstack([sign_vectors(17), seeded])
+            scale = np.abs(probes).max(axis=1)
+            gap = np.abs(reach_many(z1, probes) - reach_many(z2, probes)) / scale
+            r = hausdorff_convex(z1, z2, seed=seed, dirs=64)
+            assert r.mode == "sampled" and r.distance == gap.max()
+            worst = int(np.argmax(gap))
+            assert np.array_equal(r.witness_direction, probes[worst] / scale[worst])
+            assert r.distance >= gap[-64:].max()
+            if z1 is cube:
+                assert r.distance == 17.0 > 2 * gap[-64:].max()
+
+    def test_one_dimension_is_exact(self):
+        # in n = 1 the distance is max |h1(+-1) - h2(+-1)|, the gaps at the
+        # two ends of the segments, an empty side among them
+        rng = case_rng(33, "test.hausdorff.n1")
+        sides = [np.zeros((0, 1))]
+        sides += [rng.normal(size=(int(rng.integers(1, 6)), 1)) for _ in range(8)]
+        for g1 in sides:
+            for g2 in sides[::-1]:
+                h1 = (np.maximum(g1, 0.0).sum(), np.maximum(-g1, 0.0).sum())
+                h2 = (np.maximum(g2, 0.0).sum(), np.maximum(-g2, 0.0).sum())
+                want = max(abs(h1[0] - h2[0]), abs(h1[1] - h2[1]))
+                r = hausdorff_convex(Zonotope(1, g1), Zonotope(1, g2))
+                assert r.mode == "exact"
+                assert abs(r.distance - want) <= 1e-15 * (np.abs(g1).sum() + np.abs(g2).sum())
+                assert abs(r.witness_direction[0]) == 1.0
 
     def test_no_linear_program(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lorenz_hulls import (
+    Exact2dOnPlaneOnly,
     InsertZeroAtom,
     InvalidTransform,
     MergeColinear,
@@ -181,6 +182,16 @@ class TestHullEqual:
             missed += d <= tol * scale + tol and not reference
             far += d > 2 * (tol * scale + tol)
         assert missed >= 100 and far >= 100, (missed, far)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown hull equality mode 'exact'"):
+            hull_equal(SQUARE, SQUARE, "exact")
+
+    def test_exact2d_on_the_plane_only(self):
+        for n in (1, 3):
+            z = Zonotope(n, np.ones((1, n)))
+            with pytest.raises(Exact2dOnPlaneOnly, match="exact2d hull equality needs dimension 2"):
+                hull_equal(z, z)
 
     def test_sampled_mode(self):
         z1 = Zonotope(3, [[2, 2, 2]])
