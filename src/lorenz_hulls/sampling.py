@@ -53,14 +53,14 @@ def unit_directions(rng: np.random.Generator, count: int, dimension: int) -> np.
 
 
 def sign_vectors(dimension: int) -> np.ndarray:
-    """All vectors in {-1, +1}^n, shape (2^n, n), lexicographic order; the
-    2^n x n coordinates are capped before allocating, as in :func:`unit_directions`."""
+    """All vectors in {-1, +1}^n, shape (2^n, n), lexicographic order, Fortran
+    layout; the 2^n x n coordinates are capped before allocating, as in :func:`unit_directions`."""
     # 2^32 x n passes the limit for any n, so a huge n needs no huge integer
     if (1 << min(dimension, 32)) * dimension > DIRECTION_COORDINATE_LIMIT:
         raise SizeGuard(f"direction sets capped at {DIRECTION_COORDINATE_LIMIT} coordinates, "
                         f"got 2^{dimension} x {dimension}")
-    grid = np.indices((2,) * dimension).reshape(dimension, -1).T
-    return (2.0 * grid - 1.0).astype(np.float64)
+    grid = np.indices((2,) * dimension, dtype=np.int8).reshape(dimension, -1).T
+    return np.where(grid, 1.0, -1.0)
 
 
 def _probe_directions(n: int, seed: int, stream: str, dirs: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -845,11 +846,31 @@ SUITES: dict[str, Suite] = {suite.name: suite for suite in (
           ("zonoid.achieve", 100, 25, _zonoid_achieve),
           ("zonoid.nesting", 10, 4, _zonoid_nesting)),
 )}
+_LONGEST = ("product_bound", "skeleton_bound")  # at both scales; see run_suites
 
 
 def _run_one(name: str, seed: int, scale: str) -> SuiteReport:
     """Run the suite ``name``; module level, so a worker process can call it."""
     return SUITES[name](seed, scale)
+
+
+def _one_blas_thread() -> ExitStack:
+    """Set each OpenBLAS mapped here to one thread; the returned stack restores
+    each.  Set in the parent before a fork, it starts no BLAS thread in a worker."""
+    import ctypes
+
+    restore = ExitStack()
+    with suppress(OSError), open("/proc/self/maps", encoding="utf-8") as fh:
+        for lib in sorted({line.split()[-1] for line in fh if "openblas" in line.lower()}):
+            handle = ctypes.CDLL(lib)
+            for get in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                        "openblas_get_num_threads"):
+                if hasattr(handle, get):
+                    set_count = handle[get.replace("_get_", "_set_")]
+                    restore.callback(set_count, handle[get]())
+                    set_count(1)
+                    break
+    return restore
 
 
 def run_suites(
@@ -863,10 +884,11 @@ def run_suites(
 
     Report content is independent of the worker count: each case derives
     its own generator from (seed, stream, index) and reports are ordered by
-    the registry, not by completion.  The pool maps suite names through
-    :func:`_run_one` and never has more workers than suites; one worker or
-    one suite runs in this process.  An unknown name raises ``ValueError``
-    before any suite runs.
+    the registry, not by completion.  The pool gets the longest suites
+    (``_LONGEST``) first, so that neither runs alone at the end, never has
+    more workers than suites, and holds OpenBLAS at one thread while open.
+    One worker or one suite runs in this process.  An unknown name raises
+    ``ValueError`` before any suite runs.
     """
     for name in names:
         if name != "all" and name not in SUITES:
@@ -879,8 +901,10 @@ def run_suites(
     from concurrent.futures import ProcessPoolExecutor
 
     count = len(ordered)
-    with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(_run_one, ordered, [seed] * count, [scale] * count))
+    dispatch = [n for n in _LONGEST if n in ordered] + [n for n in ordered if n not in _LONGEST]
+    with _one_blas_thread(), ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+        reports = pool.map(_run_one, dispatch, [seed] * count, [scale] * count)
+        return sorted(reports, key=lambda report: ordered.index(report.suite))
 
 
 def render_reports(reports: list[SuiteReport]) -> str:

@@ -1,6 +1,7 @@
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,23 @@ class TestDirectionGuard:
         for n in (20, 21, 64, 10**8):
             with pytest.raises(SizeGuard, match=f"got 2\\^{n} x {n}"):
                 sign_vectors(n)
+
+    def test_sign_vectors_peak_near_the_result(self):
+        # 2^17 x 17 floats are 17 MiB; building them holds no int64 grid and
+        # no second float copy beside the result, which keeps its values,
+        # dtype and Fortran layout (``_facet_vertices`` multiplies by its
+        # transpose)
+        tracemalloc.start()
+        try:
+            signs = sign_vectors(17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert signs.nbytes == 17 << 20
+        assert peak <= 1.25 * signs.nbytes
+        assert signs.dtype == np.float64 and signs.flags.f_contiguous
+        rows = np.arange(1 << 17)[:, None] >> np.arange(16, -1, -1)
+        assert np.array_equal(signs, 2.0 * (rows & 1) - 1.0)
 
     def test_sampled_relations_past_the_sign_vector_guard(self, monkeypatch):
         # two generators a side in n = 20: the sign vectors alone would be

@@ -1,6 +1,8 @@
 """``run_suites`` across worker processes, and the errors that cross them."""
 
 import concurrent.futures
+import ctypes
+import io
 import multiprocessing
 import os
 import pickle
@@ -12,9 +14,16 @@ import numpy as np
 import pytest
 
 import lorenz_hulls
-from lorenz_hulls import errors
+from lorenz_hulls import errors, suites
 from lorenz_hulls.errors import LorenzError, NotInHull
-from lorenz_hulls.suites import SUITES, Suite, SuiteReport, render_reports, run_suites
+from lorenz_hulls.suites import (
+    SUITES,
+    Suite,
+    SuiteReport,
+    _oracle_case,
+    render_reports,
+    run_suites,
+)
 
 WITNESS = np.array([0.5, -1.0])
 
@@ -61,14 +70,51 @@ def test_not_in_hull_crosses_the_pool(monkeypatch, workers):
     assert np.array_equal(err.value.witness, WITNESS)
 
 
+def _blas_libraries():
+    """``(get, set)`` of the thread count of each OpenBLAS mapped into this
+    process, by the symbols ``suites._one_blas_thread`` tries; none where
+    there is no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    pairs = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for get in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if hasattr(handle, get):
+                pairs.append((handle[get], handle[get.replace("_get_", "_set_")]))
+                break
+    return pairs
+
+
+def _blas_counts():
+    return [get() for get, _ in _blas_libraries()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    # two threads in each library, so that a count the pool left at one shows
+    pairs = _blas_libraries()
+    before = [get() for get, _ in pairs]
+    for _, set_count in pairs:
+        set_count(2)
+    yield
+    for (_, set_count), count in zip(pairs, before):
+        set_count(count)
+
+
 class _RecordingPool:
-    """Stands in for ``ProcessPoolExecutor``: records its size and the
-    names it maps, and starts no process."""
+    """Stands in for ``ProcessPoolExecutor``: records its size, the names it
+    maps in their order and the BLAS thread counts at that time, and starts
+    no process."""
 
     made = []
 
     def __init__(self, max_workers):
-        self.max_workers, self.names = max_workers, None
+        self.max_workers, self.names, self.blas = max_workers, None, None
         self.made.append(self)
 
     def __enter__(self):
@@ -78,8 +124,17 @@ class _RecordingPool:
         return False
 
     def map(self, fn, names, *rest):
-        self.names = list(names)
+        self.names, self.blas = list(names), _blas_counts()
         return [SuiteReport(name, 0) for name in self.names]
+
+
+# the two longest suites first, then the rest in registry order
+DISPATCH_ALL = [
+    "product_bound", "skeleton_bound", "measure", "complex", "roundtrip", "geometry",
+    "hausdorff", "oracle", "identity", "algebra", "well_definedness", "inclusion", "gini",
+    "curve", "partition", "discretization", "zonoid",
+]
+DISPATCH = {("all",): DISPATCH_ALL, ("gini", "identity"): ["identity", "gini"]}
 
 
 @pytest.mark.parametrize(
@@ -92,8 +147,124 @@ def test_pool_never_exceeds_the_suite_count(monkeypatch, names, workers, size):
     reports = run_suites(names, seed=0, workers=workers)
     [pool] = _RecordingPool.made
     assert pool.max_workers == size
+    assert pool.names == DISPATCH[tuple(names)]
     wanted = [name for name in SUITES if "all" in names or name in names]
-    assert pool.names == wanted == [r.suite for r in reports]
+    assert [r.suite for r in reports] == wanted
+
+
+@pytest.mark.parametrize(
+    "names, dispatch, wanted",
+    [
+        (["zonoid", "skeleton_bound", "measure"], ["skeleton_bound", "measure", "zonoid"],
+         ["measure", "skeleton_bound", "zonoid"]),
+        (["curve", "product_bound"], ["product_bound", "curve"], ["curve", "product_bound"]),
+        (["skeleton_bound", "oracle", "product_bound"],
+         ["product_bound", "skeleton_bound", "oracle"],
+         ["oracle", "product_bound", "skeleton_bound"]),
+    ],
+)
+def test_pool_gets_the_longest_suites_first(monkeypatch, names, dispatch, wanted):
+    # reports come back in registry order whatever the dispatch order
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    reports = run_suites(names, seed=0, workers=2)
+    [pool] = _RecordingPool.made
+    assert pool.names == dispatch
+    assert [r.suite for r in reports] == wanted
+
+
+def test_pool_holds_blas_at_one_thread(monkeypatch, two_blas_threads):
+    # the cap is set in the parent before the pool starts, and each
+    # library's own count comes back when it closes
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    run_suites(["all"], seed=0, workers=2)
+    [pool] = _RecordingPool.made
+    assert pool.blas == [1] * len(_blas_libraries())
+    assert _blas_counts() == [2] * len(pool.blas)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork"
+    or not os.path.isdir("/proc/self/task"),
+    reason="a worker sees the patched table only when it is forked; counts /proc/self/task",
+)
+def test_forked_worker_starts_no_blas_thread(monkeypatch, two_blas_threads):
+    # the oracle suite's directions @ points.T is the small scale's one BLAS
+    # product large enough to start OpenBLAS's thread; capped in the parent,
+    # a worker that has run it is still one task (two without the cap)
+    def oracle_then_count(rng, case, seed, full):
+        yield from _oracle_case(rng, case, seed, full)
+        tasks = len(os.listdir("/proc/self/task"))
+        yield tasks == 1, f"tasks={tasks}"
+
+    monkeypatch.setitem(SUITES, "oracle", Suite("oracle", "counts tasks",
+                                                ("oracle", 200, 40, oracle_then_count)))
+    reports = run_suites(["oracle", "gini"], seed=7, workers=2)
+    assert [(r.suite, r.failures) for r in reports] == [("oracle", []), ("gini", [])]
+    assert reports[0].cases == 80
+    assert set(_blas_counts()) <= {2}
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="a worker sees the patched table only when it is forked",
+)
+def test_blas_count_restored_when_a_suite_raises(monkeypatch, two_blas_threads):
+    monkeypatch.setitem(SUITES, "gini", Suite("gini", "raises", ("gini", 1, 1, _outside)))
+    with pytest.raises(NotInHull):
+        run_suites(["product_bound", "gini"], seed=7, workers=2)
+    assert set(_blas_counts()) <= {2}
+
+
+@pytest.mark.parametrize("maps", ["no openblas", OSError])
+def test_blas_cap_without_openblas_is_a_no_op(monkeypatch, two_blas_threads, maps):
+    # with no OpenBLAS in /proc/self/maps, or no such file, no library is
+    # loaded and no count is set
+    def fake_open(path, *args, **kwargs):
+        assert path == "/proc/self/maps"
+        if maps is OSError:
+            raise OSError("no maps")
+        return io.StringIO("7f00-7f01 r-xp 00000000 00:00 0  /usr/lib/libm.so.6\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library was loaded")
+
+    monkeypatch.setattr(suites, "open", fake_open, raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(ctypes, "CDLL", refuse)
+        with suites._one_blas_thread():
+            pass
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    reports = run_suites(["gini", "identity"], seed=0, workers=2)
+    [pool] = _RecordingPool.made
+    assert set(pool.blas) <= {2} and set(_blas_counts()) <= {2}
+    assert [r.suite for r in reports] == ["identity", "gini"]
+
+
+ONE_WORKER_VERIFY = """
+import sys
+import lorenz_hulls.cli as cli
+# numpy has imported ctypes, so ``-X importtime`` cannot see a second
+# import of it; blocked from here on, any import of it fails
+sys.modules["ctypes"] = None
+sys.exit(cli.main(["verify", "--suite", "all", "--seed", "7", "--workers", "1"]))
+"""
+
+
+def test_one_worker_imports_neither_ctypes_nor_futures():
+    src = str(Path(lorenz_hulls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", ONE_WORKER_VERIFY],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (Path(__file__).parent / "verify_reports" / "small_seed7.txt").read_text()
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "lorenz_hulls.suites" in imported
+    assert not [name for name in imported if name.startswith("concurrent")]
 
 
 def test_worker_processes_match_one_process():
