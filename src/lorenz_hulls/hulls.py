@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Exact2dOnPlaneOnly, SizeGuard, TooManyAtoms
-from .measures import VectorMeasure, _frozen_rows, _rows, _same_dimension, _Value
+from .measures import VectorMeasure, _frozen_rows, _nonzero_rows, _rows, _same_dimension, _Value
 from .sampling import DIRECTION_COORDINATE_LIMIT, _probe_directions, sign_vectors
 
 SKELETON_ATOM_LIMIT = 20
@@ -149,8 +149,7 @@ class InclusionResult:
 
 def hull_of(m: VectorMeasure) -> Zonotope:
     """Hull of a discrete measure: generators are its nonzero atoms."""
-    keep = np.abs(m.atoms).sum(axis=1) > 0.0
-    return Zonotope(m.dimension, m.atoms[keep])
+    return Zonotope(m.dimension, m.atoms[_nonzero_rows(m.atoms)])
 
 
 def reach(z: Zonotope, direction) -> float:
@@ -226,19 +225,36 @@ def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
 # planar realization
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` from numpy's default argsort, a
+    SIMD quicksort where the CPU has one and several times faster than the
+    merge sort: each run of equal keys (the NaNs, sorted last, are one run)
+    is put back in index order by one int64 sort of run * m + index."""
+    order = np.argsort(keys)
+    s = keys[order]
+    tie = s[1:] == s[:-1]
+    tie |= np.isnan(s[:-1])  # only NaNs follow a NaN
+    if tie.any():
+        run = np.concatenate([[0], np.cumsum(~tie)]) * keys.shape[0]
+        order = np.sort(run + order) - run
+    return order
+
+
 def _sorted_generators_2d(generators: np.ndarray):
     """Upper-half-plane form of a 2-D generator list, sorted by polar angle.
 
     Drops zero rows, flips generators into {y > 0} union {y = 0, x > 0}
-    (accumulating the flip offset) and sorts them stably by angle.  Returns
-    ``(g, angles, offset)`` with ``angles`` nondecreasing in [0, pi).
+    (accumulating the flip offset) and sorts them stably by angle with
+    :func:`_stable_order`.  Returns ``(g, angles, offset)`` with ``angles``
+    nondecreasing in [0, pi).
     """
-    g = generators[np.abs(generators).sum(axis=1) > 0.0]
+    keep = _nonzero_rows(generators)
+    g = generators if keep.all() else generators[keep]
     flip = (g[:, 1] < 0) | ((g[:, 1] == 0) & (g[:, 0] < 0))
     offset = g[flip].sum(axis=0) if flip.any() else np.zeros(2)
     g = np.where(flip[:, None], -g, g)
     ang = np.arctan2(g[:, 1], g[:, 0])
-    order = np.argsort(ang, kind="stable")
+    order = _stable_order(ang)
     return g[order], ang[order], offset
 
 
@@ -349,11 +365,8 @@ class ZonogonSupport:
         vertex answers with 0) and subnormal q_1 without a special case.
         Where q_2 / q_1 over- or underflows, 0 clamps a rounding below it.
         """
-        q = _rows(np.atleast_2d(queries), 2, "queries")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x, y = self.extreme_vertices(q[:, 1] / q[:, 0], np.signbit(q[:, 0]))
-        h = x * q[:, 0] + y * q[:, 1]
-        return np.where(h < 0.0, 0.0, h)
+        (h,) = _supports_2d([self], _rows(np.atleast_2d(queries), 2, "queries"))
+        return h
 
     def extreme_vertices(self, slopes: np.ndarray, flipped):
         """Coordinates ``(x, y)`` of an extreme vertex for each query q in
@@ -368,6 +381,17 @@ class ZonogonSupport:
         j = np.searchsorted(self.slope_keys, slopes)
         j[..., flipped] += self.slope_keys.shape[0]
         return np.take(self._walk_x, j), np.take(self._walk_y, j)
+
+
+def _supports_2d(supports, q: np.ndarray):
+    """:meth:`ZonogonSupport.eval` of each of ``supports`` at the validated
+    query rows ``q``, whose slopes and sign bits are computed once."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slopes, flipped = q[:, 1] / q[:, 0], np.signbit(q[:, 0])
+    for s in supports:
+        x, y = s.extreme_vertices(slopes, flipped)
+        h = x * q[:, 0] + y * q[:, 1]
+        yield np.where(h < 0.0, 0.0, h)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +652,7 @@ def hausdorff_convex(
     if n <= 2:
         return _hausdorff_2d_exact(z1, z2)
     gens = np.vstack([z1.generators, z2.generators])
-    gens = gens[np.abs(gens).sum(axis=1) > 0.0]
+    gens = gens[_nonzero_rows(gens)]
     # facet-vertex count, bounded before any allocation like a direction set
     if _arrangement_size(len(gens), n) * n <= DIRECTION_COORDINATE_LIMIT:
         return _hausdorff_arrangement(z1, z2, gens)
@@ -646,17 +670,19 @@ def hausdorff_convex(
 def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
     """Probes +-1 in n = 1; in the plane the box corners, then perp/max of
     the generators each side's :class:`ZonogonSupport` holds, z1's then
-    z2's, in angle order, so ``eval`` meets sorted runs, then negated."""
+    z2's, in angle order, so the searches meet sorted runs, then negated;
+    their slopes and sign bits are computed once for both sides."""
     if z1.dimension == 1:
         cands = np.array([[1.0], [-1.0]])
         gap = np.abs(reach_many(z1, cands) - reach_many(z2, cands))
     else:
         s1, s2 = ZonogonSupport(z1.generators), ZonogonSupport(z2.generators)
         g = np.vstack([s1._generators, s2._generators])
-        perp = np.column_stack([-g[:, 1], g[:, 0]])
-        perp = perp / np.abs(perp).max(axis=1, keepdims=True)
+        box = np.maximum(np.abs(g[:, 0]), np.abs(g[:, 1]))
+        perp = np.column_stack([-g[:, 1] / box, g[:, 0] / box])
         cands = np.vstack([[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], perp, -perp])
-        gap = np.abs(s1.eval(cands) - s2.eval(cands))
+        h1, h2 = _supports_2d((s1, s2), cands)
+        gap = np.abs(h1 - h2)
     worst = int(np.argmax(gap))
     return HausdorffResult(float(gap[worst]), "exact", witness_direction=cands[worst])
 

@@ -46,6 +46,13 @@ def _rows(values, width: int, what: str, *, mass: bool = False) -> np.ndarray:
     return a
 
 
+def _nonzero_rows(a: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a finite array with a nonzero coordinate, reduced
+    over the columns of its transpose: a reduction along each short row
+    costs about 9 ns a row."""
+    return (np.ascontiguousarray(a.T) != 0.0).any(axis=0)
+
+
 def _frozen_rows(values, width: int, what: str) -> np.ndarray:
     """Validated read-only :func:`_rows` array whose total 1-norm mass is
     finite.  DimensionMismatch also when ``width`` is not positive.  An

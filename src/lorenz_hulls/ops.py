@@ -26,13 +26,14 @@ from .hulls import (
     ZonogonSupport,
     _check_tol,
     _sorted_generators_2d,
+    _stable_order,
     area_2d,
     hausdorff_convex,
     reach_many,
     skeleton_points,
     within_tolerance,
 )
-from .measures import VectorMeasure, _rows, _same_dimension, coordinate_product
+from .measures import VectorMeasure, _nonzero_rows, _rows, _same_dimension, coordinate_product
 from .sampling import _probe_directions
 
 
@@ -52,7 +53,7 @@ def lorenz_product(h1: Zonotope, h2: Zonotope) -> Zonotope:
     prod = (h1.generators[:, None, :] * h2.generators[None, :, :]).reshape(
         -1, h1.dimension
     )
-    prod = prod[np.abs(prod).sum(axis=1) > 0.0]
+    prod = prod[_nonzero_rows(prod)]
     return Zonotope(h1.dimension, prod)
 
 
@@ -225,12 +226,14 @@ def product_reach_many(
 
     For direction u the product support is sum_i h_B(u * a_i) over the
     atoms a_i of the first factor (componentwise scaling), so the product's
-    generators are never materialized.  The atoms are split by the sign bit
-    of a_1 and each part is sorted once by rho = a_2 / a_1 (+-inf where
-    a_1 = +-0, NaN for the zero atom).  The query u * a_i has slope
-    (u_2 / u_1) * rho_i, which is +-0, +-inf or NaN exactly where its
-    q_2 / q_1 is, and q_1 has its sign bit set where those of u_1 and a_i1
-    differ.  So one ``searchsorted`` of these slopes into the slope keys of
+    generators are never materialized.  The atoms are sorted once by
+    rho = a_2 / a_1 (+-inf where a_1 = +-0, NaN for the zero atom) with
+    ``hulls._stable_order`` and split, keeping that order, by the sign bit
+    of a_1: the permutation of a stable ``lexsort`` at a fifth of its cost
+    for 10^4 distinct keys.  The query u * a_i has slope (u_2 / u_1) * rho_i,
+    which is +-0, +-inf or NaN exactly where its q_2 / q_1 is, and q_1 has
+    its sign bit set where those of u_1 and a_i1 differ.  So one
+    ``searchsorted`` of these slopes into the slope keys of
     ``other_support`` finds every extreme vertex
     (``ZonogonSupport.extreme_vertices``), axis directions and a zero query
     included, and the sum is u_1 * sum_i a_i1 x_j + u_2 * sum_i a_i2 y_j
@@ -254,11 +257,13 @@ def product_reach_many(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slope = u2 / u1
         rho = atoms[:, 1] / atoms[:, 0]
-    # sign bit of a_1 clear first, then set, each by rho
-    order = np.lexsort((rho, np.signbit(atoms[:, 0])))
+    # sign bit of a_1 clear first, then set, each part by rho
+    order = _stable_order(rho)
+    sign = np.signbit(atoms[order, 0])
+    order = np.concatenate([order[~sign], order[sign]])
     rho = rho[order]
     ax, ay = atoms[order, 0], atoms[order, 1]
-    split = int(np.count_nonzero(~np.signbit(ax)))
+    split = int(np.count_nonzero(~sign))
     m = rho.shape[0]
     out = np.zeros(D.shape[0])
     threads = min(_cpu_count(), D.shape[0]) if D.shape[0] * m >= _THREAD_GATE else 1

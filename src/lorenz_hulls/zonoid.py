@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInHull
 from .hulls import contains_point, hull_of
-from .measures import PiecewiseDensityMeasure, VectorMeasure, _rows
+from .measures import PiecewiseDensityMeasure, VectorMeasure, _nonzero_rows, _rows
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def to_density(m: VectorMeasure) -> PiecewiseDensityMeasure:
     The resulting density's range equals the hull of ``m``: its support
     integral in any direction is the same clipped sum as the hull's reach.
     """
-    keep = np.abs(m.atoms).sum(axis=1) > 0.0
+    keep = _nonzero_rows(m.atoms)
     directions = m.atoms[keep]
     return PiecewiseDensityMeasure(
         m.dimension, np.ones(directions.shape[0]), directions
@@ -65,7 +65,7 @@ def interval_realization(
     if lam.size and not (lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12):
         raise ValueError("coefficients must lie in [0, 1]")
     lam = np.clip(lam, 0.0, 1.0)
-    nonzero = np.abs(m.atoms).sum(axis=1) > 0.0
+    nonzero = _nonzero_rows(m.atoms)
     intervals = []
     for j, t in enumerate(lam[nonzero]):
         if t > 0.0:
@@ -93,7 +93,7 @@ def achieve(m: VectorMeasure, target, tol: float = 1e-9) -> AchievementCertifica
     if not verdict.inside:
         raise NotInHull("target lies outside the hull", verdict.witness)
     lam = np.zeros(m.atom_count)
-    nonzero = np.abs(m.atoms).sum(axis=1) > 0.0
+    nonzero = _nonzero_rows(m.atoms)
     lam[nonzero] = verdict.coefficients
     return interval_realization(m, lam, target=p)
 

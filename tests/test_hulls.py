@@ -40,6 +40,7 @@ from lorenz_hulls.hulls import (
     _central_containment,
     _lp_exponent,
     _lp_point_distance,
+    _stable_order,
     linprog,
     separating_direction,
 )
@@ -1891,3 +1892,20 @@ class TestZonogonSupport:
     def test_zero_query(self):
         table = ZonogonSupport(np.array([[1.0, 2.0]]))
         assert table.eval(np.zeros((1, 2)))[0] == 0.0
+
+    def test_stable_order_matches_stable_argsort(self):
+        # ties, +-0, +-inf, NaN runs (either sign bit), subnormals, the empty
+        # and one-element inputs, all-equal, sorted and reversed keys, at
+        # sizes below and above where numpy's argsort turns to SIMD
+        rng = case_rng(34, "test.stable_order")
+        base = rng.normal(size=3000)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324])
+        corpus = [np.zeros(0), np.array([1.5]), np.array([np.nan]), np.zeros(10_000),
+                  np.full(300, -0.0), np.full(300, np.nan), np.sort(base), np.sort(base)[::-1],
+                  np.repeat(np.sort(base[:50]), 20), special, np.tile(special, 40)]
+        for case in range(300):
+            pool = np.concatenate([base[: int(rng.integers(1, 3000))], special[: case % 9]])
+            corpus.append(rng.choice(pool, size=int(rng.integers(0, 4000))))
+        for keys in corpus:
+            got, want = _stable_order(keys), np.argsort(keys, kind="stable")
+            assert got.dtype == want.dtype and np.array_equal(got, want), keys.shape

@@ -34,7 +34,7 @@ from lorenz_hulls import (
     zonogon_vertices,
 )
 from lorenz_hulls import ops
-from lorenz_hulls.hulls import ZonogonSupport, _hausdorff_arrangement
+from lorenz_hulls.hulls import ZonogonSupport, _hausdorff_arrangement, _sorted_generators_2d
 from lorenz_hulls.sampling import case_rng, unit_directions
 
 SQUARE = Zonotope(2, [[1, 0], [0, 1]])
@@ -254,7 +254,63 @@ class TestSkeletonProduct:
             skeleton_product(big, VectorMeasure(1, np.ones((3, 1))))
 
 
+def merge_sorted_generators_2d(generators):
+    """The planar normal form as ``hulls._sorted_generators_2d`` built it with
+    numpy's stable merge sort: the reference its SIMD stable order must match."""
+    g = generators[np.abs(generators).sum(axis=1) > 0.0]
+    flip = (g[:, 1] < 0) | ((g[:, 1] == 0) & (g[:, 0] < 0))
+    offset = g[flip].sum(axis=0) if flip.any() else np.zeros(2)
+    g = np.where(flip[:, None], -g, g)
+    ang = np.arctan2(g[:, 1], g[:, 0])
+    order = np.argsort(ang, kind="stable")
+    return g[order], ang[order], offset
+
+
+def lexsort_product_reach(a, support, dirs):
+    """``product_reach_many`` on one thread with its atoms in ``np.lexsort``
+    order, the stable merge sort that it replaced: the reference for its bytes."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope, rho = dirs[:, 1] / dirs[:, 0], a[:, 1] / a[:, 0]
+    order = np.lexsort((rho, np.signbit(a[:, 0])))
+    rho, ax, ay = rho[order], a[order, 0], a[order, 1]
+    split = int(np.count_nonzero(~np.signbit(ax)))
+    out = np.zeros(dirs.shape[0])
+    negative = np.signbit(dirs[:, 0])
+    for flipped, rows in ((slice(split, None), ~negative), (slice(split), negative)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            x, y = support.extreme_vertices(slope[rows, None] * rho, flipped)
+        h = dirs[rows, 0] * (x * ax).sum(axis=1) + dirs[rows, 1] * (y * ay).sum(axis=1)
+        out[rows] += np.maximum(h, 0.0)
+    return out
+
+
 class TestProductReach:
+    def test_sorts_match_merge_sort_oracle(self):
+        # the normal form and the product's atom order keep the permutations
+        # of the merge sorts, so every value keeps its bytes: zero, parallel,
+        # antiparallel and axis atoms, +-0 and subnormal coordinates, at
+        # scales 2^+-600 (the product's factors scaled oppositely)
+        rng = case_rng(34, "test.product_reach.oracle")
+        special = np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, 0.0], [-2.0, 0.0], [0.0, 3.0], [-0.0, -1.0],
+                            [5e-324, 1.0], [-5e-324, 2.0], [1.0, 5e-324], [1.0, -5e-324], [3.0, 0.0]])
+        dirs = np.vstack([unit_directions(rng, 300, 2), np.eye(2), -np.eye(2), [[0.0, 0.0], [-0.0, 1.0]]])
+        for case in range(60):
+            m = int(rng.integers(1, 400)) if case % 10 else 3000
+            base = rng.normal(size=(int(rng.integers(1, 20)), 2))
+            g = np.vstack([rng.normal(size=(m, 2)), special,
+                           base[rng.integers(0, len(base), m)] * rng.uniform(-3.0, 3.0, (m, 1))])
+            g[rng.random(g.shape[0]) < 0.1] *= np.array([1.0, 0.0])
+            g = g[rng.permutation(g.shape[0])]
+            b = rng.normal(size=(int(rng.integers(1, 50)), 2))
+            b[: len(b) // 3] = g[: len(b) // 3]
+            for k in (0, 600, -600):
+                a = np.ldexp(g, k)
+                for got, want in zip(_sorted_generators_2d(a), merge_sorted_generators_2d(a)):
+                    assert got.tobytes() == want.tobytes(), (case, k)
+                support = ZonogonSupport(np.ldexp(b, -k))
+                want = lexsort_product_reach(a, support, dirs)
+                assert product_reach_many(a, support, dirs).tobytes() == want.tobytes(), (case, k)
+
     def test_matches_materialized_product(self):
         rng = case_rng(4, "test.product_reach")
         a = VectorMeasure(2, rng.uniform(-1, 1, (30, 2)))

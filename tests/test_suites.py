@@ -6,6 +6,7 @@ import io
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,3 +314,37 @@ def test_geometry_and_zonoid_suites_solve_no_linear_program(monkeypatch):
     reports = run_suites(["geometry", "zonoid"], seed=7, scale="small")
     assert [(r.suite, r.failures) for r in reports] == [("geometry", []), ("zonoid", [])]
     assert all(r.cases > 0 for r in reports)
+
+
+@pytest.mark.parametrize("full, cases", [(False, 3), (True, 2)])
+def test_product_bound_antipodal_half_matches_direct(monkeypatch, full, cases):
+    # criterion 6 evaluates the product support on half of its grid and
+    # derives the other, antipodal half: each support, and each measured
+    # value, stays within 1e-15 mass1 mass2 of evaluating the whole grid
+    mass = lorenz_hulls.total_variation_mass
+    antipodal, gaps = suites._antipodal_product_support, []
+
+    def direct(a, b, half):
+        support = suites.ZonogonSupport(suites.hull_of(b).generators)
+        return suites.product_reach_many(a.atoms, support, np.vstack([half, -half]))
+
+    def compared(a, b, half):
+        h = antipodal(a, b, half)
+        gaps.append((np.abs(h - direct(a, b, half)).max(), mass(a) * mass(b)))
+        return h
+
+    def measured(index, support):
+        monkeypatch.setattr(suites, "_antipodal_product_support", support)
+        ((ok, message),) = suites._product_bound_case(
+            suites.case_rng(7, "product_bound", index), index, 7, full)
+        assert ok, message
+        return np.array([float(v) for v in re.findall(r"measured (\S+) bound", message)])
+
+    for index in range(cases):
+        derived, want = measured(index, compared), measured(index, direct)
+        # the first support is that of the original measures' product
+        mass1_mass2 = gaps[-4][1]
+        assert derived.shape == want.shape == (3,)
+        assert np.abs(derived - want).max() <= 1e-15 * mass1_mass2, index
+    assert len(gaps) == 4 * cases
+    assert all(gap <= 1e-15 * scale for gap, scale in gaps)
