@@ -139,9 +139,10 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     atoms, each ``(w_k / reps) * u_k`` along the cell representative, so the
     total variation is preserved.  Empty buckets contribute nothing; zero
     atoms are ignored.  Cells come out in lexicographic order of their
-    integer key rows (one ``np.lexsort`` and a neighbour compare); each
-    cell's mass is summed in atom order.  Raises ``SizeGuard`` before the
-    output is allocated when its cells x reps x n coordinates exceed
+    integer key rows, signs then buckets (one ``np.lexsort`` of n - 1 keys,
+    the first folding the signs and first bucket, and a neighbour compare);
+    each cell's mass is summed in atom order.  Raises ``SizeGuard`` before
+    the output is allocated when its cells x reps x n coordinates exceed
     ``sampling.DIRECTION_COORDINATE_LIMIT``.
     """
     _same_dimension("measure and partition of dimensions", m.dimension, part.dimension)
@@ -151,21 +152,27 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     keep = norms > 0.0
     if not keep.any():
         return VectorMeasure(m.dimension, np.zeros((0, m.dimension)))
-    signs, buckets = part._cell_rows(m.atoms[keep])
-    rows = np.hstack([signs, buckets])
-    order = np.lexsort(rows.T[::-1])
-    fresh = np.concatenate([[True], (rows[order[1:]] != rows[order[:-1]]).any(axis=1)])
+    x, norms = (m.atoms, norms) if keep.all() else (m.atoms[keep], norms[keep])
+    signs, buckets = part._cell_rows(x)
+    n = m.dimension
+    # the sign columns as one code, first column highest, which keeps the
+    # lex order of the +-1 rows; code * r + b_0 < 2^n r <= 2^59
+    code = (signs > 0) @ (1 << np.arange(n - 1, -1, -1))
+    keys = np.vstack([code * part.resolution + buckets[:, 0], buckets[:, 1:].T]
+                     if n > 1 else [code])
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    fresh = np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
     cell = np.empty(order.shape[0], dtype=np.intp)
     cell[order] = np.cumsum(fresh) - 1
-    cells = rows[order[fresh]]
-    n = m.dimension
-    if cells.shape[0] * reps * n > DIRECTION_COORDINATE_LIMIT:
+    first = order[fresh]
+    if first.shape[0] * reps * n > DIRECTION_COORDINATE_LIMIT:
         raise SizeGuard(
             f"discretized measures capped at {DIRECTION_COORDINATE_LIMIT} coordinates, "
-            f"got {cells.shape[0]} cells x {reps} reps x {n}"
+            f"got {first.shape[0]} cells x {reps} reps x {n}"
         )
-    masses = np.bincount(cell, weights=norms[keep])
-    atoms = (masses / reps)[:, None] * part.representative_rows(cells[:, :n], cells[:, n:])
+    masses = np.bincount(cell, weights=norms)
+    atoms = (masses / reps)[:, None] * part.representative_rows(signs[first], buckets[first])
     return VectorMeasure(m.dimension, np.repeat(atoms, reps, axis=0))
 
 

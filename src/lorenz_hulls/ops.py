@@ -214,9 +214,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# direction-atom pairs from which product_reach_many splits its rows
-# across threads: twice the planar m = 1 000 call on 512 directions
-_THREAD_GATE = 16 * _BLOCK
+# direction-atom pairs from which product_reach_many splits its rows across
+# threads: on 2 CPUs a threaded call measured faster from 2^16 pairs (128
+# atoms on 512 directions) on; on ~100 discretized atoms both took as long
+_THREAD_GATE = _BLOCK
 
 
 def product_reach_many(
@@ -245,11 +246,12 @@ def product_reach_many(
 
     From ``_THREAD_GATE`` direction-atom pairs on, the direction rows are
     cut into one share per CPU the process may run on (``taskset`` limits
-    them); the caller computes one share and threads started for this call
-    the others, in blocks of ``_BLOCK // threads`` pairs, so memory stays
-    flat.  ``searchsorted`` and ``take`` release the GIL, and a share's
-    exception reaches the caller.  Since each row is computed alone, the
-    result has the same bytes at any thread count.
+    them); the caller computes share 0 and plain threads started for this
+    call the others, in blocks of ``_BLOCK // threads`` pairs, so memory
+    stays flat.  ``searchsorted`` and ``take`` release the GIL.  The threads
+    are joined before the call returns or raises, and the first failed
+    share's exception reaches the caller.  Since each row is computed
+    alone, the result has the same bytes at any thread count.
     """
     atoms = _rows(factor_atoms, 2, "factor atoms")
     D = _rows(np.atleast_2d(directions), 2, "directions")
@@ -288,14 +290,28 @@ def product_reach_many(
     if threads == 1:
         run_share(0)
         return out
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
 
-    # leaving the block joins every thread, also when the caller's share fails
-    with ThreadPoolExecutor(threads - 1) as pool:
-        futures = [pool.submit(run_share, k) for k in range(1, threads)]
+    errors = [None] * threads
+
+    def guarded(k: int) -> None:
+        try:
+            run_share(k)
+        except BaseException as error:  # raised in the caller below
+            errors[k] = error
+
+    started = []
+    try:  # joins every started thread, also when a start or share 0 fails
+        for k in range(1, threads):
+            thread = threading.Thread(target=guarded, args=(k,))
+            thread.start()
+            started.append(thread)
         run_share(0)
-    for future in futures:
-        future.result()
+    finally:
+        for thread in started:
+            thread.join()
+    for error in filter(None, errors):
+        raise error
     return out
 
 

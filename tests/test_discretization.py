@@ -49,6 +49,26 @@ def per_atom_discretize(m, part, reps):
     return np.array(rows).reshape(-1, m.dimension)
 
 
+def lexsort_discretize(m, part, reps):
+    """The former ``discretize``, kept as the oracle: one ``np.lexsort`` over
+    the 2n - 1 integer columns of the cell keys, signs then buckets."""
+    norms = np.abs(m.atoms).sum(axis=1)
+    keep = norms > 0.0
+    if not keep.any():
+        return np.zeros((0, m.dimension))
+    signs, buckets = part._cell_rows(m.atoms[keep])
+    rows = np.hstack([signs, buckets])
+    order = np.lexsort(rows.T[::-1])
+    fresh = np.concatenate([[True], (rows[order[1:]] != rows[order[:-1]]).any(axis=1)])
+    cell = np.empty(order.shape[0], dtype=np.intp)
+    cell[order] = np.cumsum(fresh) - 1
+    cells = rows[order[fresh]]
+    n = m.dimension
+    masses = np.bincount(cell, weights=norms[keep])
+    atoms = (masses / reps)[:, None] * part.representative_rows(cells[:, :n], cells[:, n:])
+    return np.repeat(atoms, reps, axis=0)
+
+
 class TestPartition:
     def test_one_dimensional_sphere_has_two_cells(self):
         part = partition_sphere(1, 0.3)
@@ -191,6 +211,44 @@ class TestDiscretize:
                 want = unique_discretize(m, partition_sphere(n, delta), 2)
                 assert out.shape == want.shape and out.tobytes() == want.tobytes(), (n, delta)
 
+    def test_integer_keys_match_lexsort_oracle(self):
+        # byte for byte against the 2n - 1 column lexsort, on every sign
+        # pattern, zero, +-0.0 and axis coordinates, atoms on bucket edges,
+        # y = 1 (clamped to bucket r - 1) and resolutions up to 2**53
+        rng = case_rng(35, "test.discretize.keys")
+        for n in range(1, 7):
+            parts = [partition_sphere(n, delta) for delta in (2.0, 0.3, 1e-3, 1e-7)]
+            parts.append(partition_sphere(n, 2.0 * n / 2.0 ** 53))
+            assert parts[-1].resolution == 2 ** 53
+            for part in parts:
+                r = part.resolution
+                k = 300
+                signs = rng.choice([-1.0, 1.0], (k, n))
+                atoms = signs * rng.uniform(0.0, 1.0, (k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+                atoms[rng.random(k) < 0.1] = 0.0
+                atoms[rng.random((k, n)) < 0.2] = 0.0
+                atoms[rng.random((k, n)) < 0.1] = -0.0
+                edges = rng.integers(0, min(r, 2 ** 20) + 1, (40, n)) * signs[:40]
+                atoms[:40] = edges  # integer coordinates: 1-norm fractions on bucket edges
+                atoms[40:60] = np.eye(n)[rng.integers(0, n, 20)] * rng.choice([-1.0, 1.0], (20, 1))
+                atoms[60:80] = atoms[80:100] * rng.uniform(0.5, 2.0, (20, 1))  # shared cells
+                if r == 2 ** 53 and n > 1:
+                    # neighbouring buckets near the top of the first coordinate
+                    atoms[100:120, 0] = 1.0 - rng.integers(1, 8, 20) * 2.0 ** -53
+                    atoms[100:120, 1:] = signs[100:120, 1:] * (1.0 - atoms[100:120, :1]) / (n - 1)
+                atoms = atoms[rng.permutation(k)]
+                nonzero = atoms[np.abs(atoms).sum(axis=1) > 0]
+                for m in (VectorMeasure(n, atoms), VectorMeasure(n, nonzero)):
+                    for reps in (1, 3, 7):
+                        out = discretize(m, part, reps).atoms
+                        want = lexsort_discretize(m, part, reps)
+                        assert out.shape == want.shape and out.tobytes() == want.tobytes(), (n, r, reps)
+            empty = VectorMeasure(n, np.zeros((0, n)))
+            zero = VectorMeasure(n, [[0.0] * n, [-0.0] * n])
+            for measure in (empty, zero):
+                assert discretize(measure, parts[0], 3).atoms.shape == (0, n)
+                assert lexsort_discretize(measure, parts[0], 3).shape == (0, n)
+
     def test_size_guard_before_replicating(self):
         # 2 cells x 10**15 reps x n = 2 would be 32 PB of atoms
         m = VectorMeasure(2, [[1.0, 0.5], [-0.2, 1.0]])
@@ -198,6 +256,10 @@ class TestDiscretize:
             discretize(m, partition_sphere(2, 0.5), 10 ** 15)
         with pytest.raises(SizeGuard):
             discretize(VectorMeasure(2, [[1.0, 0.0]]), partition_sphere(2, 0.5), 2 ** 23 + 1)
+        for n in range(1, 7):
+            axis = np.eye(n)[:1]
+            with pytest.raises(SizeGuard, match=f"2 cells x 1000000000000000 reps x {n}"):
+                discretize(VectorMeasure(n, np.vstack([axis, -axis])), partition_sphere(n, 0.5), 10 ** 15)
 
     def test_zero_measure(self):
         out = discretize(VectorMeasure(2, []), partition_sphere(2, 0.5), 3)

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -433,7 +434,7 @@ class TestProductReach:
         rng = case_rng(22, "test.product_reach.threads")
         angles = (np.arange(512) + 0.5) * (2.0 * np.pi / 512)
         grid = np.column_stack([np.cos(angles), np.sin(angles)])
-        big = rng.normal(size=(2100, 2))  # 2100 * 512 pairs, just over the gate
+        big = rng.normal(size=(2100, 2))  # 2100 * 512 pairs: over the gate, several blocks a share
         yield "seeded", big, rng.normal(size=(300, 2)), grid, False
         a = np.vstack([rng.normal(size=(40, 2)), [[0.0, 1.5], [-0.0, -0.5], [0.0, 0.0], [-0.0, -0.0]]])
         b = np.vstack([rng.normal(size=(25, 2)), [[0.0, -1.0], [-0.0, 1.0], [0.0, 0.0]]])
@@ -512,6 +513,29 @@ class TestProductReach:
         product_reach_many(rng.normal(size=(30, 2)), ZonogonSupport(rng.normal(size=(20, 2))),
                            unit_directions(rng, 40, 2))
         assert threading.active_count() == before
+
+    def test_caller_share_error_joins_the_threads(self, monkeypatch):
+        # the caller's share fails at once while the others are still
+        # sleeping: the call joins them before the error reaches the caller
+        done = []
+
+        class FailsOnMainThread(ZonogonSupport):
+            def extreme_vertices(self, slopes, flipped):
+                if threading.current_thread() is threading.main_thread():
+                    raise ArithmeticError("caller's share failed")
+                time.sleep(0.05)
+                done.append(threading.current_thread())
+                return super().extreme_vertices(slopes, flipped)
+
+        monkeypatch.setattr(ops, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(ops, "_THREAD_GATE", 0)
+        rng = case_rng(25, "test.product_reach.caller_error")
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="caller's share failed"):
+            product_reach_many(rng.normal(size=(30, 2)), FailsOnMainThread(rng.normal(size=(20, 2))),
+                               unit_directions(rng, 40, 2))
+        assert threading.active_count() == before
+        assert len(set(done)) == 2 and not any(thread.is_alive() for thread in done)
 
 
 class TestLorenzCurve:
