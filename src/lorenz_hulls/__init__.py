@@ -1,5 +1,15 @@
 """Algebra of Lorenz hulls (zonoids) of finite signed vector measures."""
 
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy loads it: start it with
+# one thread unless the caller chose a count or loaded numpy already.  Every
+# matrix product here is a matrix-vector product or has n as one size, and
+# a spinning OpenBLAS worker takes a CPU from the product kernel's threads
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     DeltaOutOfRange,
     DimensionGuard,

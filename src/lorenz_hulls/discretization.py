@@ -47,14 +47,16 @@ class SpherePartition:
         signs, buckets = self._cell_rows(points)
         return list(zip(map(tuple, signs.tolist()), map(tuple, buckets.tolist())))
 
-    def _cell_rows(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """The two parts of the cell keys of ``points`` as integer arrays."""
+    def _cell_rows(self, points, norms=None) -> tuple[np.ndarray, np.ndarray]:
+        """The two parts of the cell keys of ``points`` as integer arrays;
+        ``norms``, when given, are the points' 1-norms."""
         x = _rows(np.atleast_2d(points), self.dimension, "points")
-        norms = np.abs(x).sum(axis=1, keepdims=True)
+        if norms is None:
+            norms = np.abs(x).sum(axis=1)
         if (norms == 0).any():
             raise DimensionMismatch("zero vectors have no partition cell")
         signs = np.where(x >= 0, 1, -1)
-        y = np.abs(x) / norms
+        y = np.abs(x) / norms[:, None]
         r = self.resolution
         buckets = np.minimum(np.floor(r * y[:, :-1]).astype(int), r - 1)
         return signs, buckets
@@ -153,7 +155,7 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     if not keep.any():
         return VectorMeasure(m.dimension, np.zeros((0, m.dimension)))
     x, norms = (m.atoms, norms) if keep.all() else (m.atoms[keep], norms[keep])
-    signs, buckets = part._cell_rows(x)
+    signs, buckets = part._cell_rows(x, norms)
     n = m.dimension
     # the sign columns as one code, first column highest, which keeps the
     # lex order of the +-1 rows; code * r + b_0 < 2^n r <= 2^59

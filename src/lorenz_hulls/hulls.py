@@ -688,8 +688,10 @@ def _hausdorff_2d_exact(z1: Zonotope, z2: Zonotope) -> HausdorffResult:
 
 
 def _arrangement_size(m: int, n: int) -> int:
-    """Bound sum_{k < n} C(m, k) C(n, k) 2^(n - k) on the directions of m generators."""
-    return sum(comb(m, k) * comb(n, k) << (n - k) for k in range(min(n, m + 1)))
+    """Bound sum_{k < n} C(m, k) C(n, k) 2^(n - k) on the directions of m
+    generators, each 2^(n - k) capped at 2^32 as in :func:`sampling.sign_vectors`:
+    past the limit for any n, so a huge n decides alike with no huge integer."""
+    return sum(comb(m, k) * comb(n, k) << min(n - k, 32) for k in range(min(n, m + 1)))
 
 
 def _arrangement_directions(gens: np.ndarray) -> np.ndarray:

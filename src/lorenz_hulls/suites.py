@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -859,25 +858,6 @@ def _run_one(name: str, seed: int, scale: str) -> SuiteReport:
     return SUITES[name](seed, scale)
 
 
-def _one_blas_thread() -> ExitStack:
-    """Set each OpenBLAS mapped here to one thread; the returned stack restores
-    each.  Set in the parent before a fork, it starts no BLAS thread in a worker."""
-    import ctypes
-
-    restore = ExitStack()
-    with suppress(OSError), open("/proc/self/maps", encoding="utf-8") as fh:
-        for lib in sorted({line.split()[-1] for line in fh if "openblas" in line.lower()}):
-            handle = ctypes.CDLL(lib)
-            for get in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                        "openblas_get_num_threads"):
-                if hasattr(handle, get):
-                    set_count = handle[get.replace("_get_", "_set_")]
-                    restore.callback(set_count, handle[get]())
-                    set_count(1)
-                    break
-    return restore
-
-
 def run_suites(
     names: list[str],
     seed: int = 0,
@@ -890,10 +870,9 @@ def run_suites(
     Report content is independent of the worker count: each case derives
     its own generator from (seed, stream, index) and reports are ordered by
     the registry, not by completion.  The pool gets the longest suites
-    (``_LONGEST``) first, so that neither runs alone at the end, never has
-    more workers than suites, and holds OpenBLAS at one thread while open.
-    One worker or one suite runs in this process.  An unknown name raises
-    ``ValueError`` before any suite runs.
+    (``_LONGEST``) first, so that neither runs alone at the end, and never
+    has more workers than suites.  One worker or one suite runs in this
+    process.  An unknown name raises ``ValueError`` before any suite runs.
     """
     for name in names:
         if name != "all" and name not in SUITES:
@@ -907,7 +886,7 @@ def run_suites(
 
     count = len(ordered)
     dispatch = [n for n in _LONGEST if n in ordered] + [n for n in ordered if n not in _LONGEST]
-    with _one_blas_thread(), ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
         reports = pool.map(_run_one, dispatch, [seed] * count, [scale] * count)
         return sorted(reports, key=lambda report: ordered.index(report.suite))
 

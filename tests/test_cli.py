@@ -379,6 +379,16 @@ class TestHausdorffCommand:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: direction sets capped at")
 
+    def test_empty_hulls_in_a_huge_dimension_exit_2(self, tmp_path, capsys):
+        # the arrangement guard refuses n = 2^40 without a 2^(2^40) integer
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 1 << 40, "atoms": []}))
+        assert main(["hausdorff", str(path), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: direction sets capped at")
+
 
 class TestGiniAndCurve:
     def test_gini_fixture_formatting(self, files, capsys):

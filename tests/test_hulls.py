@@ -2,6 +2,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -159,6 +160,30 @@ class TestDirectionGuard:
         assert signs.dtype == np.float64 and signs.flags.f_contiguous
         rows = np.arange(1 << 17)[:, None] >> np.arange(16, -1, -1)
         assert np.array_equal(signs, 2.0 * (rows & 1) - 1.0)
+
+    def test_arrangement_guard_decides_as_uncapped(self):
+        # each 2^(n - k) capped at 2^32 changes no decision of the guard
+        def uncapped(m, n):
+            return sum(comb(m, k) * comb(n, k) << (n - k) for k in range(min(n, m + 1)))
+
+        for n in range(1, 65):
+            for m in range(201):
+                assert (_arrangement_size(m, n) * n <= DIRECTION_COORDINATE_LIMIT) == (
+                    uncapped(m, n) * n <= DIRECTION_COORDINATE_LIMIT), (m, n)
+
+    def test_arrangement_guard_in_a_huge_dimension(self):
+        # two empty hulls in n = 2^40 take the sampled route, whose sign
+        # vectors refuse; the guard before it holds no 2^(2^40) integer
+        n = 1 << 40
+        empty = Zonotope(n, np.zeros((0, n)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuard, match=f"got 2\\^{n} x {n}"):
+                hausdorff_convex(empty, empty)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_sampled_relations_past_the_sign_vector_guard(self, monkeypatch):
         # two generators a side in n = 20: the sign vectors alone would be

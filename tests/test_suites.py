@@ -1,8 +1,8 @@
 """``run_suites`` across worker processes, and the errors that cross them."""
 
 import concurrent.futures
-import ctypes
-import io
+import inspect
+import json
 import multiprocessing
 import os
 import pickle
@@ -71,51 +71,49 @@ def test_not_in_hull_crosses_the_pool(monkeypatch, workers):
     assert np.array_equal(err.value.witness, WITNESS)
 
 
-def _blas_libraries():
-    """``(get, set)`` of the thread count of each OpenBLAS mapped into this
-    process, by the symbols ``suites._one_blas_thread`` tries; none where
-    there is no /proc/self/maps."""
+def _blas_counts():
+    """Thread count of each OpenBLAS mapped into this process, by the getters
+    of the numpy and scipy wheels' builds and of a distribution's; none where
+    there is no /proc/self/maps.  Self-contained, so that a subprocess can
+    run its source."""
+    import ctypes
+
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
         return []
-    pairs = []
+    counts = []
     for lib in libs:
         handle = ctypes.CDLL(lib)
-        for get in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
+        for get in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
             if hasattr(handle, get):
-                pairs.append((handle[get], handle[get.replace("_get_", "_set_")]))
+                counts.append(handle[get]())
                 break
-    return pairs
+    return counts
 
 
-def _blas_counts():
-    return [get() for get, _ in _blas_libraries()]
-
-
-@pytest.fixture
-def two_blas_threads():
-    # two threads in each library, so that a count the pool left at one shows
-    pairs = _blas_libraries()
-    before = [get() for get, _ in pairs]
-    for _, set_count in pairs:
-        set_count(2)
-    yield
-    for (_, set_count), count in zip(pairs, before):
-        set_count(count)
+def _python(script, **env):
+    """Run ``script`` in a fresh interpreter that finds this package, with
+    the caller's environment less ``OPENBLAS_NUM_THREADS``, plus ``env``."""
+    src = str(Path(lorenz_hulls.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env={**base, **env},
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 class _RecordingPool:
-    """Stands in for ``ProcessPoolExecutor``: records its size, the names it
-    maps in their order and the BLAS thread counts at that time, and starts
-    no process."""
+    """Stands in for ``ProcessPoolExecutor``: records its size and the names
+    it maps in their order, and starts no process."""
 
     made = []
 
     def __init__(self, max_workers):
-        self.max_workers, self.names, self.blas = max_workers, None, None
+        self.max_workers, self.names = max_workers, None
         self.made.append(self)
 
     def __enter__(self):
@@ -125,7 +123,7 @@ class _RecordingPool:
         return False
 
     def map(self, fn, names, *rest):
-        self.names, self.blas = list(names), _blas_counts()
+        self.names = list(names)
         return [SuiteReport(name, 0) for name in self.names]
 
 
@@ -174,15 +172,40 @@ def test_pool_gets_the_longest_suites_first(monkeypatch, names, dispatch, wanted
     assert [r.suite for r in reports] == wanted
 
 
-def test_pool_holds_blas_at_one_thread(monkeypatch, two_blas_threads):
-    # the cap is set in the parent before the pool starts, and each
-    # library's own count comes back when it closes
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "made", [])
-    run_suites(["all"], seed=0, workers=2)
-    [pool] = _RecordingPool.made
-    assert pool.blas == [1] * len(_blas_libraries())
-    assert _blas_counts() == [2] * len(pool.blas)
+@pytest.mark.parametrize("given, count", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                         ids=["default", "caller_chose_2"])
+def test_package_starts_openblas_at_one_thread(given, count):
+    # imported before numpy, the package starts OpenBLAS at one thread
+    # unless the caller's environment chose a count
+    script = (f"import lorenz_hulls, numpy, scipy.spatial\n{inspect.getsource(_blas_counts)}\n"
+              "print(_blas_counts())")
+    counts = json.loads(_python(script, **given))
+    if not counts:
+        pytest.skip("no OpenBLAS mapped, or no /proc/self/maps")
+    assert counts == [count] * len(counts)
+
+
+def test_numpy_first_keeps_the_environment():
+    # numpy has read the environment already, so the package leaves it be
+    script = ("import os, numpy\nbefore = dict(os.environ)\nimport lorenz_hulls\n"
+              "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert _python(script) == "True False\n"
+
+
+FORKED_ORACLE = """
+import os
+import lorenz_hulls
+from lorenz_hulls.suites import SUITES, Suite, _oracle_case, run_suites
+
+def oracle_then_count(rng, case, seed, full):
+    yield from _oracle_case(rng, case, seed, full)
+    tasks = len(os.listdir("/proc/self/task"))
+    yield tasks == 1, f"tasks={tasks}"
+
+SUITES["oracle"] = Suite("oracle", "counts tasks", ("oracle", 200, 40, oracle_then_count))
+reports = run_suites(["oracle", "gini"], seed=7, workers=2)
+print([(r.suite, r.failures) for r in reports], reports[0].cases)
+"""
 
 
 @pytest.mark.skipif(
@@ -190,58 +213,11 @@ def test_pool_holds_blas_at_one_thread(monkeypatch, two_blas_threads):
     or not os.path.isdir("/proc/self/task"),
     reason="a worker sees the patched table only when it is forked; counts /proc/self/task",
 )
-def test_forked_worker_starts_no_blas_thread(monkeypatch, two_blas_threads):
+def test_forked_worker_starts_no_blas_thread():
     # the oracle suite's directions @ points.T is the small scale's one BLAS
-    # product large enough to start OpenBLAS's thread; capped in the parent,
-    # a worker that has run it is still one task (two without the cap)
-    def oracle_then_count(rng, case, seed, full):
-        yield from _oracle_case(rng, case, seed, full)
-        tasks = len(os.listdir("/proc/self/task"))
-        yield tasks == 1, f"tasks={tasks}"
-
-    monkeypatch.setitem(SUITES, "oracle", Suite("oracle", "counts tasks",
-                                                ("oracle", 200, 40, oracle_then_count)))
-    reports = run_suites(["oracle", "gini"], seed=7, workers=2)
-    assert [(r.suite, r.failures) for r in reports] == [("oracle", []), ("gini", [])]
-    assert reports[0].cases == 80
-    assert set(_blas_counts()) <= {2}
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_context().get_start_method() != "fork",
-    reason="a worker sees the patched table only when it is forked",
-)
-def test_blas_count_restored_when_a_suite_raises(monkeypatch, two_blas_threads):
-    monkeypatch.setitem(SUITES, "gini", Suite("gini", "raises", ("gini", 1, 1, _outside)))
-    with pytest.raises(NotInHull):
-        run_suites(["product_bound", "gini"], seed=7, workers=2)
-    assert set(_blas_counts()) <= {2}
-
-
-@pytest.mark.parametrize("maps", ["no openblas", OSError])
-def test_blas_cap_without_openblas_is_a_no_op(monkeypatch, two_blas_threads, maps):
-    # with no OpenBLAS in /proc/self/maps, or no such file, no library is
-    # loaded and no count is set
-    def fake_open(path, *args, **kwargs):
-        assert path == "/proc/self/maps"
-        if maps is OSError:
-            raise OSError("no maps")
-        return io.StringIO("7f00-7f01 r-xp 00000000 00:00 0  /usr/lib/libm.so.6\n")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a library was loaded")
-
-    monkeypatch.setattr(suites, "open", fake_open, raising=False)
-    with monkeypatch.context() as patch:
-        patch.setattr(ctypes, "CDLL", refuse)
-        with suites._one_blas_thread():
-            pass
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "made", [])
-    reports = run_suites(["gini", "identity"], seed=0, workers=2)
-    [pool] = _RecordingPool.made
-    assert set(pool.blas) <= {2} and set(_blas_counts()) <= {2}
-    assert [r.suite for r in reports] == ["identity", "gini"]
+    # product large enough to start an OpenBLAS thread; in a process that
+    # imports the package first, a worker that has run it is still one task
+    assert _python(FORKED_ORACLE) == "[('oracle', []), ('gini', [])] 80\n"
 
 
 ONE_WORKER_VERIFY = """
