@@ -11,6 +11,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .errors import DeltaOutOfRange, DimensionGuard, DimensionMismatch, SizeGuard
+from .hulls import _stable_order
 from .measures import VectorMeasure, _rows, _same_dimension
 from .sampling import DIRECTION_COORDINATE_LIMIT
 
@@ -141,8 +142,9 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     atoms, each ``(w_k / reps) * u_k`` along the cell representative, so the
     total variation is preserved.  Empty buckets contribute nothing; zero
     atoms are ignored.  Cells come out in lexicographic order of their
-    integer key rows, signs then buckets (one ``np.lexsort`` of n - 1 keys,
-    the first folding the signs and first bucket, and a neighbour compare);
+    integer key rows, signs then buckets (one sort of n - 1 keys, the first
+    folding the signs and first bucket: ``hulls._stable_order`` of the one
+    key for n <= 2, else ``np.lexsort``; then a neighbour compare);
     each cell's mass is summed in atom order.  Raises ``SizeGuard`` before
     the output is allocated when its cells x reps x n coordinates exceed
     ``sampling.DIRECTION_COORDINATE_LIMIT``.
@@ -162,7 +164,7 @@ def discretize(m: VectorMeasure, part: SpherePartition, reps: int) -> VectorMeas
     code = (signs > 0) @ (1 << np.arange(n - 1, -1, -1))
     keys = np.vstack([code * part.resolution + buckets[:, 0], buckets[:, 1:].T]
                      if n > 1 else [code])
-    order = np.lexsort(keys[::-1])
+    order = _stable_order(keys[0]) if n <= 2 else np.lexsort(keys[::-1])
     keys = keys[:, order]
     fresh = np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
     cell = np.empty(order.shape[0], dtype=np.intp)

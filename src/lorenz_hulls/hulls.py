@@ -10,7 +10,7 @@ zonotope evaluates in closed form as ``sum_i max(0, <d, g_i>)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import comb
 from typing import Optional
 
@@ -226,10 +226,14 @@ def skeleton_points(m: VectorMeasure) -> SkeletonPointSet:
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` from numpy's default argsort, a
-    SIMD quicksort where the CPU has one and several times faster than the
-    merge sort: each run of equal keys (the NaNs, sorted last, are one run)
-    is put back in index order by one int64 sort of run * m + index."""
+    """``np.argsort(keys, kind="stable")``: that merge sort below 128 keys,
+    where it wins on any keys; else numpy's default argsort, a SIMD
+    quicksort where the CPU has one and several times faster than the merge
+    sort from about 150 distinct or 1 000 tied keys on: each run of equal
+    keys (the NaNs, sorted last, are one run) is put back in index order by
+    one int64 sort of run * m + index."""
+    if keys.shape[0] < 128:
+        return np.argsort(keys, kind="stable")
     order = np.argsort(keys)
     s = keys[order]
     tie = s[1:] == s[:-1]
@@ -398,12 +402,13 @@ def _supports_2d(supports, q: np.ndarray):
 # containment (linear feasibility)
 
 
-def _lp_exponent(z: Zonotope, p: np.ndarray) -> int:
-    """Binary exponent e of the largest |coordinate| of ``z`` and ``p``; the
-    LP and the closed forms run on data times 2**-e (exact), as HiGHS fails
-    near 1e100."""
+def _scaled(z: Zonotope, p: np.ndarray):
+    """(G times 2**-e, p times 2**-e, e), exact, for e the binary exponent of
+    the largest |coordinate| of ``z`` and ``p``: the LP and the closed forms
+    run on this data, as HiGHS fails near 1e100; one scaling per point."""
     peak = max(np.abs(z.generators).max(initial=0.0), np.abs(p).max(initial=0.0))
-    return int(np.frexp(peak)[1])
+    e = int(np.frexp(peak)[1])
+    return np.ldexp(z.generators, -e), np.ldexp(p, -e), e
 
 
 def _lp_point_distance(z: Zonotope, p: np.ndarray):
@@ -414,40 +419,41 @@ def _lp_point_distance(z: Zonotope, p: np.ndarray):
     Its equality duals, clipped to [-1, 1], maximize <y, p> - reach(z, y).
     """
     m, n = z.generator_count, z.dimension
-    e = _lp_exponent(z, p)
+    g, q, e = _scaled(z, p)
     c = np.concatenate([np.zeros(m), np.ones(2 * n)])
-    a_eq = np.hstack([np.ldexp(z.generators.T, -e), np.eye(n), -np.eye(n)])
+    a_eq = np.hstack([g.T, np.eye(n), -np.eye(n)])
     bounds = [(0.0, 1.0)] * m + [(0.0, None)] * (2 * n)
-    res = linprog(c, A_eq=a_eq, b_eq=np.ldexp(p, -e), bounds=bounds, method="highs")
+    res = linprog(c, A_eq=a_eq, b_eq=q, bounds=bounds, method="highs")
     if res.status != 0:  # pragma: no cover - the program is always feasible
         raise RuntimeError(f"distance LP failed: {res.message}")
     dual = np.clip(res.eqlin.marginals, -1.0, 1.0)
     return float(np.ldexp(res.fun, e)), np.clip(res.x[:m], 0.0, 1.0), dual
 
 
-def _ascent_distance(z: Zonotope, p: np.ndarray):
-    """Maximize phi(d) = <d, p> - reach(z, d), the 1-norm distance, over
-    ||d||_inf <= 1 by a piecewise-linear simplex walk (Fourer 1985) on data
-    times 2**-e, from the corner sign(p - sum g / 2).  A vertex d solves its
-    n active rows B of [I; G], facets d_i = s_i and hyperplanes <g_j, d> = 0;
-    other g_j take t_j = 1 above, 0 below, and y B = p - sum t_j g_j.  A row
-    with y_j outside [0, 1], or y_i s_i < 0, leaves (largest gain first, the
-    smallest index once phi stalls: Bland 1977); the step ends at a facet or
-    where phi's slope, less |<g_j, v>| per hyperplane crossed, turns <= 0.
-    lo = phi(d) and hi = ||t^T G - p||_1, t_j = y_j clipped to [0, 1] on the
-    active hyperplanes, bound the distance (weak duality); each sums at most
-    m + n + 1 terms no larger than mass + ||p||_1 (|d_i| <= 1), so rounds by
-    E = (m + n + 2) u (mass + ||p||_1) at most, u = 2**-53.  *Certified*:
-    hi - lo <= 2E, with lo within 3E of the distance; returns (d, t, lo, hi),
-    lo and hi times 2**e.  None (for the LP) if no row can leave first, or
-    after ``_ASCENT_PIVOTS * (m + n)`` steps."""
-    e = _lp_exponent(z, p)
-    g, q = np.ldexp(z.generators, -e), np.ldexp(p, -e)
+def _ascent_distance(g: np.ndarray, q: np.ndarray, e: int):
+    """Maximize phi(d) = <d, q> - reach(g, d), the 1-norm distance, over
+    ||d||_inf <= 1 by a piecewise-linear simplex walk (Fourer 1985) on the
+    :func:`_scaled` data, from the corner sign(q - sum g / 2).  A vertex d
+    solves its n active rows B of [I; G], facets d_i = s_i and hyperplanes
+    <g_j, d> = 0; other g_j take t_j = 1 above, 0 below, and y B = q -
+    sum t_j g_j.  A row with y_j outside [0, 1], or y_i s_i < 0, leaves
+    (largest gain first, the smallest index once phi stalls: Bland 1977);
+    the step ends at a facet or where phi's slope, less |<g_j, v>| per
+    hyperplane crossed, turns <= 0.  lo = phi(d) and hi = ||t^T G - q||_1,
+    t_j = y_j clipped to [0, 1] on the active hyperplanes, bound the
+    distance (weak duality); each sums at most m + n + 1 terms no larger
+    than mass + ||q||_1 (|d_i| <= 1), so rounds by E = (m + n + 2) u (mass +
+    ||q||_1) at most, u = 2**-53.  *Certified*: hi - lo <= 2E, with lo
+    within 3E of the distance; returns (d, t, lo, hi), lo and hi times 2**e.
+    None (for the LP) if no row can leave first, or after
+    ``_ASCENT_PIVOTS * (m + n)`` steps.  A step: one n x n inverse, five
+    products, one lexsort and the n-sized pivot choice on Python floats."""
     m, n = g.shape
-    rows, facet = np.vstack([np.eye(n), g]), np.arange(n + m) < n
+    rows = np.vstack([np.eye(n), g])  # the facets are rows 0 ... n - 1
     # |<row, x>| up to this times ||x||_inf is rounding: the row is on x's hyperplane
     noise = 2.0**-40 * np.abs(rows).sum(axis=1)
-    rhs = np.concatenate([np.where(q >= 0.5 * g.sum(axis=0), 1.0, -1.0), np.zeros(m)])
+    # the right-hand sides s_i of the active rows, in act's order (0 on a hyperplane)
+    rhs = np.where(q >= 0.5 * g.sum(axis=0), 1.0, -1.0).tolist()
     act, t, best = np.arange(n), np.zeros(n + m), -np.inf
     slack = 2 * (m + n + 2) * 2.0**-53 * (np.abs(g).sum() + np.abs(q).sum())
     with np.errstate(all="ignore"):
@@ -456,37 +462,46 @@ def _ascent_distance(z: Zonotope, p: np.ndarray):
                 inv = np.linalg.inv(rows[act])
             except np.linalg.LinAlgError:
                 return None
-            d = np.clip(inv @ rhs[act], -1.0, 1.0)
+            # np.clip's bits, -0.0 and NaN included, with the bound first
+            d = np.minimum(np.maximum(-1.0, inv @ rhs), 1.0)
             a = rows @ d
             a[np.abs(a) <= noise] = 0.0
             # t_j = 1 above the hyperplane, 0 below; through d, t_j keeps its side
             t = np.where(a != 0.0, a > 0.0, t > 0.5) * 1.0
             t[act] = 0.0
             y = (q - t[n:] @ g) @ inv
-            t[act] = np.clip(y, 0.0, 1.0)
+            t[act] = np.minimum(np.maximum(0.0, y), 1.0)
             lo, hi = d @ q - np.maximum(g @ d, 0.0).sum(), np.abs(t[n:] @ g - q).sum()
             if hi - lo <= slack:
                 return d, t[n:], float(np.ldexp(lo, e)), float(np.ldexp(hi, e))
-            gain = np.where(act >= n, np.maximum(y - 1.0, -y), -rhs[act] * y)
-            if not (rise := gain > 2.0**-40).any():
+            ids, ys = act.tolist(), y.tolist()
+            gain = [max(v - 1.0, -v) if i >= n else -s * v for i, s, v in zip(ids, rhs, ys)]
+            if not (rise := [k for k, v in enumerate(gain) if v > 2.0**-40]):
                 return None
-            k = np.argmax(gain) if lo > best else np.flatnonzero(rise)[np.argmin(act[rise])]
-            best = max(best, lo)
-            sigma = -rhs[act[k]] if act[k] < n else (1.0 if y[k] > 1.0 else -1.0)
-            t[act[k]] = sigma > 0.0
-            b = sigma * (rows @ inv[:, k])
-            b[np.abs(b) <= noise * np.abs(inv[:, k]).max()] = 0.0
-            cross = np.where(facet, b != 0.0, np.where(t > 0.5, b < 0.0, b > 0.0))
-            cross[np.delete(act, k)] = False
-            idx = np.flatnonzero(cross)
-            a, b = a[idx], b[idx]
-            tau = np.where(facet[idx], (np.sign(b) - a) / b, np.maximum(-a / b, 0.0))
+            if lo > best:  # np.argmax(gain): the first NaN, else the first largest
+                k = max(range(n), key=lambda i: (gain[i] != gain[i], gain[i]))
+            else:  # Bland: the rising row of least index
+                k = min(rise, key=ids.__getitem__)
+            best, leave = max(best, lo), ids[k]
+            sigma = -rhs[k] if leave < n else (1.0 if ys[k] > 1.0 else -1.0)
+            t[leave] = sigma > 0.0
+            b = sigma * (rows @ (col := inv[:, k]))
+            b[np.abs(b) <= noise * np.abs(col).max()] = 0.0
+            cross = np.where(t > 0.5, b < 0.0, b > 0.0)
+            cross[:n] = b[:n] != 0.0
+            # of the active rows, only the leaving one may cross
+            keep, cross[act] = cross[leave], False
+            cross[leave] = keep
+            idx = cross.nonzero()[0]
+            a, b, side = a[idx], b[idx], idx < n
+            tau = np.where(side, (np.sign(b) - a) / b, np.maximum(-a / b, 0.0))
             order = np.lexsort((idx, tau))
-            drop = np.where(facet[idx], np.inf, np.abs(b))[order]
-            j = int(np.argmax(np.cumsum(drop) >= gain[k]))
+            drop = np.where(side, np.inf, np.abs(b))[order]
+            # np.argmax(np.cumsum(drop) >= gain[k]): the cumsum adds in order
+            j = next((j for j, s in enumerate(accumulate(drop.tolist())) if s >= gain[k]), 0)
             t[idx[order[:j]]] = 1.0 - t[idx[order[:j]]]
             act[k] = idx[order[j]]
-            rhs[act[k]] = np.sign(b[order[j]]) if act[k] < n else 0.0
+            rhs[k] = float(np.sign(b[order[j]])) if act[k] < n else 0.0
     return None
 
 
@@ -496,24 +511,24 @@ def separating_direction(z: Zonotope, p: np.ndarray):
     certified :func:`_ascent_distance` gives d and its closed-form margin;
     else the clipped duals and objective of :func:`_lp_point_distance`."""
     p = _rows(np.reshape(p, (1, -1)), z.dimension, "point", mass=True)[0]
-    if (ascent := _ascent_distance(z, p)) is not None:
+    if (ascent := _ascent_distance(*_scaled(z, p))) is not None:
         return ascent[0], ascent[2]
     dist, _, witness = _lp_point_distance(z, p)
     return witness, dist
 
 
-def _central_containment(z: Zonotope, p: np.ndarray, tol: float) -> Optional[Containment]:
-    """Inside certificate from the centre, on data times 2**-e: the
-    minimum-norm step t = 1/2 + G solve(G^T G, q - G^T 1/2) has t^T G = q.
-    Containment(True, t, None, residual) when t lies in [0, 1]^m and misses
-    p by at most ``tol``; None (for the ascent) otherwise, also for a singular
-    Gram matrix (a flat hull, or m < n).  A proof of inside, never of outside."""
-    e = _lp_exponent(z, p)
-    g = np.ldexp(z.generators, -e)
+def _central_containment(z: Zonotope, p: np.ndarray, tol: float, scaled) -> Optional[Containment]:
+    """Inside certificate from the centre, on the data ``scaled`` (g, q, e)
+    of :func:`_scaled`: the minimum-norm step t = 1/2 + g solve(g^T g,
+    q - g^T 1/2) has t^T g = q.  Containment(True, t, None, residual) when t
+    lies in [0, 1]^m and misses p by at most ``tol``; None (for the ascent)
+    otherwise, also for a singular Gram matrix (a flat hull, or m < n).  A
+    proof of inside, never of outside."""
+    g, q, _ = scaled
     try:
         # a nearly singular Gram matrix can overflow the step; t then fails the box
         with np.errstate(over="ignore", invalid="ignore"):
-            t = 0.5 + g @ np.linalg.solve(g.T @ g, np.ldexp(p, -e) - 0.5 * g.sum(axis=0))
+            t = 0.5 + g @ np.linalg.solve(g.T @ g, q - 0.5 * g.sum(axis=0))
     except np.linalg.LinAlgError:
         return None
     if not (t.min() >= 0.0 and t.max() <= 1.0):
@@ -544,9 +559,9 @@ def contains_point(z: Zonotope, point, tol: float = 1e-9) -> Containment:
     gap_total = np.abs(p - z.total()).sum()
     if gap_total <= tol:
         return Containment(True, np.ones(m), None, float(gap_total))
-    if (verdict := _central_containment(z, p, tol)) is not None:
+    if (verdict := _central_containment(z, p, tol, scaled := _scaled(z, p))) is not None:
         return verdict
-    if (ascent := _ascent_distance(z, p)) is not None:
+    if (ascent := _ascent_distance(*scaled)) is not None:
         d, t, lo, hi = ascent
         if lo > tol:
             return Containment(False, None, d, lo)

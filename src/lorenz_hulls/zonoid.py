@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotInHull
-from .hulls import contains_point, hull_of
+from .hulls import Zonotope, contains_point
 from .measures import PiecewiseDensityMeasure, VectorMeasure, _nonzero_rows, _rows
 
 
@@ -64,38 +64,40 @@ def interval_realization(
         )
     if lam.size and not (lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12):
         raise ValueError("coefficients must lie in [0, 1]")
-    lam = np.clip(lam, 0.0, 1.0)
-    nonzero = _nonzero_rows(m.atoms)
-    intervals = []
-    for j, t in enumerate(lam[nonzero]):
-        if t > 0.0:
-            intervals.append((float(j), float(j + t)))
-    point = lam @ m.atoms
-    residual = 0.0
     if target is not None:
         target = _rows(np.reshape(target, (1, -1)), m.dimension, "target", mass=True)[0]
-        residual = float(np.abs(point - target).sum())
-    return AchievementCertificate(lam, tuple(intervals), residual)
+    return _realization(m, _nonzero_rows(m.atoms), np.clip(lam, 0.0, 1.0), target)
+
+
+def _realization(m: VectorMeasure, keep, lam, target) -> AchievementCertificate:
+    """The certificate of coefficients ``lam`` in [0, 1] on ``m``'s atoms,
+    whose nonzero rows are ``keep``: the j-th nonzero atom's t > 0 on
+    (j, j + t], and the residual against a checked ``target`` (0.0 when None)."""
+    kept = lam[keep]
+    js = (kept > 0.0).nonzero()[0]
+    intervals = tuple(zip(js.astype(float).tolist(), (js + kept[js]).tolist()))
+    residual = 0.0 if target is None else float(np.abs(lam @ m.atoms - target).sum())
+    return AchievementCertificate(lam, intervals, residual)
 
 
 def achieve(m: VectorMeasure, target, tol: float = 1e-9) -> AchievementCertificate:
     """Coefficients and intervals reproducing a point of the hull.
 
-    Feasibility is decided by :func:`contains_point` on the hull of the
-    nonzero atoms (the central certificate, then the ascent, then one LP,
-    at every size), whose coefficients are accepted (zero atoms receive
-    coefficient zero).  Raises :class:`NotInHull` with the separating
-    witness when the target is outside.
+    Checks the target once, finds the nonzero atoms once, and decides
+    feasibility by :func:`contains_point` on the hull of those atoms (the
+    central certificate, then the ascent, then one LP, at every size),
+    whose coefficients in [0, 1] are accepted as they are (zero atoms
+    receive coefficient zero).  Raises :class:`NotInHull` with the
+    separating witness when the target is outside.
     """
     p = _rows(np.reshape(target, (1, -1)), m.dimension, "target", mass=True)[0]
-    hull = hull_of(m)
-    verdict = contains_point(hull, p, tol=tol)
+    keep = _nonzero_rows(m.atoms)
+    verdict = contains_point(Zonotope(m.dimension, m.atoms[keep]), p, tol=tol)
     if not verdict.inside:
         raise NotInHull("target lies outside the hull", verdict.witness)
     lam = np.zeros(m.atom_count)
-    nonzero = _nonzero_rows(m.atoms)
-    lam[nonzero] = verdict.coefficients
-    return interval_realization(m, lam, target=p)
+    lam[keep] = verdict.coefficients
+    return _realization(m, keep, lam, p)
 
 
 def certificate_to_json_dict(cert: AchievementCertificate) -> dict:

@@ -38,9 +38,10 @@ from lorenz_hulls.hulls import (
     _BLOCK,
     ZonogonSupport,
     _arrangement_size,
+    _ascent_distance,
     _central_containment,
-    _lp_exponent,
     _lp_point_distance,
+    _scaled,
     _stable_order,
     linprog,
     separating_direction,
@@ -78,8 +79,90 @@ LARGE_M = {3: 23, 4: 12, 5: 8, 6: 6}
 
 def highs_error(z, p):
     """HiGHS's error on a distance: its feasibility tolerance is 1e-7 per
-    row of the LP, which runs on data times 2**-e (``_lp_exponent``)."""
-    return np.ldexp(1e-6, _lp_exponent(z, p))
+    row of the LP, which runs on data times 2**-e (``_scaled``)."""
+    return np.ldexp(1e-6, _scaled(z, p)[2])
+
+
+def reference_ascent(z, p):
+    """The ascent walk as it was before the pivot choice moved to Python
+    floats: the same steps on numpy arrays throughout (np.clip, np.argmax,
+    np.delete, np.cumsum), reading ``_ASCENT_PIVOTS`` at call time.  The
+    oracle of ``test_ascent_matches_its_reference``."""
+    from lorenz_hulls import hulls
+
+    peak = max(np.abs(z.generators).max(initial=0.0), np.abs(p).max(initial=0.0))
+    e = int(np.frexp(peak)[1])
+    g, q = np.ldexp(z.generators, -e), np.ldexp(p, -e)
+    m, n = g.shape
+    rows, facet = np.vstack([np.eye(n), g]), np.arange(n + m) < n
+    noise = 2.0**-40 * np.abs(rows).sum(axis=1)
+    rhs = np.concatenate([np.where(q >= 0.5 * g.sum(axis=0), 1.0, -1.0), np.zeros(m)])
+    act, t, best = np.arange(n), np.zeros(n + m), -np.inf
+    slack = 2 * (m + n + 2) * 2.0**-53 * (np.abs(g).sum() + np.abs(q).sum())
+    with np.errstate(all="ignore"):
+        for _ in range(hulls._ASCENT_PIVOTS * (m + n)):
+            try:
+                inv = np.linalg.inv(rows[act])
+            except np.linalg.LinAlgError:
+                return None
+            d = np.clip(inv @ rhs[act], -1.0, 1.0)
+            a = rows @ d
+            a[np.abs(a) <= noise] = 0.0
+            t = np.where(a != 0.0, a > 0.0, t > 0.5) * 1.0
+            t[act] = 0.0
+            y = (q - t[n:] @ g) @ inv
+            t[act] = np.clip(y, 0.0, 1.0)
+            lo, hi = d @ q - np.maximum(g @ d, 0.0).sum(), np.abs(t[n:] @ g - q).sum()
+            if hi - lo <= slack:
+                return d, t[n:], float(np.ldexp(lo, e)), float(np.ldexp(hi, e))
+            gain = np.where(act >= n, np.maximum(y - 1.0, -y), -rhs[act] * y)
+            if not (rise := gain > 2.0**-40).any():
+                return None
+            k = np.argmax(gain) if lo > best else np.flatnonzero(rise)[np.argmin(act[rise])]
+            best = max(best, lo)
+            sigma = -rhs[act[k]] if act[k] < n else (1.0 if y[k] > 1.0 else -1.0)
+            t[act[k]] = sigma > 0.0
+            b = sigma * (rows @ inv[:, k])
+            b[np.abs(b) <= noise * np.abs(inv[:, k]).max()] = 0.0
+            cross = np.where(facet, b != 0.0, np.where(t > 0.5, b < 0.0, b > 0.0))
+            cross[np.delete(act, k)] = False
+            idx = np.flatnonzero(cross)
+            a, b = a[idx], b[idx]
+            tau = np.where(facet[idx], (np.sign(b) - a) / b, np.maximum(-a / b, 0.0))
+            order = np.lexsort((idx, tau))
+            drop = np.where(facet[idx], np.inf, np.abs(b))[order]
+            j = int(np.argmax(np.cumsum(drop) >= gain[k]))
+            t[idx[order[:j]]] = 1.0 - t[idx[order[:j]]]
+            act[k] = idx[order[j]]
+            rhs[act[k]] = np.sign(b[order[j]]) if act[k] < n else 0.0
+    return None
+
+
+def same_bits(got, want):
+    """Byte equality of two walk results, (d, t, lo, hi) or None: dtype,
+    shape and every bit, so -0.0 and NaN payloads count."""
+    if got is None or want is None:
+        return got is None and want is None
+    return all(np.asarray(x).dtype == np.asarray(y).dtype and np.shape(x) == np.shape(y)
+               and np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(got, want))
+
+
+def poisoned_inverse(call: int, value: float):
+    """np.linalg.inv whose ``call``-th result has its column ``call`` mod n
+    set to +-``value`` by the sign of each entry (0 gives a zero column, and
+    2^1000, inf or NaN the multipliers of a basis too close to singular)."""
+    exact = np.linalg.inv
+    calls = [0]
+
+    def inv(a):
+        out = exact(a)
+        calls[0] += 1
+        if calls[0] == call:
+            col = call % out.shape[1]
+            out[:, col] = np.where(out[:, col] < 0.0, -value, value)
+        return out
+
+    return inv
 
 
 def near_parallel_chain(count=200, step=0.9e-12):
@@ -521,7 +604,7 @@ class TestContainsPoint:
         outside = z.total() * 0.5 + np.abs(z.generators).sum()
         # a vertex, t in {0, 1}^m: the central certificate cannot prove it
         vertex = (z.generators @ rng.normal(size=4) > 0.0) @ z.generators
-        assert _central_containment(z, vertex, 1e-9) is None
+        assert _central_containment(z, vertex, 1e-9, _scaled(z, vertex)) is None
         # the central certificate decides the inside point and the ascent
         # the outside point and the vertex, with no LP; a walk that ends
         # uncertified (here: capped at 0 steps) hands each to one LP
@@ -565,7 +648,7 @@ class TestContainsPoint:
         # a vertex, t in {0, 1}^m, so that the central certificate (which
         # would take the centre) leaves the point to the capped walk
         p = (z.generators @ np.ones(3) > 0.0) @ z.generators
-        assert _central_containment(z, p, 1e-9) is None
+        assert _central_containment(z, p, 1e-9, _scaled(z, p)) is None
         r = contains_point(z, p)
         assert calls == [True]
         assert r.inside and r.distance <= 1e-9
@@ -646,10 +729,11 @@ class TestContainsPoint:
                 center + lift / (u @ u) * u,
             ]
             for i, p in enumerate(points):
-                r = _central_containment(z, p, 1e-9)
+                r = _central_containment(z, p, 1e-9, _scaled(z, p))
                 for k in (-600, -20, 20, 600):
                     f = 2.0 ** k
-                    scaled = _central_containment(Zonotope(n, f * g), f * p, 1e-9 * f)
+                    zf = Zonotope(n, f * g)
+                    scaled = _central_containment(zf, f * p, 1e-9 * f, _scaled(zf, f * p))
                     assert (scaled is None) is (r is None), (case, i, k)
                     assert r is None or np.array_equal(scaled.coefficients, r.coefficients)
                 if case % 8 == 3 or i == 4:
@@ -845,6 +929,74 @@ class TestContainsPoint:
             d, dist = separating_direction(z, p)
             assert not r.inside, case
             assert r.witness.tobytes() == d.tobytes() and r.distance == dist, case
+
+    def test_ascent_matches_its_reference(self, monkeypatch):
+        # the walk against reference_ascent, byte for byte: n = 1...6,
+        # m = 0...80; Gaussian, zero, parallel, antiparallel, duplicate,
+        # integer, lattice, nearly parallel (2^-30 ... 2^-1070 apart), tiny (2^-40
+        # ... 2^-1060 long) and flat rows; scales 2^-600 ... 2^600; points
+        # inside, at a vertex, on a face, just or far outside and at random;
+        # _ASCENT_PIVOTS as it is, 1 and 0.  The walk's own bases stay far
+        # from singular, so inverses scaled by 2^1000, inf, NaN or 0 every
+        # few steps stand for bases that are not: NaN and infinite gains,
+        # multipliers and steps, once per walk
+        rng = case_rng(32, "test.contains.ascent_oracle")
+        kinds = ("gauss", "zero", "parallel", "antiparallel", "duplicate", "integer", "lattice", "near", "tiny", "flat")
+        seen = {"certified": 0, "uncertified": 0}
+        for case in range(300):
+            n, kind = 1 + case % 6, kinds[(case // 6) % len(kinds)]
+            m = int(rng.integers(0, 81)) if case % 5 == 0 else int(rng.choice([0, 1, 2, n, n + 1, 2 * n, 8, 16]))
+            g = rng.normal(size=(m, n))
+            half = g[0::2][: m // 2]
+            if kind == "zero":
+                g[rng.random(m) < 0.3] = 0.0
+            elif kind == "parallel":
+                g[1::2] = half * rng.uniform(0.25, 4.0, (m // 2, 1))
+            elif kind == "antiparallel":
+                g[1::2] = half * -rng.uniform(0.25, 4.0, (m // 2, 1))
+            elif kind == "duplicate":
+                g[1::2] = half
+            elif kind == "integer":
+                g = np.round(2.0 * g)
+            elif kind == "lattice":  # rows in {-1, 0, 1}^n: tied gains
+                g = np.sign(np.round(g))
+            elif kind == "near":
+                g[1::2] = half + np.ldexp(rng.normal(size=half.shape), -int(rng.choice([30, 42, 300, 1070])))
+            elif kind == "tiny":
+                g[rng.random(m) < 0.4] *= 2.0 ** -int(rng.choice([40, 500, 1000, 1060]))
+            elif kind == "flat" and n > 1:
+                g[:, -1] = 0.0
+            f = 2.0 ** int(rng.choice([-600, -30, 0, 30, 600]))
+            z = Zonotope(n, f * g)
+            u = rng.normal(size=n)
+            vertex = (g @ u > 0.0).astype(float)
+            face = vertex.copy()
+            face[rng.integers(0, max(m, 1), 2 if m else 0)] = rng.uniform(0.0, 1.0, 2 if m else 0)
+            step = np.where(np.arange(n) == np.argmax(np.abs(u)), np.sign(u), 0.0)
+            mass = np.abs(g).sum() + 1.0
+            points = [
+                rng.uniform(0.0, 1.0, m) @ g,
+                vertex @ g,
+                face @ g,
+                vertex @ g + mass * 10.0 ** rng.uniform(-12.0, 0.0) * step,
+                g.sum(axis=0) / 2.0 + mass * rng.normal(size=n),
+            ]
+            cap = (_ASCENT_PIVOTS, _ASCENT_PIVOTS, 1, 0)[case % 4]
+            poison = (2.0**1000, np.inf, -np.inf, np.nan, 0.0)[case // 3 % 5] if case % 3 == 2 else None
+            for i, p in enumerate(points):
+                p = f * p
+                inverses = [poisoned_inverse(1 + i % 3, poison) for _ in "ab"] if poison is not None else []
+                with monkeypatch.context() as patched:
+                    patched.setattr("lorenz_hulls.hulls._ASCENT_PIVOTS", cap)
+                    for inv in inverses[:1]:
+                        patched.setattr(np.linalg, "inv", inv)
+                    want = reference_ascent(z, p)
+                    for inv in inverses[1:]:
+                        patched.setattr(np.linalg, "inv", inv)
+                    got = _ascent_distance(*_scaled(z, p))
+                assert same_bits(got, want), (case, i)
+                seen["uncertified" if want is None else "certified"] += 1
+        assert min(seen.values()) >= 100, seen
 
     def test_scaled_tolerance_corpus(self, monkeypatch):
         # n = 2...4, m = 1...11; Gaussian, integer, parallel, antiparallel

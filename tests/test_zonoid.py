@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from lorenz_hulls import (
+    AchievementCertificate,
+    DimensionMismatch,
     NonFiniteValue,
     NotInHull,
     VectorMeasure,
     achieve,
     certificate_to_json_dict,
+    contains_point,
     density_reach_many,
     hull_of,
     interval_realization,
@@ -14,7 +17,50 @@ from lorenz_hulls import (
     to_density,
     within_tolerance,
 )
+from lorenz_hulls.measures import _nonzero_rows, _rows
 from lorenz_hulls.sampling import case_rng, unit_directions
+
+
+def reference_realization(m, coefficients, target=None):
+    """interval_realization as it was before achieve shared its helper: a
+    loop over the nonzero atoms.  The oracle of the achieve corpus."""
+    lam = np.asarray(coefficients, dtype=np.float64).reshape(-1)
+    if lam.shape[0] != m.atom_count:
+        raise DimensionMismatch(f"{lam.shape[0]} coefficients for {m.atom_count} atoms")
+    if lam.size and not (lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12):
+        raise ValueError("coefficients must lie in [0, 1]")
+    lam = np.clip(lam, 0.0, 1.0)
+    intervals = []
+    for j, t in enumerate(lam[_nonzero_rows(m.atoms)]):
+        if t > 0.0:
+            intervals.append((float(j), float(j + t)))
+    point = lam @ m.atoms
+    residual = 0.0
+    if target is not None:
+        target = _rows(np.reshape(target, (1, -1)), m.dimension, "target", mass=True)[0]
+        residual = float(np.abs(point - target).sum())
+    return AchievementCertificate(lam, tuple(intervals), residual)
+
+
+def reference_achieve(m, target, tol=1e-9):
+    """achieve as it was: the target checked three times, the nonzero atoms
+    found three times, and the certificate from reference_realization."""
+    p = _rows(np.reshape(target, (1, -1)), m.dimension, "target", mass=True)[0]
+    verdict = contains_point(hull_of(m), p, tol=tol)
+    if not verdict.inside:
+        raise NotInHull("target lies outside the hull", verdict.witness)
+    lam = np.zeros(m.atom_count)
+    lam[_nonzero_rows(m.atoms)] = verdict.coefficients
+    return reference_realization(m, lam, target=p)
+
+
+def same_certificate(got, want):
+    """Coefficients, intervals and residual equal bit for bit."""
+    return (got.coefficients.dtype == want.coefficients.dtype
+            and got.coefficients.tobytes() == want.coefficients.tobytes()
+            and np.array(got.intervals).tobytes() == np.array(want.intervals).tobytes()
+            and len(got.intervals) == len(want.intervals)
+            and np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes())
 
 
 class TestToDensity:
@@ -106,6 +152,50 @@ class TestAchieve:
         assert cert.coefficients.tolist() == [1.0, 0.0, 1.0]
         # intervals are indexed along the density axis of the nonzero atoms
         assert cert.intervals == ((0.0, 1.0), (1.0, 2.0))
+
+    def test_matches_its_reference(self):
+        # achieve against reference_achieve, bit for bit: n = 1...5 and
+        # m = 0...12 atoms, zero atoms at every position, integer and
+        # Gaussian atoms; targets inside, at a vertex (coefficients exactly
+        # 0 and 1), +-0.0, the origin, the total and outside, whose
+        # NotInHull witness must match too
+        rng = case_rng(3, "test.achieve.reference")
+        checked = outside = 0
+        for case in range(120):
+            n, m = 1 + case % 5, int(rng.integers(0, 13))
+            atoms = rng.normal(size=(m, n))
+            if case % 3 == 1:
+                atoms = np.round(2.0 * atoms)
+            if m:
+                atoms[case % m] = 0.0
+                atoms[rng.random(m) < 0.2] = 0.0
+            measure = VectorMeasure(n, atoms)
+            u = rng.normal(size=n)
+            targets = [
+                rng.uniform(0.0, 1.0, m) @ atoms,
+                (atoms @ u > 0.0) @ atoms,
+                np.zeros(n),
+                -np.zeros(n),
+                np.where(np.arange(n) % 2, -0.0, 0.0),
+                atoms.sum(axis=0),
+                atoms.sum(axis=0) / 2.0 + (np.abs(atoms).sum() + 1.0) * u,
+            ]
+            for i, target in enumerate(targets):
+                try:
+                    want = reference_achieve(measure, target)
+                except NotInHull as err:
+                    with pytest.raises(NotInHull) as got:
+                        achieve(measure, target)
+                    assert np.asarray(got.value.witness).tobytes() == np.asarray(err.witness).tobytes()
+                    outside += 1
+                    continue
+                assert same_certificate(achieve(measure, target), want), (case, i)
+                lam = want.coefficients
+                for t in (target, None):
+                    cert = interval_realization(measure, lam, target=t)
+                    assert same_certificate(cert, reference_realization(measure, lam, target=t)), (case, i)
+                checked += 1
+        assert checked >= 400 and outside >= 60, (checked, outside)
 
 
 class TestIntervalRealization:
