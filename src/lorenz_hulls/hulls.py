@@ -10,7 +10,7 @@ zonotope evaluates in closed form as ``sum_i max(0, <d, g_i>)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 from typing import Optional
 
@@ -262,19 +262,10 @@ def _sorted_generators_2d(generators: np.ndarray):
     return g[order], ang[order], offset
 
 
-def _merge_sorted_2d(g: np.ndarray, ang: np.ndarray):
+def _merged_generators_2d(g: np.ndarray, ang: np.ndarray):
     """Sum the runs of sorted generators whose successive angles differ by at
     most 1e-12; the merged angles are strictly increasing."""
-    if g.shape[0] == 0:
-        return np.zeros((0, 2))
-    starts = np.concatenate([[0], np.nonzero(np.diff(ang) > 1e-12)[0] + 1])
-    return np.add.reduceat(g, starts, axis=0)
-
-
-def _merged_generators_2d(generators: np.ndarray):
-    """``(merged, offset)``: the sorted generators with equal-angle runs summed."""
-    g, ang, offset = _sorted_generators_2d(generators)
-    return _merge_sorted_2d(g, ang), offset
+    return np.add.reduceat(g, np.flatnonzero(np.diff(ang, prepend=-1.0) > 1e-12), axis=0)
 
 
 def zonogon_vertices(z: Zonotope) -> np.ndarray:
@@ -286,8 +277,8 @@ def zonogon_vertices(z: Zonotope) -> np.ndarray:
     """
     if z.dimension != 2:
         raise Exact2dOnPlaneOnly("vertex enumeration is planar only")
-    merged, offset = _merged_generators_2d(z.generators)
-    return _walk_2d(offset, merged)
+    g, ang, offset = _sorted_generators_2d(z.generators)
+    return _walk_2d(offset, _merged_generators_2d(g, ang))
 
 
 def area_2d(z: Zonotope) -> float:
@@ -587,8 +578,8 @@ def includes(
     exact2d (n = 2): compares reach at the perpendiculars of every outer
     generator (plus the end caps of a segment), which decides inclusion
     exactly since the outer polygon is the intersection of those
-    halfplanes.  Both reach batches go through the planar normal form, so
-    the test costs O((m1 + m2) log(m1 + m2)).  Verdicts are definitive.
+    halfplanes.  One planar normal form per hull, one batch of slopes for
+    both: O((m1 + m2) log(m1 + m2)).  Verdicts are definitive.
 
     sampled (n < 20): compares reach on :func:`sampling._probe_directions`,
     all sign vectors plus ``dirs`` seeded ones.  A violating direction
@@ -600,12 +591,17 @@ def includes(
     if mode == "exact2d":
         if n != 2:
             raise Exact2dOnPlaneOnly("exact2d inclusion needs dimension 2")
-        directions = _outer_normals_2d(outer)
+        supports = (ZonogonSupport(inner.generators), ZonogonSupport(outer.generators))
+        directions = _outer_normals_2d(supports[1])
+        # a hull without generators reads 0.0, as in reach_many, not -0.0
+        h_in, h_out = (h if z.generator_count else np.zeros_like(h)
+                       for z, h in zip((inner, outer), _supports_2d(supports, directions)))
     elif mode == "sampled":
         directions = _probe_directions(n, seed, "includes.sampled", dirs)
+        h_in, h_out = reach_many(inner, directions), reach_many(outer, directions)
     else:
         raise ValueError(f"unknown inclusion mode {mode!r}")
-    gap = reach_many(inner, directions) - reach_many(outer, directions)
+    gap = h_in - h_out
     worst = int(np.argmax(gap))
     max_violation = float(gap[worst])
     if max_violation > tol:
@@ -614,12 +610,13 @@ def includes(
     return InclusionResult(verdict, None, max_violation)
 
 
-def _outer_normals_2d(outer: Zonotope) -> np.ndarray:
+def _outer_normals_2d(outer: ZonogonSupport) -> np.ndarray:
     """Outward halfplane normals whose intersection is the outer zonogon:
     the perpendiculars of every nonzero generator, so that the short edges
-    of a chain of nearly parallel generators keep their own normals."""
-    g, angles, _ = _sorted_generators_2d(outer.generators)
-    merged = _merge_sorted_2d(g, angles)
+    of a chain of nearly parallel generators keep their own normals, in the
+    order of the outer normal form; only the segment test redoes angles."""
+    g = outer._generators
+    merged = _merged_generators_2d(g, np.arctan2(g[:, 1], g[:, 0]))
     if merged.shape[0] == 0:
         d = np.array([[1.0, 0.0], [0.0, 1.0]])
         return np.vstack([d, -d])
@@ -653,24 +650,22 @@ def hausdorff_convex(
       piecewise-linear support difference (generator normals scaled to the
       box boundary, plus the corners), evaluated on the unmerged walk of
       each side's planar normal form :class:`ZonogonSupport` in O(m log m);
-    - n >= 3: exact in closed form (no LP) at the vertices that the
-      hyperplanes <g, u> = 0 of both sides' M nonzero generators cut out of
-      the cube surface ||u||_inf = 1, at most
-      sum_{k < n} C(M, k) C(n, k) 2^(n - k) of them;
-    - past ``sampling.DIRECTION_COORDINATE_LIMIT`` coordinates of those
-      (checked before allocating): sampled over the probes of
-      :func:`sampling._probe_directions` (n < 20), reported as mode
-      "sampled" (a lower bound).
+    - n >= 3: exact in closed form (no LP) at the cube-surface vertices of
+      each side's own arrangement (:func:`_arrangement_directions`);
+    - past ``sampling.DIRECTION_COORDINATE_LIMIT`` coordinates of the
+      arrangement of both sides' M nonzero generators together, at most
+      sum_{k < n} C(M, k) C(n, k) 2^(n - k) (checked before allocating):
+      sampled over the probes of :func:`sampling._probe_directions`
+      (n < 20), reported as mode "sampled" (a lower bound).
     """
     _same_dimension("Hausdorff across dimensions", z1.dimension, z2.dimension)
     n = z1.dimension
     if n <= 2:
         return _hausdorff_2d_exact(z1, z2)
-    gens = np.vstack([z1.generators, z2.generators])
-    gens = gens[_nonzero_rows(gens)]
+    a, b = (z.generators[_nonzero_rows(z.generators)] for z in (z1, z2))
     # facet-vertex count, bounded before any allocation like a direction set
-    if _arrangement_size(len(gens), n) * n <= DIRECTION_COORDINATE_LIMIT:
-        return _hausdorff_arrangement(z1, z2, gens)
+    if _arrangement_size(len(a) + len(b), n) * n <= DIRECTION_COORDINATE_LIMIT:
+        return _hausdorff_arrangement(z1, z2, a, b)
     directions = _probe_directions(n, seed, "hausdorff.sampled", dirs)
     gap = np.abs(reach_many(z1, directions) - reach_many(z2, directions))
     # scale-free comparison: homogeneity degree one in the direction
@@ -709,17 +704,18 @@ def _arrangement_size(m: int, n: int) -> int:
     return sum(comb(m, k) * comb(n, k) << min(n - k, 32) for k in range(min(n, m + 1)))
 
 
-def _arrangement_directions(gens: np.ndarray) -> np.ndarray:
-    """Cube-surface vertices of the arrangement <g, u> = 0 of the nonzero
-    rows ``gens``, where n independent hyperplanes and facets u_j = +-1
-    meet; a function linear on each cell peaks over the surface at one.
-    The exact n >= 3 route of :func:`hausdorff_convex` alone reads them.
-    Unit rows keep the solves in range."""
-    m, n = gens.shape
+def _arrangement_directions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sign vectors, then the cube-surface vertices where k < n
+    hyperplanes <g, u> = 0 of one side's nonzero rows, ``a`` or ``b``, meet
+    n - k facets u_j = +-1: C(m1, k) + C(m2, k) systems, not C(m1 + m2, k).
+    On a cone of one side's fan its support is linear and the other's
+    convex, so their gap peaks at one.  Unit rows keep the solves in range."""
+    m, n = a.shape
+    gens = np.vstack([a, b])
     gens = gens / np.abs(gens).max(axis=1, keepdims=True)
     cands = [sign_vectors(n)]
-    for k in range(1, min(n - 1, m) + 1):
-        subsets = combinations(range(m), k)
+    for k in range(1, n):
+        subsets = chain(combinations(range(m), k), combinations(range(m, len(gens)), k))
         # blocks of subsets whose systems span about _BLOCK coordinates
         step = max(1, _BLOCK // ((n * comb(n, k)) << (n - k)))
         while block := list(islice(subsets, step)):
@@ -727,8 +723,10 @@ def _arrangement_directions(gens: np.ndarray) -> np.ndarray:
     return np.vstack(cands)
 
 
-def _hausdorff_arrangement(z1: Zonotope, z2: Zonotope, gens: np.ndarray) -> HausdorffResult:
-    cands = _arrangement_directions(gens)
+def _hausdorff_arrangement(z1: Zonotope, z2: Zonotope, a, b) -> HausdorffResult:
+    """Exact distance at :func:`_arrangement_directions` of the nonzero ``a``
+    of z1 and ``b`` of z2, with a witness subset sum of the farther side."""
+    cands = _arrangement_directions(a, b)
     gap = reach_many(z1, cands) - reach_many(z2, cands)
     worst = int(np.argmax(np.abs(gap)))
     # the side with the larger support at the best direction is farthest there

@@ -2,6 +2,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -40,8 +41,10 @@ from lorenz_hulls.hulls import (
     _arrangement_size,
     _ascent_distance,
     _central_containment,
+    _facet_vertices,
     _lp_point_distance,
     _scaled,
+    _sorted_generators_2d,
     _stable_order,
     linprog,
     separating_direction,
@@ -1036,6 +1039,30 @@ class TestContainsPoint:
                 assert margin > tol and abs(margin - r.distance) <= rounding, (case, k)
 
 
+def reference_includes_2d(inner, outer, tol):
+    """``includes(inner, outer, "exact2d", tol=tol)`` as it was before one
+    planar normal form per hull: the outer normals from a sort and a merge
+    of their own, then one ``reach_many`` call per hull, each sorting its
+    hull again.  The oracle of ``test_exact2d_matches_its_reference``."""
+    g, angles, _ = _sorted_generators_2d(outer.generators)
+    if g.shape[0] == 0:
+        d = np.array([[1.0, 0.0], [0.0, 1.0]])
+        d = np.vstack([d, -d])
+    else:
+        starts = np.concatenate([[0], np.nonzero(np.diff(angles) > 1e-12)[0] + 1])
+        merged = np.add.reduceat(g, starts, axis=0)
+        d = np.column_stack([-g[:, 1], g[:, 0]])
+        if merged.shape[0] == 1:
+            d = np.vstack([d, merged])
+        d = np.vstack([d, -d])
+        d = d / np.abs(d).sum(axis=1, keepdims=True)
+    gap = reach_many(inner, d) - reach_many(outer, d)
+    worst = int(np.argmax(gap))
+    if gap[worst] > tol:
+        return "excluded", d[worst], float(gap[worst])
+    return "included", None, float(gap[worst])
+
+
 class TestIncludes:
     def test_tol_must_be_finite_and_positive(self):
         big = Zonotope(2, [[3, 0], [0, 3]])
@@ -1081,6 +1108,50 @@ class TestIncludes:
         assert abs(r.max_violation - at_witness) <= 1e-14 * np.abs(gens).sum()
         assert r.max_violation >= violation / np.abs(n_out).sum() - 1e-14 * np.abs(gens).sum()
 
+    def test_exact2d_matches_its_reference(self):
+        # verdict, max_violation and witness bytes equal the reference's on
+        # outers that are empty, zero rows only, segments or chains within
+        # 1e-12 rad, and on inners that are empty or nudged parts of the
+        # outer, at scales 2^0 and 2^+-600
+        rng = case_rng(34, "test.includes.reference")
+        chain, _ = near_parallel_chain(12)
+
+        def side(family, m):
+            if family == "empty":
+                return np.zeros((0, 2))
+            if family == "zero":
+                return np.where(rng.random((m, 2)) < 0.5, 0.0, -0.0)
+            if family == "segment":
+                return np.outer(rng.integers(-3, 4, m) / 2.0, rng.normal(size=2))
+            if family == "chain":
+                g = chain[: m + 1] * rng.choice([1.0, -1.0], (m + 1, 1))
+                return g if rng.random() < 0.5 else np.vstack([g, rng.normal(size=(1, 2))])
+            if family == "dyadic":
+                return rng.integers(-4, 5, (m, 2)) / 4.0
+            return rng.normal(size=(m, 2))
+
+        def nudged(outer):
+            inner = outer[rng.random(len(outer)) < 0.7] * (1.0 + rng.choice([0.0, 1e-12, -1e-12]))
+            return inner + rng.normal(size=inner.shape) * rng.choice([0.0, 1e-13, 1e-9])
+
+        def key(verdict, witness, violation):
+            return verdict, None if witness is None else witness.tobytes(), violation.hex()
+
+        families = ("empty", "zero", "segment", "chain", "dyadic", "random")
+        cases = 0
+        for fo in families:
+            for fi in families + ("nudged",):
+                for _ in range(4):
+                    outer = side(fo, int(rng.integers(1, 9)))
+                    inner = nudged(outer) if fi == "nudged" else side(fi, int(rng.integers(1, 9)))
+                    for k in (0, 600, -600):
+                        z_in, z_out = (Zonotope(2, np.ldexp(g, k)) for g in (inner, outer))
+                        r = includes(z_in, z_out)
+                        want = reference_includes_2d(z_in, z_out, 1e-9)
+                        assert key(r.verdict, r.witness, r.max_violation) == key(*want), (fo, fi, k)
+                        cases += 1
+        assert cases == 6 * 7 * 4 * 3
+
     def test_exact2d_guard(self):
         with pytest.raises(Exact2dOnPlaneOnly):
             includes(Zonotope(3, []), Zonotope(3, []), "exact2d")
@@ -1117,6 +1188,28 @@ def brute_hausdorff_segments(a, b, samples=4001):
         return worst
 
     return max(directed(pa, pb), directed(pb, pa))
+
+
+def joint_arrangement_hausdorff(z1, z2):
+    """The exact n >= 3 route as it was before each side took its own fan:
+    the cube-surface vertices of the arrangement of both sides' nonzero
+    generators together, C(m1 + m2, k) systems per k, as ``(distance,
+    witness_point)``.  The oracle of ``test_own_fans_match_the_joint_arrangement``."""
+    gens = np.vstack([z1.generators, z2.generators])
+    gens = gens[(gens != 0.0).any(axis=1)]
+    m, n = gens.shape
+    gens = gens / np.abs(gens).max(axis=1, keepdims=True)
+    cands = [sign_vectors(n)]
+    for k in range(1, min(n - 1, m) + 1):
+        subsets = combinations(range(m), k)
+        step = max(1, _BLOCK // ((n * comb(n, k)) << (n - k)))
+        while block := list(islice(subsets, step)):
+            cands.append(_facet_vertices(gens[np.array(block)]))
+    cands = np.vstack(cands)
+    gap = reach_many(z1, cands) - reach_many(z2, cands)
+    worst = int(np.argmax(np.abs(gap)))
+    g = (z1 if gap[worst] >= 0.0 else z2).generators
+    return float(abs(gap[worst])), g[g @ cands[worst] > 0.0].sum(axis=0)
 
 
 class TestHausdorffConvex:
@@ -1308,6 +1401,48 @@ class TestHausdorffConvex:
                 w = r.witness_direction
                 assert np.abs(w).max() == 1.0
                 assert np.abs(reach_many(z1, w) - reach_many(z2, w))[0] == r.distance
+
+    def test_own_fans_match_the_joint_arrangement(self):
+        # each side's own arrangement gives the joint arrangement's distance
+        # and witness point, byte for byte, in n = 3 ... 6: random and dyadic
+        # atoms with zero, parallel, shared and duplicate generators, one or
+        # both sides empty, at scales 2^0 and 2^+-600
+        rng = case_rng(35, "test.hausdorff.own_fans")
+
+        def pair(family, n, m1, m2):
+            draw = (lambda m: rng.integers(-4, 5, (m, n)) / 4.0) if rng.random() < 0.5 else (
+                lambda m: rng.normal(size=(m, n)))
+            g1, g2 = draw(m1), draw(m2)
+            if family == "zero":
+                g1[rng.random(m1) < 0.4] = 0.0
+                g2[rng.random(m2) < 0.4] = 0.0
+            elif family == "parallel":
+                both = np.vstack([g1, g2])
+                both[1:] = both[:1] * rng.integers(-3, 4, (len(both) - 1, 1)) / 2.0
+                g1, g2 = both[:m1], both[m1:]
+            elif family == "shared":
+                g2[: min(m1, m2)] = g1[rng.permutation(m1)[: min(m1, m2)]]
+            elif family == "duplicate":
+                g1, g2 = np.vstack([g1, g1[:1]]), np.vstack([g2, g1[:1], g2[:1]])
+            elif family == "empty":
+                g1, g2 = (g1, g2[:0]) if rng.random() < 0.5 else (g1[:0], g2)
+            return g1, g2
+
+        sizes = {3: 7, 4: 5, 5: 4, 6: 3}
+        cases = [(np.zeros((0, n)), np.zeros((0, n))) for n in sizes]
+        for n, most in sizes.items():
+            for family in ("random", "zero", "parallel", "shared", "duplicate", "empty"):
+                for _ in range(4):
+                    cases.append(pair(family, n, int(rng.integers(1, most + 1)),
+                                      int(rng.integers(1, most + 1))))
+        for g1, g2 in cases:
+            for k in (0, 600, -600):
+                z1 = Zonotope(g1.shape[1], np.ldexp(g1, k))
+                z2 = Zonotope(g1.shape[1], np.ldexp(g2, k))
+                distance, witness = joint_arrangement_hausdorff(z1, z2)
+                r = hausdorff_convex(z1, z2)
+                assert r.mode == "exact" and r.distance.hex() == distance.hex(), (g1, g2, k)
+                assert r.witness_point.tobytes() == witness.tobytes(), (g1, g2, k)
 
     def test_sampled_mode_reported(self):
         rng = case_rng(8, "test.hausdorff.sampled")
