@@ -578,8 +578,8 @@ def includes(
     exact2d (n = 2): compares reach at the perpendiculars of every outer
     generator (plus the end caps of a segment), which decides inclusion
     exactly since the outer polygon is the intersection of those
-    halfplanes.  One planar normal form per hull, one batch of slopes for
-    both: O((m1 + m2) log(m1 + m2)).  Verdicts are definitive.
+    halfplanes.  Both reach batches go through the planar normal form, so
+    the test costs O((m1 + m2) log(m1 + m2)).  Verdicts are definitive.
 
     sampled (n < 20): compares reach on :func:`sampling._probe_directions`,
     all sign vectors plus ``dirs`` seeded ones.  A violating direction
@@ -591,17 +591,12 @@ def includes(
     if mode == "exact2d":
         if n != 2:
             raise Exact2dOnPlaneOnly("exact2d inclusion needs dimension 2")
-        supports = (ZonogonSupport(inner.generators), ZonogonSupport(outer.generators))
-        directions = _outer_normals_2d(supports[1])
-        # a hull without generators reads 0.0, as in reach_many, not -0.0
-        h_in, h_out = (h if z.generator_count else np.zeros_like(h)
-                       for z, h in zip((inner, outer), _supports_2d(supports, directions)))
+        directions = _outer_normals_2d(outer)
     elif mode == "sampled":
         directions = _probe_directions(n, seed, "includes.sampled", dirs)
-        h_in, h_out = reach_many(inner, directions), reach_many(outer, directions)
     else:
         raise ValueError(f"unknown inclusion mode {mode!r}")
-    gap = h_in - h_out
+    gap = reach_many(inner, directions) - reach_many(outer, directions)
     worst = int(np.argmax(gap))
     max_violation = float(gap[worst])
     if max_violation > tol:
@@ -610,13 +605,12 @@ def includes(
     return InclusionResult(verdict, None, max_violation)
 
 
-def _outer_normals_2d(outer: ZonogonSupport) -> np.ndarray:
+def _outer_normals_2d(outer: Zonotope) -> np.ndarray:
     """Outward halfplane normals whose intersection is the outer zonogon:
     the perpendiculars of every nonzero generator, so that the short edges
-    of a chain of nearly parallel generators keep their own normals, in the
-    order of the outer normal form; only the segment test redoes angles."""
-    g = outer._generators
-    merged = _merged_generators_2d(g, np.arctan2(g[:, 1], g[:, 0]))
+    of a chain of nearly parallel generators keep their own normals."""
+    g, angles, _ = _sorted_generators_2d(outer.generators)
+    merged = _merged_generators_2d(g, angles)
     if merged.shape[0] == 0:
         d = np.array([[1.0, 0.0], [0.0, 1.0]])
         return np.vstack([d, -d])
